@@ -181,9 +181,12 @@ def cmd_sweep(args):
 def cmd_curve(args):
     alphas = _parse_grid(args.alpha, "alpha")
     betas = _parse_grid(args.beta, "beta")
+    if args.clamp_lo > args.clamp_hi:
+        raise ConfigError(f"clamp_lo {args.clamp_lo} exceeds clamp_hi "
+                          f"{args.clamp_hi}")
     rows = diagnostics.bias_curve(alphas, betas, samples=args.samples,
-                                  clamp_lo=args.clamp_lo_ or 0.5,
-                                  clamp_hi=args.clamp_hi_ or 1.5)
+                                  clamp_lo=args.clamp_lo,
+                                  clamp_hi=args.clamp_hi)
     out = _out_dir(args) / "curve.csv"
     out.write_text(diagnostics.curve_csv(rows))
     if not args.quiet:
@@ -262,8 +265,8 @@ def build_parser():
     p.add_argument("--alpha", default="0.3", help="comma-separated values")
     p.add_argument("--beta", default="0.3", help="comma-separated values")
     p.add_argument("--samples", type=int, default=101)
-    p.add_argument("--clamp_lo", dest="clamp_lo_", type=float, default=None)
-    p.add_argument("--clamp_hi", dest="clamp_hi_", type=float, default=None)
+    p.add_argument("--clamp_lo", type=float, default=0.5)
+    p.add_argument("--clamp_hi", type=float, default=1.5)
     p.add_argument("--out", default=".")
     p.set_defaults(fn=cmd_curve)
 

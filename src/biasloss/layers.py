@@ -315,14 +315,6 @@ def _hswish_bwd(node, g):
 
 register_op("hswish", _hswish_fwd, _hswish_bwd)
 
-if K.HAVE_NUMBA:
-    # swap in the fused relu backward; the masked-multiply reference stays
-    # the fallback (and the contract) when numba is absent
-    def _relu_bwd_fast(node, g):
-        return [K.relu_bwd(node.inputs[0].value, np.ascontiguousarray(g))]
-
-    ad._BACKWARD["relu"] = _relu_bwd_fast
-
 
 def hard_swish(x):
     """x * clamp(x + 3, 0, 6) / 6, element-wise (fused op)."""

@@ -76,6 +76,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in ("ce", "focal", "bias"):
             raise ConfigError(f"unknown loss {self.loss!r}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.clamp_lo > self.clamp_hi:
+            raise ConfigError(f"clamp_lo {self.clamp_lo} exceeds clamp_hi "
+                              f"{self.clamp_hi}")
         if self.schedule is None:
             # the reference recipe decays x0.2 at 30/60/80% of the run
             self.schedule = tuple(
@@ -289,13 +298,22 @@ def save_checkpoint(path, model, cfg_hash=b""):
         blobs.append(raw)
         offset += len(raw)
     manifest = ("\n".join(lines) + "\n").encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<Q", len(manifest)))
-        f.write(manifest)
-        for raw in blobs:
-            f.write(raw)
+    # written beside the target and renamed over it, so a failed or
+    # interrupted write leaves the previous file whole
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(struct.pack("<Q", len(manifest)))
+            f.write(manifest)
+            for raw in blobs:
+                f.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):

@@ -47,6 +47,17 @@ class TestUsage:
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--batch_size", "0"), ("--epochs", "-1"), ("--dropout", "1.5"),
+        ("--clamp_lo", "2"),
+    ])
+    def test_out_of_range_config_exits_two(self, tmp_path, synth_dir, flag,
+                                           value, capsys):
+        code = main(["train", "--data_dir", str(synth_dir),
+                     "--out", str(tmp_path), flag, value])
+        assert code == 2
+        assert flag[2:] in capsys.readouterr().err
+
 
 class TestCurve:
     def test_anchor_row_present(self, tmp_path):
@@ -63,6 +74,25 @@ class TestCurve:
         first = (tmp_path / "curve.csv").read_bytes()
         assert main(args) == 0
         assert (tmp_path / "curve.csv").read_bytes() == first
+
+    @pytest.mark.parametrize("flags,clamped", [
+        ([], 0.5),
+        (["--clamp_lo", "0"], 0.2),
+        (["--clamp_lo", "0", "--clamp_hi", "0"], 0.0),
+    ])
+    def test_zero_clamp_bounds_are_kept(self, tmp_path, flags, clamped):
+        # alpha 0, beta 0.8: z_raw is 0.2 everywhere, below the default
+        # lower clamp, so a zero bound must not fall back to the default
+        assert main(["--quiet", "curve", "--alpha", "0", "--beta", "0.8",
+                     "--samples", "3", "--out", str(tmp_path)] + flags) == 0
+        rows = (tmp_path / "curve.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row.split(",")[4]) == pytest.approx(clamped)
+
+    def test_crossed_clamp_bounds_exit_two(self, tmp_path, capsys):
+        assert main(["curve", "--clamp_hi", "0", "--out", str(tmp_path)]) == 2
+        assert "clamp_lo" in capsys.readouterr().err
 
 
 class TestFixtures:

@@ -117,6 +117,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TrainConfig(loss="mse")
 
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("batch_size", -4), ("epochs", -1),
+        ("dropout", -0.1), ("dropout", 1.0), ("dropout", 1.5),
+        ("dropout", float("nan")), ("clamp_lo", 1.6), ("clamp_hi", 0.4),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_range_edges_accepted(self):
+        cfg = TrainConfig(batch_size=1, epochs=0, dropout=0.0,
+                          clamp_lo=1.0, clamp_hi=1.0)
+        assert cfg.schedule == ()
+
     def test_hash_stable_and_sensitive(self):
         a = TrainConfig(seed=1)
         b = TrainConfig(seed=1)
@@ -142,6 +156,37 @@ class TestCheckpoint:
         state, _ = load_checkpoint(tmp_path / "m.ckpt")
         for p in model.parameters():
             np.testing.assert_array_equal(state[p.name], p.node.value)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "best.ckpt"
+        save_checkpoint(p, SkipblockNetMicro(MicroNetSpec(), seed=3))
+        before = p.read_bytes()
+
+        class DiskFull:
+            """A file whose third write fails, after the header is out."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, b):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError(28, "No space left on device")
+                return self.f.write(b)
+
+        monkeypatch.setattr(train, "open",
+                            lambda path, mode: DiskFull(open(path, mode)),
+                            raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(p, SkipblockNetMicro(MicroNetSpec(), seed=4))
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["best.ckpt"]
 
     def test_corrupted_magic(self, tmp_path):
         model = SkipblockNetMicro(MicroNetSpec(), seed=0)
