@@ -2,10 +2,21 @@
 
 Depthwise convolution, batch normalization and hard-swish take most of a
 training step in the compact networks built here, and each makes several
-element-wise passes over an activation. The kernels that make more than
-one pass walk the batch in blocks of about _BLOCK_BYTES, so that every
-pass after the first re-reads cache rather than memory, and they write
-into preallocated buffers instead of chaining temporaries.
+element-wise passes over an activation. The kernels walk the batch in
+blocks of about _BLOCK_BYTES, so that every pass after the first re-reads
+cache rather than memory, and they write into preallocated buffers
+instead of chaining temporaries.
+
+Blocks run on _POOL, one worker thread per core this process may use
+(numpy releases the interpreter lock inside its loops); a call with a
+single block runs inline. Byte-identity rule: each block has its own
+scratch buffer and writes only its own slice of the output, and per-block
+partial sums are returned and merged by the caller in block order. Every
+result is therefore byte-identical to walking the blocks one after
+another, however many workers there are and whichever finishes first.
+Blocks run in a copy of the caller's context, so np.errstate holds in
+them. Threads start on the first call with more than one block, not at
+import.
 
 Numeric contract: reductions accumulate in float64 whatever the array
 dtype; batch-norm variance and backward use centred terms, never
@@ -16,7 +27,10 @@ depends on it).
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,11 +38,30 @@ import numpy as np
 # for a block's input, output and scratch buffer.
 _BLOCK_BYTES = 512 * 1024
 
+_POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)),
+                           thread_name_prefix="biasloss-kernel")
+
 
 def _block_len(a):
     """Entries of a's first axis per block: at least 1, at most _BLOCK_BYTES."""
     per_entry = a.itemsize * math.prod(a.shape[1:])
     return max(1, _BLOCK_BYTES // max(1, per_entry))
+
+
+def _map_blocks(fn, a):
+    """[fn(block) for each block of a's first axis], in block order.
+
+    fn gets a slice and must write only that slice of any shared output.
+    Each block runs in a copy of the caller's context, so np.errstate
+    applies in the workers as it does inline.
+    """
+    n = _block_len(a)
+    blocks = [np.s_[s:s + n] for s in range(0, len(a), n)]
+    if len(blocks) == 1:
+        return [fn(blocks[0])]
+    futures = [_POOL.submit(contextvars.copy_context().run, fn, s)
+               for s in blocks]
+    return [f.result() for f in futures]
 
 
 def _channel(v, dtype):
@@ -56,12 +89,11 @@ def dw_conv_fwd(xp, w, stride, oh, ow):
     b, c = xp.shape[0], xp.shape[1]
     wt = w.astype(xp.dtype, copy=False)
     out = np.empty((b, c, oh, ow), dtype=xp.dtype)
-    n = _block_len(xp)
-    tmp = np.empty((min(n, b), c, oh, ow), dtype=xp.dtype)
     taps = _taps(w, stride, oh, ow)
-    for s in range(0, b, n):
-        xs, o = xp[s:s + n], out[s:s + n]
-        t = tmp[:len(o)]
+
+    def block(s):
+        xs, o = xp[s], out[s]
+        t = np.empty_like(o)
         for i, (ki, kj, win) in enumerate(taps):
             wk = wt[:, ki, kj].reshape(1, c, 1, 1)
             if i == 0:
@@ -69,29 +101,34 @@ def dw_conv_fwd(xp, w, stride, oh, ow):
             else:
                 np.multiply(xs[win], wk, out=t)
                 np.add(o, t, out=o)
+
+    _map_blocks(block, xp)
     return out
 
 
 def dw_conv_bwd(xp, w, g, stride):
     """Returns (dxp, dw) for the depthwise convolution."""
-    b, c = xp.shape[0], xp.shape[1]
-    oh, ow = g.shape[2], g.shape[3]
+    c = xp.shape[1]
     wt = w.astype(xp.dtype, copy=False)
     dxp = np.zeros_like(xp)
-    dw = np.zeros((w.shape[1], w.shape[2], c), dtype=np.float64)
-    n = _block_len(xp)
-    tmp = np.empty((min(n, b), c, oh, ow), dtype=xp.dtype)
-    taps = _taps(w, stride, oh, ow)
-    for s in range(0, b, n):
-        xs, gs, ds = xp[s:s + n], g[s:s + n], dxp[s:s + n]
-        t = tmp[:len(gs)]
-        for ki, kj, win in taps:
+    taps = _taps(w, stride, g.shape[2], g.shape[3])
+
+    def block(s):
+        xs, gs, ds = xp[s], g[s], dxp[s]
+        t = np.empty(gs.shape, dtype=xp.dtype)
+        dw = np.empty((len(taps), c))
+        for i, (ki, kj, win) in enumerate(taps):
             np.multiply(gs, xs[win], out=t)
-            dw[ki, kj] += _sum_nhw(t)
+            dw[i] = _sum_nhw(t)
             np.multiply(gs, wt[:, ki, kj].reshape(1, c, 1, 1), out=t)
             dwin = ds[win]
             np.add(dwin, t, out=dwin)
-    return dxp, dw.transpose(2, 0, 1).astype(w.dtype)
+        return dw
+
+    dw = np.zeros((len(taps), c))
+    for part in _map_blocks(block, xp):
+        dw += part
+    return dxp, dw.T.reshape(w.shape).astype(w.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -104,25 +141,22 @@ def bn_stats(x):
     to x's dtype, the rounding is corrected exactly in f64, and the blocks
     are merged with Chan et al.'s pairwise update.
     """
-    b, c = x.shape[0], x.shape[1]
+    c = x.shape[1]
     per_sample = x.shape[2] * x.shape[3]
-    n = _block_len(x)
-    tmp = np.empty((min(n, b),) + x.shape[1:], dtype=x.dtype)
-    counts, sums, m2s = [], [], []
-    for s in range(0, b, n):
-        xs = x[s:s + n]
-        t = tmp[:len(xs)]
+
+    def block(s):
+        xs = x[s]
         k = len(xs) * per_sample
         bsum = _sum_nhw(xs)
         bm = bsum / k
         shift = bm.astype(x.dtype)
-        np.subtract(xs, shift.reshape(1, c, 1, 1), out=t)
+        t = np.subtract(xs, shift.reshape(1, c, 1, 1))
         np.multiply(t, t, out=t)
         # sum (x - shift)^2 = sum (x - bm)^2 + k (bm - shift)^2
         d = bm - shift
-        counts.append(k)
-        sums.append(bsum)
-        m2s.append(_sum_nhw(t) - k * d * d)
+        return k, bsum, _sum_nhw(t) - k * d * d
+
+    counts, sums, m2s = zip(*_map_blocks(block, x))
     counts = np.array(counts, dtype=np.float64)[:, None]
     sums = np.array(sums)
     total = counts.sum()
@@ -132,34 +166,49 @@ def bn_stats(x):
 
 
 def bn_normalize(x, mean, invstd, gamma, beta):
-    """(x - mean) * invstd * gamma + beta, as one multiply and one add."""
+    """(x - mean) * invstd * gamma + beta, centred per block.
+
+    x is centred on the mean rounded to x's dtype and the rounding
+    residual is folded into the shift in f64, so outputs keep their
+    precision when |mean| >> std.
+    """
+    m = mean.astype(x.dtype)
     scale = gamma * invstd
-    shift = beta - mean * scale
-    out = np.multiply(x, _channel(scale, x.dtype))
-    np.add(out, _channel(shift, x.dtype), out=out)
+    shift = beta - (mean - m) * scale
+    m4 = m.reshape(1, -1, 1, 1)
+    scale4, shift4 = _channel(scale, x.dtype), _channel(shift, x.dtype)
+    out = np.empty_like(x)
+
+    def block(s):
+        o = out[s]
+        np.subtract(x[s], m4, out=o)
+        np.multiply(o, scale4, out=o)
+        np.add(o, shift4, out=o)
+
+    _map_blocks(block, x)
     return out
 
 
 def bn_bwd_train(x, g, gamma, mean, invstd):
     """Returns (dx, dgamma, dbeta) for train-mode batch normalization."""
-    b = x.shape[0]
-    count = b * x.shape[2] * x.shape[3]
+    count = x.shape[0] * x.shape[2] * x.shape[3]
     # x is centred on the mean rounded to x's dtype; the rounding residual
     # d is folded back in f64
     m = mean.astype(x.dtype)
     d = mean - m
     m4 = m.reshape(1, -1, 1, 1)
-    n = _block_len(x)
-    tmp = np.empty((min(n, b),) + x.shape[1:], dtype=x.dtype)
+
+    def sums(s):
+        xs, gs = x[s], g[s]
+        t = np.subtract(xs, m4)
+        np.multiply(t, gs, out=t)
+        return _sum_nhw(gs), _sum_nhw(t)
+
     sum_g = np.zeros(x.shape[1])
     sum_gx = np.zeros(x.shape[1])
-    for s in range(0, b, n):
-        xs, gs = x[s:s + n], g[s:s + n]
-        t = tmp[:len(xs)]
-        sum_g += _sum_nhw(gs)
-        np.subtract(xs, m4, out=t)
-        np.multiply(t, gs, out=t)
-        sum_gx += _sum_nhw(t)
+    for sg, sgx in _map_blocks(sums, x):
+        sum_g += sg
+        sum_gx += sgx
     dbeta = sum_g
     dgamma = (sum_gx - d * sum_g) * invstd
     # dx = k g - a - (x - mean) c2 = k g - (a - d c2) - (x - m) c2
@@ -168,14 +217,16 @@ def bn_bwd_train(x, g, gamma, mean, invstd):
     a = k * dbeta / count - d * c2
     k4, a4, c24 = (_channel(v, x.dtype) for v in (k, a, c2))
     dx = np.empty_like(x)
-    for s in range(0, b, n):
-        xs, gs, o = x[s:s + n], g[s:s + n], dx[s:s + n]
-        t = tmp[:len(xs)]
-        np.subtract(xs, m4, out=t)
+
+    def grad(s):
+        xs, gs, o = x[s], g[s], dx[s]
+        t = np.subtract(xs, m4)
         np.multiply(t, c24, out=t)
         np.multiply(gs, k4, out=o)
         np.subtract(o, a4, out=o)
         np.subtract(o, t, out=o)
+
+    _map_blocks(grad, x)
     return dx, dgamma.astype(gamma.dtype), dbeta.astype(gamma.dtype)
 
 
@@ -187,13 +238,15 @@ def hswish_fwd(x):
     xf = np.ascontiguousarray(x).reshape(-1)
     out = np.empty(x.shape, dtype=x.dtype)
     of = out.reshape(-1)
-    n = _block_len(xf)
-    for s in range(0, xf.size, n):
-        xs, o = xf[s:s + n], of[s:s + n]
+
+    def block(s):
+        xs, o = xf[s], of[s]
         np.add(xs, 3.0, out=o)
         np.clip(o, 0.0, 6.0, out=o)
         np.multiply(xs, o, out=o)
         np.divide(o, 6.0, out=o)
+
+    _map_blocks(block, xf)
     return out
 
 
@@ -208,11 +261,10 @@ def hswish_bwd(x, g):
     gf = np.ascontiguousarray(g).reshape(-1)
     dx = np.empty(x.shape, dtype=x.dtype)
     df = dx.reshape(-1)
-    n = _block_len(xf)
-    tmp = np.empty(min(n, xf.size), dtype=x.dtype)
-    for s in range(0, xf.size, n):
-        xs, gs, o = xf[s:s + n], gf[s:s + n], df[s:s + n]
-        t = tmp[:len(xs)]
+
+    def block(s):
+        xs, gs, o = xf[s], gf[s], df[s]
+        t = np.empty_like(o)
         np.clip(xs, -3.0, 3.0, out=o)
         np.abs(o, out=t)
         np.less(t, 3.0, out=t)
@@ -221,4 +273,6 @@ def hswish_bwd(x, g):
         np.add(o, 3.0, out=o)
         np.divide(o, 6.0, out=o)
         np.multiply(gs, o, out=o)
+
+    _map_blocks(block, xf)
     return dx

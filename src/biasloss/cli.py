@@ -136,6 +136,8 @@ def _parse_grid(text, what):
         raise ConfigError(f"bad {what} list: {text!r}") from None
     if not values:
         raise ConfigError(f"{what} list must be non-empty")
+    if not all(v >= 0.0 for v in values):
+        raise ConfigError(f"{what} values must be >= 0, got {text!r}")
     return values
 
 

@@ -282,7 +282,8 @@ def batches(ds: Dataset, batch_size, seed=0, epoch=0, augment_spec=None,
 
     The final partial batch is kept. With prefetch, one background worker
     assembles up to 4 batches ahead; the batch stream is identical either
-    way.
+    way. An exception in the worker is raised in the consumer, and closing
+    the iterator early stops and joins the worker.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -298,21 +299,43 @@ def batches(ds: Dataset, batch_size, seed=0, epoch=0, augment_spec=None,
         return
 
     q = queue.Queue(maxsize=4)
-    stop = object()
+    done = object()
+    stop = threading.Event()
 
     def worker():
-        for idx in chunks:
-            q.put(_assemble(ds, idx, augment_spec, epoch, seed))
-        q.put(stop)
+        # stop is checked before every put, so once the consumer has set
+        # it and emptied the queue the worker makes at most one more put,
+        # which finds room, and then returns
+        try:
+            for idx in chunks:
+                item = _assemble(ds, idx, augment_spec, epoch, seed)
+                if stop.is_set():
+                    return
+                q.put(item)
+            item = done
+        except Exception as e:  # re-raised in the consumer
+            item = e
+        if not stop.is_set():
+            q.put(item)
 
-    t = threading.Thread(target=worker, daemon=True)
+    t = threading.Thread(target=worker, name="biasloss-prefetch", daemon=True)
     t.start()
-    while True:
-        item = q.get()
-        if item is stop:
-            break
-        yield item
-    t.join()
+    try:
+        while True:
+            item = q.get()
+            if item is done:
+                return
+            if isinstance(item, Exception):
+                raise item
+            yield item
+    finally:
+        stop.set()
+        while True:
+            try:
+                q.get_nowait()
+            except queue.Empty:
+                break
+        t.join()
 
 
 # ---------------------------------------------------------------------------

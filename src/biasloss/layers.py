@@ -1,10 +1,18 @@
 """CNN building blocks on top of the autodiff engine.
 
-Convolution is im2col-based with fast paths for 1x1 and depthwise kernels,
-which together carry almost all the work in the compact networks built
-here. Layer objects own their parameter nodes; calling a layer on an input
-node extends the graph, so one set of weights can back several graphs
-(e.g. different batch sizes).
+Convolution has three paths. 1x1 and depthwise kernels carry almost all
+the work in the compact networks built here. A 1x1 conv is one GEMM per
+sample on the NCHW activation, W [cout, cin] @ x[i] [cin, h*w], with no
+layout copy. Depthwise conv runs in the blocked kernels of _kernels. Every
+other conv (the stem, grouped convs) is the same per-sample GEMM on im2col
+columns [cin*kh*kw, oh*ow]. Each per-sample GEMM is small enough that
+OpenBLAS runs it on the calling thread; a multithreaded BLAS call would
+leave OpenBLAS's worker spinning between calls on a core the kernel pool
+needs. Weight gradients sum the per-sample partials in float64.
+
+Layer objects own their parameter nodes; calling a layer on an input node
+extends the graph, so one set of weights can back several graphs (e.g.
+different batch sizes).
 """
 
 from __future__ import annotations
@@ -47,29 +55,22 @@ def _conv2d_fwd(node, xs):
 
     if kh == 1 and kw == 1 and groups == 1:
         xs_ = x[:, :, ::stride, ::stride] if stride > 1 else x
-        cols = np.ascontiguousarray(xs_.transpose(0, 2, 3, 1)).reshape(-1, cin)
-        out = (cols @ w.reshape(cout, cin).T).reshape(b, oh, ow, cout)
-        out = out.transpose(0, 3, 1, 2).reshape(b, cout, oh * ow)
-        node.ctx = ("1x1", cols, xs_.shape)
+        xm = xs_.reshape(b, cin, oh * ow)
+        out = np.matmul(w.reshape(cout, cin), xm)
+        node.ctx = ("1x1", xm)
     elif groups == cin and cout == cin:
         xp = (np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad
               else np.ascontiguousarray(x))
         out = K.dw_conv_fwd(xp, np.ascontiguousarray(w[:, 0]), stride, oh, ow)
-        out = out.reshape(b, cout, oh * ow)
         node.ctx = ("dw", xp)
     else:
         # grouped general case: block-diagonal stack of dense convs
-        outs = []
-        cols = []
         cout_g = cout // groups
-        for gi in range(groups):
-            xg = x[:, gi * cin_g:(gi + 1) * cin_g]
-            wg = w[gi * cout_g:(gi + 1) * cout_g]
-            col = _im2col(xg, kh, kw, stride, pad)  # [b*oh*ow, cin_g*kh*kw]
-            outs.append(col @ wg.reshape(cout_g, -1).T)
-            cols.append(col)
-        out = np.concatenate(outs, axis=1)  # [b*oh*ow, cout]
-        out = out.reshape(b, oh, ow, cout).transpose(0, 3, 1, 2).reshape(b, cout, oh * ow)
+        cols = [_im2col(x[:, gi * cin_g:(gi + 1) * cin_g], kh, kw, stride, pad)
+                for gi in range(groups)]
+        out = np.concatenate(
+            [np.matmul(w[gi * cout_g:(gi + 1) * cout_g].reshape(cout_g, -1),
+                       col) for gi, col in enumerate(cols)], axis=1)
         node.ctx = ("grouped", cols)
     out = out.reshape(b, cout, oh, ow)
     if bias is not None:
@@ -78,13 +79,21 @@ def _conv2d_fwd(node, xs):
 
 
 def _im2col(x, kh, kw, stride, pad):
+    """[b, c*kh*kw, oh*ow] input windows, one column per output position."""
     b, c, h, w = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # win: [b, c, oh, ow, kh, kw] -> [b*oh*ow, c*kh*kw]
+    # win: [b, c, oh, ow, kh, kw] -> [b, c, kh, kw, oh, ow]
     oh, ow = win.shape[2], win.shape[3]
-    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        b * oh * ow, c * kh * kw)
+    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(
+        b, c * kh * kw, oh * ow)
+
+
+def _weight_grad(g, cols):
+    """Sum over the batch of g[i] @ cols[i].T, the per-sample partials
+    accumulated in float64."""
+    return np.add.reduce(np.matmul(g, cols.transpose(0, 2, 1)), axis=0,
+                         dtype=np.float64)
 
 
 def _col_accumulate(dcol, x_shape, kh, kw, stride, pad):
@@ -115,16 +124,15 @@ def _conv2d_bwd(node, g):
     kind = node.ctx[0]
 
     if kind == "1x1":
-        _, cols, xs_shape = node.ctx
-        gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
-        dw = (gm.T @ cols).reshape(w.shape)
-        dcols = (gm @ w.reshape(cout, cin)).reshape(b, oh, ow, cin)
-        dflat = dcols.transpose(0, 3, 1, 2)
+        _, xm = node.ctx
+        gm = g.reshape(b, cout, oh * ow)
+        dw = _weight_grad(gm, xm).astype(w.dtype).reshape(w.shape)
+        dxm = np.matmul(w.reshape(cout, cin).T, gm)
         if stride > 1:
             dx = np.zeros_like(x)
-            dx[:, :, ::stride, ::stride] = dflat
+            dx[:, :, ::stride, ::stride] = dxm.reshape(b, cin, oh, ow)
         else:
-            dx = dflat.reshape(x.shape)
+            dx = dxm.reshape(x.shape)
     elif kind == "dw":
         _, xp = node.ctx
         dxp, dw2 = K.dw_conv_bwd(xp, np.ascontiguousarray(w[:, 0]),
@@ -133,17 +141,16 @@ def _conv2d_bwd(node, g):
         dx = dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp
     else:
         _, cols = node.ctx
+        gm = g.reshape(b, cout, oh * ow)
         cout_g = cout // groups
         dx = np.zeros_like(x)
         dw = np.zeros_like(w)
-        gmat = g.transpose(0, 2, 3, 1).reshape(b * oh * ow, cout)
-        for gi in range(groups):
-            gg = gmat[:, gi * cout_g:(gi + 1) * cout_g]
+        for gi, col in enumerate(cols):
+            gg = gm[:, gi * cout_g:(gi + 1) * cout_g]
             wg = w[gi * cout_g:(gi + 1) * cout_g].reshape(cout_g, -1)
-            dw[gi * cout_g:(gi + 1) * cout_g] = (gg.T @ cols[gi]).reshape(
+            dw[gi * cout_g:(gi + 1) * cout_g] = _weight_grad(gg, col).reshape(
                 cout_g, cin_g, kh, kw)
-            dcol = (gg @ wg).reshape(b, oh, ow, cin_g, kh, kw)
-            dcol = dcol.transpose(0, 3, 4, 5, 1, 2)
+            dcol = np.matmul(wg.T, gg).reshape(b, cin_g, kh, kw, oh, ow)
             dx[:, gi * cin_g:(gi + 1) * cin_g] = _col_accumulate(
                 dcol, (b, cin_g, h, wd), kh, kw, stride, pad)
     grads = [dx, dw]
@@ -558,7 +565,6 @@ class MicroNetSpec:
     skip_expand_ratio: int = 2
     head_channels: int = 64
     dropout: float = 0.2
-    use_se: bool = False  # squeeze-excitation hook; intentionally inert
     kernel: int = 3
 
     def validate(self):
@@ -570,9 +576,6 @@ class MicroNetSpec:
                     f"0 <= src < dst < {n_units}")
         if self.width_multiplier <= 0:
             raise ValueError("width multiplier must be positive")
-        if self.use_se:
-            raise NotImplementedError(
-                "squeeze-excitation is a stub and cannot be enabled")
 
 
 @dataclass

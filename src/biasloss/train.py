@@ -85,6 +85,10 @@ class TrainConfig:
         if self.clamp_lo > self.clamp_hi:
             raise ConfigError(f"clamp_lo {self.clamp_lo} exceeds clamp_hi "
                               f"{self.clamp_hi}")
+        for name in ("alpha", "beta"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(f"{name} must be >= 0, got "
+                                  f"{getattr(self, name)}")
         if self.schedule is None:
             # the reference recipe decays x0.2 at 30/60/80% of the run
             self.schedule = tuple(

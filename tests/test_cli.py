@@ -90,6 +90,12 @@ class TestCurve:
         for row in rows:
             assert float(row.split(",")[4]) == pytest.approx(clamped)
 
+    @pytest.mark.parametrize("flags", [["--alpha=-1"], ["--beta=0.3,-0.2"]])
+    def test_negative_alpha_beta_exit_two(self, tmp_path, capsys, flags):
+        assert main(["curve", "--out", str(tmp_path)] + flags) == 2
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+
     def test_crossed_clamp_bounds_exit_two(self, tmp_path, capsys):
         assert main(["curve", "--clamp_hi", "0", "--out", str(tmp_path)]) == 2
         assert "clamp_lo" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import hashlib
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -215,6 +216,44 @@ class TestBatches:
         for a, b in zip(plain, pre):
             np.testing.assert_array_equal(a.images, b.images)
             np.testing.assert_array_equal(a.labels, b.labels)
+
+    def test_prefetch_worker_error_reaches_consumer(self, monkeypatch):
+        ds = data.make_synthetic("mnist", 40, seed=0)
+        assemble = data._assemble
+        calls = []
+
+        def fail_second(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("bad batch")
+            return assemble(*args)
+
+        monkeypatch.setattr(data, "_assemble", fail_second)
+        outcome = []
+
+        def consume():
+            try:
+                outcome.append(len(list(batches(ds, 8, prefetch=True))))
+            except RuntimeError as e:
+                outcome.append(e)
+
+        t = threading.Thread(target=consume, daemon=True)
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive(), "consumer still blocked on the queue"
+        assert isinstance(outcome[0], RuntimeError)
+        assert "bad batch" in str(outcome[0])
+
+    def test_abandoned_prefetch_iterators_stop_their_workers(self):
+        ds = data.make_synthetic("mnist", 64, seed=0)
+        before = set(threading.enumerate())
+        for _ in range(3):
+            for b in batches(ds, 4, prefetch=True):
+                break
+        it = batches(ds, 4, prefetch=True)
+        next(it)
+        it.close()
+        assert set(threading.enumerate()) - before == set()
 
     def test_batch_size_validation(self):
         ds = data.make_synthetic("mnist", 4, seed=0)

@@ -4,6 +4,10 @@ Shapes are chosen so that the batch spans several kernel blocks with a
 remainder, and each kernel also runs at batch 1.
 """
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -133,21 +137,23 @@ def test_bn_matches_oracle(dtype, batch):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_bn_mean_far_above_std(dtype):
-    # |mean| / std = 1e5: E[x^2] - E[x]^2 and an expanded (x - m) term
-    # lose every significant digit here
+    # |mean| / std = 1e5: E[x^2] - E[x]^2, an expanded (x - m) term and a
+    # normalize folded into x * scale + shift lose every significant digit
     rng = np.random.default_rng(2)
     z = rng.normal(size=(19, 16, 28, 28))
     x = (1e3 + 1e-2 * z).astype(dtype)
     # g correlated with x makes dgamma, and so the (x - m) term of dx, large
     g = (rng.normal(size=x.shape) + 10 * z).astype(dtype)
-    gamma = np.ones(16, dtype=dtype)
-    beta = np.zeros(16, dtype=dtype)
+    gamma = rng.normal(1.0, 0.1, size=16).astype(dtype)
+    beta = rng.normal(size=16).astype(dtype)
     assert ragged(x)
-    mean, var, invstd, _, dx, dgamma, _ = bn_oracle(x, g, gamma, beta, eps=0.0)
+    mean, var, invstd, y, dx, dgamma, _ = bn_oracle(x, g, gamma, beta, eps=0.0)
 
     gm, gv = K.bn_stats(x)
     np.testing.assert_allclose(gm, mean, rtol=1e-12)
     np.testing.assert_allclose(gv, var, rtol=1e-6)
+    np.testing.assert_allclose(K.bn_normalize(x, gm, invstd, gamma, beta), y,
+                               rtol=1e-5, atol=1e-5)
     gdx, gdg, _ = K.bn_bwd_train(x, g, gamma, gm, invstd)
     np.testing.assert_allclose(gdx, dx, rtol=1e-4, atol=1e-5 * np.abs(dx).max())
     np.testing.assert_allclose(gdg, dgamma, rtol=1e-4, atol=1e-3)
@@ -216,3 +222,58 @@ def test_inf_propagates():
         m, v = K.bn_stats(x)
     assert not np.isfinite(m[0]) and not np.isfinite(v[0])
     assert np.isinf(K.hswish_fwd(x)[1, 0, 2, 2])
+
+
+# ---------------------------------------------------------------------------
+# blocks on the worker pool
+
+def test_concurrent_callers_match_one_worker(monkeypatch):
+    """Kernel results from several threads at once are byte-identical to
+    running the blocks one at a time in order."""
+    rng = np.random.default_rng(6)
+    xp = rng.normal(size=(19, 16, 30, 30)).astype(np.float32)
+    x = np.ascontiguousarray(xp[:, :, 1:29, 1:29])
+    g = rng.normal(size=x.shape).astype(np.float32)
+    w = rng.normal(size=(16, 3, 3)).astype(np.float32)
+    gamma = rng.normal(1.0, 0.1, size=16).astype(np.float32)
+    beta = rng.normal(size=16).astype(np.float32)
+    assert ragged(xp) and ragged(x) and ragged(x.reshape(-1))
+
+    def run_all():
+        mean, var = K.bn_stats(x)
+        invstd = 1.0 / np.sqrt(var + 1e-5)
+        outs = [K.dw_conv_fwd(xp, w, 1, 28, 28), *K.dw_conv_bwd(xp, w, g, 1),
+                mean, var, K.bn_normalize(x, mean, invstd, gamma, beta),
+                *K.bn_bwd_train(x, g, gamma, mean, invstd),
+                K.hswish_fwd(x), K.hswish_bwd(x, g)]
+        return [a.tobytes() for a in outs]
+
+    with ThreadPoolExecutor(1) as serial, monkeypatch.context() as m:
+        m.setattr(K, "_POOL", serial)
+        expected = run_all()
+
+    results = []
+
+    def caller():
+        results.extend(run_all() == expected for _ in range(3))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [True] * 12
+
+
+def test_caller_errstate_applies_in_every_block():
+    x = np.zeros((19, 4, 64, 64), np.float32)
+    assert ragged(x.reshape(-1))
+    x[17, 0, 0, 0] = -np.inf  # -inf * clip(-inf + 3, 0, 6) = -inf * 0
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        K.hswish_fwd(x)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from biasloss import autodiff as ad
 from biasloss import layers as L
@@ -33,6 +34,41 @@ def naive_conv(x, w, bias, stride, pad, groups):
                                         * w[o, ci, ki, kj])
                     out[n, o, i, j] = acc + (bias[o] if bias is not None else 0.0)
     return out
+
+
+def conv_oracle(x, w, g, stride, pad, groups):
+    """float64 (out, dx, dw) of the grouped cross-correlation, with g the
+    gradient of the output."""
+    x, w, g = (a.astype(np.float64) for a in (x, w, g))
+    b, cin, h, wd = x.shape
+    cout, cin_g, kh, kw = w.shape
+    oh, ow = g.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride][:, :, :oh, :ow].reshape(
+        b, groups, cin_g, oh, ow, kh, kw)
+    wg = w.reshape(groups, cout // groups, cin_g, kh, kw)
+    gg = g.reshape(b, groups, cout // groups, oh, ow)
+    out = np.einsum("bgchwij,gocij->bgohw", win, wg).reshape(b, cout, oh, ow)
+    dw = np.einsum("bgohw,bgchwij->gocij", gg, win).reshape(w.shape)
+    dwin = np.einsum("gocij,bgohw->bgchwij", wg, gg).reshape(
+        b, cin, oh, ow, kh, kw)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + stride * oh:stride,
+                j:j + stride * ow:stride] += dwin[..., i, j]
+    return out, dxp[:, :, pad:pad + h, pad:pad + wd], dw
+
+
+def conv_grads(x, w, g, stride, pad, groups):
+    """(out, dx, dw) of conv2d, backpropagating g from its output."""
+    xn, wn = ad.parameter(x), ad.parameter(w)
+    y = L.conv2d(xn, wn, stride=stride, padding=pad, groups=groups)
+    root = ad.sum_(ad.mul(y, ad.constant(g)))
+    run(root)
+    grads = ad.backward(root)
+    return y.value, grads[xn], grads[wn]
 
 
 class TestConv2d:
@@ -78,6 +114,44 @@ class TestConv2d:
         np.testing.assert_allclose(
             y.value, naive_conv(x, w, bias, stride, pad, groups),
             rtol=1e-10, atol=1e-12)
+
+    # pointwise (stride 1 and 2), grouped and the stem's dense 3x3
+    GEMM_CASES = [(8, 12, 1, 1, 0, 1), (8, 12, 1, 2, 0, 1),
+                  (4, 6, 3, 1, 1, 2), (6, 4, 3, 2, 1, 2), (3, 8, 3, 1, 1, 1)]
+
+    @pytest.mark.parametrize("cin,cout,k,stride,pad,groups", GEMM_CASES)
+    def test_gemm_paths_match_f64_oracle(self, cin, cout, k, stride, pad,
+                                         groups):
+        rng = np.random.default_rng(cin * 10 + k)
+        x = rng.normal(size=(5, cin, 14, 14)).astype(np.float32)
+        w = rng.normal(size=(cout, cin // groups, k, k)).astype(np.float32)
+        o = (14 + 2 * pad - k) // stride + 1
+        g = rng.normal(size=(5, cout, o, o)).astype(np.float32)
+        out, dx, dw = conv_oracle(x, w, g, stride, pad, groups)
+        got = conv_grads(x, w, g, stride, pad, groups)
+        for a, ref in zip(got, (out, dx, dw)):
+            assert a.dtype == np.float32 and a.shape == ref.shape
+            np.testing.assert_allclose(a, ref, rtol=1e-5,
+                                       atol=1e-5 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("cin,cout,k,stride,pad,groups", GEMM_CASES)
+    def test_weight_grad_of_offset_batch(self, cin, cout, k, stride, pad,
+                                         groups):
+        # every sample's weight-gradient partial is about the same large
+        # value (|mean| >> std over the batch): summing 512 of them in f32
+        # loses ~1e-6 relative, the f64 sum only dw's final rounding
+        rng = np.random.default_rng(7)
+        x = (100 + 1e-2 * rng.normal(size=(512, cin, 7, 7))).astype(np.float32)
+        w = rng.normal(size=(cout, cin // groups, k, k)).astype(np.float32)
+        o = (7 + 2 * pad - k) // stride + 1
+        g = (1 + 1e-2 * rng.normal(size=(512, cout, o, o))).astype(np.float32)
+        out, dx, dw = conv_oracle(x, w, g, stride, pad, groups)
+        gout, gdx, gdw = conv_grads(x, w, g, stride, pad, groups)
+        np.testing.assert_allclose(gout, out, rtol=1e-5,
+                                   atol=1e-5 * np.abs(out).max())
+        np.testing.assert_allclose(gdx, dx, rtol=1e-5,
+                                   atol=1e-5 * np.abs(dx).max())
+        np.testing.assert_allclose(gdw, dw, rtol=2e-7)
 
     def test_group_divisibility_error(self):
         x = ad.constant(np.zeros((1, 3, 4, 4), dtype=np.float32))
@@ -410,11 +484,6 @@ class TestMicroNet:
             L.MicroNetSpec(skip_insertions=((3, 2),)).validate()
         with pytest.raises(ValueError):
             L.MicroNetSpec(skip_insertions=((0, 9),)).validate()
-
-    def test_se_flag_is_inert_stub(self):
-        assert L.MicroNetSpec().use_se is False
-        with pytest.raises(NotImplementedError):
-            L.SkipblockNetMicro(L.MicroNetSpec(use_se=True))
 
     def test_logits_shape_any_spec(self):
         spec = L.MicroNetSpec(in_channels=3, num_classes=7,

@@ -121,6 +121,7 @@ class TestConfig:
         ("batch_size", 0), ("batch_size", -4), ("epochs", -1),
         ("dropout", -0.1), ("dropout", 1.0), ("dropout", 1.5),
         ("dropout", float("nan")), ("clamp_lo", 1.6), ("clamp_hi", 0.4),
+        ("alpha", -1.0), ("beta", -0.1), ("alpha", float("nan")),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -128,7 +129,7 @@ class TestConfig:
 
     def test_range_edges_accepted(self):
         cfg = TrainConfig(batch_size=1, epochs=0, dropout=0.0,
-                          clamp_lo=1.0, clamp_hi=1.0)
+                          clamp_lo=1.0, clamp_hi=1.0, alpha=0.0, beta=0.0)
         assert cfg.schedule == ()
 
     def test_hash_stable_and_sensitive(self):
