@@ -112,12 +112,7 @@ def cmd_profile(args):
     ckpt = Path(args.ckpt)
     if not ckpt.exists():
         raise ConfigError(f"checkpoint {ckpt} does not exist")
-    state, _ = trainmod.load_checkpoint(ckpt)
-    model = trainmod.SkipblockNetMicro(cfg.model_spec(), seed=cfg.seed)
-    try:
-        model.load_state(state)
-    except (KeyError, ValueError) as e:
-        raise CheckpointError(f"checkpoint does not fit model: {e}") from None
+    model = trainmod.model_from_checkpoint(ckpt, cfg)
     layers = args.layers.split(",") if args.layers else None
     norm = datamod.default_augment(cfg.dataset).normalize
     prof = diagnostics.profile(model, ds, layers, batch_size=cfg.batch_size,

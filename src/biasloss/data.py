@@ -236,6 +236,10 @@ def _normalize(image, normalize):
     if normalize is None:
         return image
     mean, std = normalize
+    if not len(mean) == len(std) == image.shape[0]:
+        raise FormatError(
+            f"normalize has {len(mean)} means and {len(std)} stds for an "
+            f"image of {image.shape[0]} channels")
     mean = np.asarray(mean, dtype=image.dtype).reshape(-1, 1, 1)
     std = np.asarray(std, dtype=image.dtype).reshape(-1, 1, 1)
     return (image - mean) / std

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import data as datamod
+from .layers import GraphCache
 from .losses import BiasLossConfig, batch_variances, bias_weight
 
 PROFILE_HEADER = "layer,avg,max,min"
@@ -93,16 +94,10 @@ def profile(model, dataset, layer_names=None, batch_size=256,
     spec = datamod.AugmentSpec(hflip=False, rotate_deg=(0.0, 0.0),
                                normalize=normalize)
     probes = {name: LayerProbe(name) for name in layer_names}
-    built = {}
+    cache = GraphCache(model)
     for b in datamod.batches(dataset, batch_size, shuffle=False,
                              augment_spec=spec):
-        n = b.images.shape[0]
-        out = built.get(n)
-        if out is None:
-            out = model.build(ad.leaf(b.images))
-            built[n] = out
-        else:
-            out.input.set(b.images)
+        out = cache.get(b.images)
         fp = ad.ForwardPass()
         for name in layer_names:
             fp.run(out.probes[name])

@@ -12,7 +12,10 @@ needs. Weight gradients sum the per-sample partials in float64.
 
 Layer objects own their parameter nodes; calling a layer on an input node
 extends the graph, so one set of weights can back several graphs (e.g.
-different batch sizes).
+different batch sizes). GraphCache keeps one such graph per batch size.
+Every layer, block and the network derive from Module, which walks the
+attribute tree once for all of them: parameters, BN buffers, train/eval
+mode, loading a checkpoint's state and counting parameters.
 """
 
 from __future__ import annotations
@@ -349,7 +352,70 @@ class ParamInfo:
 # ---------------------------------------------------------------------------
 # layers
 
-class Conv2d:
+class Module:
+    """Base of every layer, block and network: one walk over the tree.
+
+    A module's children are the Module values among its attributes, found
+    in attribute order and also inside lists and tuples at any depth. Its
+    parameters are its Node attributes (named by the node) and its buffers
+    its ndarray attributes (named "<module name>.<attribute>"). Order is
+    depth first in attribute order, which fixes checkpoint manifests.
+    """
+
+    training = True
+    weight_decay = True  # whether SGD decays this module's own parameters
+
+    def modules(self):
+        yield self
+        yield from _submodules(vars(self).values())
+
+    def parameters(self):
+        return [ParamInfo(v.name, v, m.weight_decay) for m in self.modules()
+                for v in vars(m).values() if isinstance(v, Node)]
+
+    def buffers(self):
+        return [(f"{m.name}.{k}", v) for m in self.modules()
+                for k, v in vars(m).items() if isinstance(v, np.ndarray)]
+
+    def train(self):
+        for m in self.modules():
+            m.training = True
+        return self
+
+    def eval(self):
+        for m in self.modules():
+            m.training = False
+        return self
+
+    def num_parameters(self):
+        return int(sum(p.node.value.size for p in self.parameters()))
+
+    def load_state(self, state):
+        """Assign parameter and buffer arrays by name from a dict. A missing
+        name raises KeyError and a wrong shape ShapeError."""
+        for p in self.parameters():
+            arr = state[p.name]
+            if arr.shape != p.node.value.shape:
+                raise ShapeError(
+                    f"{p.name}: checkpoint shape {arr.shape} != model "
+                    f"{p.node.value.shape}")
+            p.node.value = arr.astype(p.node.value.dtype)
+        for name, buf in self.buffers():
+            arr = state[name]
+            if arr.shape != buf.shape:
+                raise ShapeError(f"{name}: buffer shape mismatch")
+            buf[...] = arr
+
+
+def _submodules(values):
+    for v in values:
+        if isinstance(v, Module):
+            yield from v.modules()
+        elif isinstance(v, (list, tuple)):
+            yield from _submodules(v)
+
+
+class Conv2d(Module):
     """Convolution layer owning weight (and optional bias) parameters."""
 
     def __init__(self, cin, cout, kernel, stride=1, padding=0, groups=1,
@@ -372,15 +438,12 @@ class Conv2d:
         return conv2d(x, self.weight, self.bias, self.stride, self.padding,
                       self.groups)
 
-    def parameters(self):
-        ps = [ParamInfo(self.weight.name, self.weight)]
-        if self.bias is not None:
-            ps.append(ParamInfo(self.bias.name, self.bias))
-        return ps
 
-
-class BatchNorm2d:
+class BatchNorm2d(Module):
     """Per-channel batch normalization with running statistics."""
+
+    # weight decay conventionally skips BN affine parameters
+    weight_decay = False
 
     def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float32,
                  name="bn"):
@@ -392,23 +455,13 @@ class BatchNorm2d:
         self.running_var = np.ones(channels, dtype=dtype)
         self.eps = eps
         self.momentum = momentum
-        self.training = True
         self.name = name
 
     def __call__(self, x):
         return _node("batchnorm", [x, self.gamma, self.beta], {"layer": self})
 
-    def parameters(self):
-        # weight decay conventionally skips BN affine parameters
-        return [ParamInfo(self.gamma.name, self.gamma, weight_decay=False),
-                ParamInfo(self.beta.name, self.beta, weight_decay=False)]
 
-    def buffers(self):
-        return [(f"{self.name}.running_mean", self.running_mean),
-                (f"{self.name}.running_var", self.running_var)]
-
-
-class Linear:
+class Linear(Module):
     def __init__(self, cin, cout, rng=None, dtype=np.float32, name="linear"):
         rng = rng or np.random.default_rng(0)
         w = kaiming_uniform(rng, (cin, cout), cin, dtype)
@@ -419,17 +472,12 @@ class Linear:
     def __call__(self, x):
         return ad.matmul(x, self.weight) + self.bias
 
-    def parameters(self):
-        return [ParamInfo(self.weight.name, self.weight),
-                ParamInfo(self.bias.name, self.bias)]
 
-
-class Dropout:
+class Dropout(Module):
     def __init__(self, rate, seed=0):
         self.rate = float(rate)
         self.rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(seed, spawn_key=(0xD0,))))
-        self.training = True
 
     def __call__(self, x):
         return _node("dropout", [x], {"layer": self})
@@ -438,7 +486,7 @@ class Dropout:
 # ---------------------------------------------------------------------------
 # composite blocks
 
-class ConvBnAct:
+class ConvBnAct(Module):
     """conv -> BN -> optional activation, the workhorse sub-block."""
 
     def __init__(self, cin, cout, kernel, stride=1, padding=0, groups=1,
@@ -452,17 +500,8 @@ class ConvBnAct:
         y = self.bn(self.conv(x))
         return self.act(y) if self.act else y
 
-    def parameters(self):
-        return self.conv.parameters() + self.bn.parameters()
 
-    def buffers(self):
-        return self.bn.buffers()
-
-    def bn_layers(self):
-        return [self.bn]
-
-
-class SkipBlock:
+class SkipBlock(Module):
     """Carries early features to a deeper insertion point.
 
     Adaptive average pooling down to the destination's spatial size, then a
@@ -486,20 +525,8 @@ class SkipBlock:
         y = adaptive_avg_pool(x, self.target_spatial)
         return self.project(self.depthwise(self.expand(y)))
 
-    def parameters(self):
-        return (self.expand.parameters() + self.depthwise.parameters()
-                + self.project.parameters())
 
-    def buffers(self):
-        return (self.expand.buffers() + self.depthwise.buffers()
-                + self.project.buffers())
-
-    def bn_layers(self):
-        return (self.expand.bn_layers() + self.depthwise.bn_layers()
-                + self.project.bn_layers())
-
-
-class InvertedResidual:
+class InvertedResidual(Module):
     """expand 1x1 -> depthwise kxk -> linear project 1x1, with residual
     when stride is 1 and channel counts match."""
 
@@ -519,18 +546,6 @@ class InvertedResidual:
     def __call__(self, x):
         y = self.project(self.depthwise(self.expand(x)))
         return ad.add(x, y) if self.use_residual else y
-
-    def parameters(self):
-        return (self.expand.parameters() + self.depthwise.parameters()
-                + self.project.parameters())
-
-    def buffers(self):
-        return (self.expand.buffers() + self.depthwise.buffers()
-                + self.project.buffers())
-
-    def bn_layers(self):
-        return (self.expand.bn_layers() + self.depthwise.bn_layers()
-                + self.project.bn_layers())
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +602,26 @@ class BuildOutput:
     probes: dict = field(default_factory=dict)
 
 
-class SkipblockNetMicro:
+class GraphCache:
+    """One built graph per batch size, sharing the model's parameters."""
+
+    def __init__(self, model):
+        self.model = model
+        self._built = {}
+
+    def get(self, images):
+        b = images.shape[0]
+        out = self._built.get(b)
+        if out is None:
+            x = ad.leaf(np.ascontiguousarray(images), name=f"input[{b}]")
+            out = self.model.build(x)
+            self._built[b] = out
+        else:
+            out.input.set(np.ascontiguousarray(images))
+        return out
+
+
+class SkipblockNetMicro(Module):
     """Compact inverted-residual classifier with a skip block.
 
     Stem 3x3 conv (hard-swish), five inverted residual blocks, a skip block
@@ -599,7 +633,6 @@ class SkipblockNetMicro:
     def __init__(self, spec: MicroNetSpec = None, seed=0, dtype=np.float32):
         self.spec = spec or MicroNetSpec()
         self.spec.validate()
-        self.dtype = dtype
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(seed, spawn_key=(0x1,))))
         s = self.spec
@@ -683,63 +716,3 @@ class SkipblockNetMicro:
             names.append(f"skip{src}_{dst}")
         names.append("head")
         return names
-
-    def parameters(self):
-        ps = self.stem.parameters()
-        for blk in self.blocks:
-            ps += blk.parameters()
-        for _, _, blk in self.skips:
-            ps += blk.parameters()
-        ps += self.head.parameters() + self.classifier.parameters()
-        return ps
-
-    def buffers(self):
-        bs = self.stem.buffers()
-        for blk in self.blocks:
-            bs += blk.buffers()
-        for _, _, blk in self.skips:
-            bs += blk.buffers()
-        bs += self.head.buffers()
-        return bs
-
-    def _mode_layers(self):
-        layers = self.stem.bn_layers()
-        for blk in self.blocks:
-            layers += blk.bn_layers()
-        for _, _, blk in self.skips:
-            layers += blk.bn_layers()
-        layers += self.head.bn_layers()
-        layers.append(self.head_dropout)
-        return layers
-
-    def train(self):
-        for layer in self._mode_layers():
-            layer.training = True
-        return self
-
-    def eval(self):
-        for layer in self._mode_layers():
-            layer.training = False
-        return self
-
-    @property
-    def training(self):
-        return self.head_dropout.training
-
-    def num_parameters(self):
-        return int(sum(p.node.value.size for p in self.parameters()))
-
-    def load_state(self, state):
-        """Assign parameter/buffer arrays by name from a dict."""
-        for p in self.parameters():
-            arr = state[p.name]
-            if arr.shape != p.node.value.shape:
-                raise ShapeError(
-                    f"{p.name}: checkpoint shape {arr.shape} != model "
-                    f"{p.node.value.shape}")
-            p.node.value = arr.astype(self.dtype)
-        for name, buf in self.buffers():
-            arr = state[name]
-            if arr.shape != buf.shape:
-                raise ShapeError(f"{name}: buffer shape mismatch")
-            buf[...] = arr

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import data as datamod
-from .layers import MicroNetSpec, SkipblockNetMicro
+from .layers import GraphCache, MicroNetSpec, SkipblockNetMicro
 from .losses import (BiasLossConfig, LossBatch, bias_loss, cross_entropy,
                      focal_loss, variance_record)
 
@@ -76,6 +76,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in ("ce", "focal", "bias"):
             raise ConfigError(f"unknown loss {self.loss!r}")
+        if self.dataset not in ("mnist", "cifar10"):
+            raise ConfigError(f"unknown dataset {self.dataset!r}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -355,25 +357,6 @@ def load_checkpoint(path):
 # ---------------------------------------------------------------------------
 # the training loop
 
-class _GraphCache:
-    """One built graph per batch size, sharing the model's parameters."""
-
-    def __init__(self, model):
-        self.model = model
-        self._built = {}
-
-    def get(self, images):
-        b = images.shape[0]
-        out = self._built.get(b)
-        if out is None:
-            x = ad.leaf(np.ascontiguousarray(images), name=f"input[{b}]")
-            out = self.model.build(x)
-            self._built[b] = out
-        else:
-            out.input.set(np.ascontiguousarray(images))
-        return out
-
-
 def _epoch_stats():
     return {"n": 0, "loss": 0.0, "correct": 0, "raw": 0.0, "scaled": 0.0,
             "weight": 0.0, "clamp_lo": 0.0, "clamp_hi": 0.0}
@@ -449,8 +432,8 @@ def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
         out_dir.mkdir(parents=True, exist_ok=True)
 
     model = SkipblockNetMicro(cfg.model_spec(), seed=cfg.seed)
-    model.train()
-    cache = _GraphCache(model)
+    params = model.parameters()
+    cache = GraphCache(model)
     bias_cfg = cfg.bias_config()
     aug = datamod.default_augment(cfg.dataset) if cfg.augment else \
         datamod.AugmentSpec(hflip=False, rotate_deg=(0.0, 0.0),
@@ -477,7 +460,7 @@ def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
                     f"scaled={record.scaled!r} weight={record.weight!r}",
                     record)
             grads = ad.backward(loss)
-            sgd_step(model.parameters(), grads, opt_state, lr, cfg.momentum,
+            sgd_step(params, grads, opt_state, lr, cfg.momentum,
                      cfg.weight_decay)
             _accumulate(stats, len(b.labels), lval, out.logits.value,
                         b.labels, record, bias_cfg)
@@ -500,26 +483,25 @@ def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
     return log, model
 
 
-def evaluate(checkpoint_path, dataset, cfg: TrainConfig):
-    """Eval-mode pass over a dataset with weights from a checkpoint.
-
-    Returns (loss, top1). No augmentation, no dropout.
-    """
+def model_from_checkpoint(checkpoint_path, cfg: TrainConfig):
+    """The model cfg describes, with parameters and BN statistics from a
+    checkpoint. Raises CheckpointError when the file does not fit it."""
     state, _ = load_checkpoint(checkpoint_path)
     model = SkipblockNetMicro(cfg.model_spec(), seed=cfg.seed)
     try:
         model.load_state(state)
     except (KeyError, ad.ShapeError) as e:
         raise CheckpointError(f"checkpoint does not fit model: {e}") from None
-    model.eval()
-    cache = _GraphCache(model)
-    bias_cfg = cfg.bias_config()
+    return model
+
+
+def evaluate(checkpoint_path, dataset, cfg: TrainConfig):
+    """Eval-mode pass over a dataset with weights from a checkpoint.
+
+    Returns (loss, top1). No augmentation, no dropout.
+    """
+    model = model_from_checkpoint(checkpoint_path, cfg)
     eval_spec = datamod.normalize_only(datamod.default_augment(cfg.dataset))
-    stats = _epoch_stats()
-    for b in datamod.batches(dataset, cfg.batch_size, shuffle=False,
-                             augment_spec=eval_spec):
-        out = cache.get(b.images)
-        loss, record = _compute_loss(cfg, bias_cfg, out, b.labels)
-        _accumulate(stats, len(b.labels), loss.item(), out.logits.value,
-                    b.labels, record, bias_cfg)
+    stats = _eval_epoch(model, GraphCache(model), dataset, cfg,
+                        cfg.bias_config(), eval_spec)
     return stats["loss"] / stats["n"], stats["correct"] / stats["n"]

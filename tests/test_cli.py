@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biasloss import cli, data
+from biasloss import cli, data, layers, train
 from biasloss.cli import main
 
 
@@ -57,6 +57,15 @@ class TestUsage:
                      "--out", str(tmp_path), flag, value])
         assert code == 2
         assert flag[2:] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb,extra", [("train", ["--out"]),
+                                            ("eval", ["--ckpt"])])
+    def test_unknown_dataset_exits_two(self, tmp_path, synth_dir, verb,
+                                       extra, capsys):
+        code = main(["--quiet", verb, "--dataset", "foo", "--data_dir",
+                     str(synth_dir)] + extra + [str(tmp_path / "x")])
+        assert code == 2
+        assert "unknown dataset 'foo'" in capsys.readouterr().err
 
 
 class TestCurve:
@@ -165,6 +174,19 @@ class TestTrainEvalProfile:
         assert lines[0] == "layer,avg,max,min"
         assert len(lines) == 3
         assert lines[1].startswith("stem,") and lines[2].startswith("head,")
+
+    @pytest.mark.parametrize("spec", [
+        layers.MicroNetSpec(width_multiplier=0.5),  # wrong shapes
+        layers.MicroNetSpec(skip_insertions=()),    # missing skip block keys
+    ])
+    def test_profile_misfit_checkpoint_exits_two(self, synth_dir, tmp_path,
+                                                 spec, capsys):
+        ckpt = tmp_path / "other.ckpt"
+        train.save_checkpoint(ckpt, layers.SkipblockNetMicro(spec, seed=0))
+        code = main(["--quiet", "profile", "--ckpt", str(ckpt),
+                     "--data_dir", str(synth_dir), "--out", str(tmp_path)])
+        assert code == 2
+        assert "does not fit model" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_two(self, synth_dir, tmp_path):
         code = main(["eval", "--ckpt", str(tmp_path / "none.ckpt"),

@@ -147,6 +147,15 @@ class TestAugment:
         np.testing.assert_allclose(out[0], 0.5, rtol=1e-6)
         np.testing.assert_allclose(out[1], 0.0, atol=1e-7)
 
+    @pytest.mark.parametrize("normalize", [((0.1, 0.2), (0.3, 0.4)),
+                                           ((0.1,), (0.3, 0.4))])
+    def test_normalize_channel_mismatch_rejected(self, normalize):
+        img = np.zeros((1, 28, 28), dtype=np.float32)
+        spec = AugmentSpec(hflip=False, rotate_deg=(0.0, 0.0),
+                           normalize=normalize)
+        with pytest.raises(FormatError, match="channels"):
+            augment(img, spec, (0, 0), seed=0)
+
     def test_flip_involution(self):
         # find a key whose draw triggers the flip, then flipping the flipped
         # image with the same key restores the original

@@ -322,8 +322,7 @@ class TestSkipBlock:
         y = blk(x)
         run(y)
         # replay the four sub-operations independently, bit-identical
-        for layer in blk.bn_layers():
-            layer.training = True
+        blk.train()
         blk2 = self.make()
         for p, q in zip(blk.parameters(), blk2.parameters()):
             q.node.value = p.node.value.copy()
@@ -336,8 +335,7 @@ class TestSkipBlock:
         # with eval-mode identity BN stats, scaling the projection weights
         # by s scales the output by exactly s
         blk = self.make(dtype=np.float64)
-        for layer in blk.bn_layers():
-            layer.training = False
+        blk.eval()
         x = ad.constant(np.random.default_rng(3).normal(size=(2, 4, 8, 8)))
         y1 = blk(x)
         run(y1)
@@ -357,8 +355,7 @@ class TestInvertedResidual:
         # BN shift, which is zero-initialized, so output == input
         blk.project.conv.weight.value = np.zeros_like(
             blk.project.conv.weight.value)
-        for bn in blk.bn_layers():
-            bn.training = False
+        blk.eval()
         x = ad.constant(np.random.default_rng(1).normal(size=(2, 4, 6, 6)))
         y = blk(x)
         run(y)
@@ -512,3 +509,67 @@ class TestMicroNet:
         assert_grads_close(root, [p.node for p in model.parameters()],
                            eps=1e-4, rtol=1e-4, sample=6,
                            rng=np.random.default_rng(0))
+
+
+def cba_names(path):
+    return [f"{path}.conv.weight", f"{path}.bn.gamma", f"{path}.bn.beta"]
+
+
+class TestModuleTree:
+    """The default network's tree, pinned independently of the walk: the
+    checkpoint manifest is keyed by these names in this order."""
+
+    UNITS = (["stem"]
+             + [f"block{i}.{s}" for i in range(1, 6)
+                for s in ("expand", "depthwise", "project")]
+             + [f"skip0_5.{s}" for s in ("expand", "depthwise", "project")]
+             + ["head"])
+
+    @staticmethod
+    def bn_layers(model):
+        _, _, skip = model.skips[0]
+        cbas = ([model.stem]
+                + [getattr(blk, s) for blk in model.blocks + [skip]
+                   for s in ("expand", "depthwise", "project")]
+                + [model.head])
+        return [c.bn for c in cbas]
+
+    def test_parameter_and_buffer_names_in_order(self):
+        model = L.SkipblockNetMicro(L.MicroNetSpec(), seed=0)
+        params = [n for u in self.UNITS for n in cba_names(u)]
+        params += ["classifier.weight", "classifier.bias"]
+        buffers = [f"{u}.bn.{b}" for u in self.UNITS
+                   for b in ("running_mean", "running_var")]
+        assert len(params) == 62 and len(buffers) == 40
+        assert [p.name for p in model.parameters()] == params
+        assert [name for name, _ in model.buffers()] == buffers
+        bns = self.bn_layers(model)
+        assert [id(a) for _, a in model.buffers()] == [
+            id(a) for bn in bns for a in (bn.running_mean, bn.running_var)]
+
+    def test_only_bn_affine_parameters_skip_weight_decay(self):
+        model = L.SkipblockNetMicro(L.MicroNetSpec(), seed=0)
+        exempt = [id(p.node) for p in model.parameters()
+                  if not p.weight_decay]
+        bns = self.bn_layers(model)
+        assert len(exempt) == 40
+        assert exempt == [id(n) for bn in bns for n in (bn.gamma, bn.beta)]
+
+    def test_eval_and_train_reach_every_bn_and_the_dropout(self):
+        model = L.SkipblockNetMicro(L.MicroNetSpec(), seed=0)
+        layers = self.bn_layers(model) + [model.head_dropout]
+        assert len(layers) == 21
+        assert model.eval() is model
+        assert not model.training
+        assert not any(layer.training for layer in layers)
+        model.train()
+        assert model.training
+        assert all(layer.training for layer in layers)
+
+    def test_block_eval_flips_only_its_own_bn_layers(self):
+        model = L.SkipblockNetMicro(L.MicroNetSpec(), seed=0)
+        blk = model.blocks[2]
+        blk.eval()
+        flipped = [bn for bn in self.bn_layers(model) if not bn.training]
+        assert flipped == [blk.expand.bn, blk.depthwise.bn, blk.project.bn]
+        assert model.training and model.head_dropout.training

@@ -3,7 +3,8 @@ import pytest
 
 from biasloss import autodiff as ad
 from biasloss import data, losses, train
-from biasloss.layers import MicroNetSpec, ParamInfo, SkipblockNetMicro
+from biasloss.layers import (GraphCache, MicroNetSpec, ParamInfo,
+                             SkipblockNetMicro)
 from biasloss.train import (CheckpointError, ConfigError, RUNLOG_HEADER,
                             TrainConfig, load_checkpoint, lr_at,
                             save_checkpoint, sgd_step, train_run)
@@ -122,6 +123,7 @@ class TestConfig:
         ("dropout", -0.1), ("dropout", 1.0), ("dropout", 1.5),
         ("dropout", float("nan")), ("clamp_lo", 1.6), ("clamp_hi", 0.4),
         ("alpha", -1.0), ("beta", -0.1), ("alpha", float("nan")),
+        ("dataset", "foo"),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -207,6 +209,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             train.evaluate(p, val, tiny_cfg())  # full-width model expected
 
+    def test_missing_key_is_checkpoint_error(self, tmp_path, tiny_sets):
+        model = SkipblockNetMicro(MicroNetSpec(skip_insertions=()), seed=0)
+        p = tmp_path / "noskip.ckpt"
+        save_checkpoint(p, model)
+        _, val = tiny_sets
+        with pytest.raises(CheckpointError, match="skip0_5"):
+            train.evaluate(p, val, tiny_cfg())
+
 
 class TestTrainRun:
     def test_loss_decreases_within_first_epoch(self):
@@ -215,7 +225,7 @@ class TestTrainRun:
         cfg = tiny_cfg(batch_size=16, lr0=0.1)
         model = SkipblockNetMicro(cfg.model_spec(), seed=0)
         model.train()
-        cache = train._GraphCache(model)
+        cache = GraphCache(model)
         state = {}
         batch_losses = []
         for b in data.batches(ds, 16, seed=0, epoch=0):
@@ -289,6 +299,15 @@ class TestTrainRun:
             with pytest.raises(train.NonFiniteLossError) as ei:
                 train_run(cfg, train_ds=tr, val_ds=va)
         assert ei.value.record is not None
+
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_normalize_channel_mismatch_is_format_error(self, tiny_sets,
+                                                        prefetch):
+        # CIFAR-10 normalization has 3 channels; the images have 1
+        tr, va = tiny_sets
+        with pytest.raises(data.FormatError, match="channels"):
+            train_run(tiny_cfg(dataset="cifar10", prefetch=prefetch),
+                      train_ds=tr, val_ds=va)
 
     def test_missing_dataset_config_error(self, monkeypatch):
         monkeypatch.delenv("DATA_DIR", raising=False)
