@@ -1,28 +1,42 @@
-"""Inner loops of the bandwidth-bound layer operations, in numpy.
+"""Inner loops of the layer operations that dominate a training step.
 
 Depthwise convolution, batch normalization and hard-swish take most of a
-training step in the compact networks built here, and each makes several
-element-wise passes over an activation. The kernels walk the batch in
-blocks of about _BLOCK_BYTES, so that every pass after the first re-reads
-cache rather than memory, and they write into preallocated buffers
-instead of chaining temporaries.
+training step in the compact networks built here. Batch normalization and
+hard-swish make several element-wise passes over an activation.
+Depthwise convolution runs as small BLAS GEMMs: each kernel row is one
+banded [W, ow] matrix, and every (sample, channel) pair multiplies its
+input rows by it. The band drops the entries that would fall in the
+horizontal padding, and kernel rows skip the output rows whose input row
+would be vertical padding, so the kernels take the unpadded input and no
+padded copy is made. Each GEMM (about 23k multiply-adds at 28x28) stays
+below OpenBLAS's threading cutoff, so it runs on the calling thread and
+OpenBLAS's worker is never woken to spin on a core the pool needs.
+
+The kernels walk the batch in blocks of about _BLOCK_BYTES, so that every
+pass after the first re-reads cache rather than memory, and they write
+into preallocated buffers instead of chaining temporaries.
 
 Blocks run on _POOL, one worker thread per core this process may use
-(numpy releases the interpreter lock inside its loops); a call with a
-single block runs inline. Byte-identity rule: each block has its own
-scratch buffer and writes only its own slice of the output, and per-block
-partial sums are returned and merged by the caller in block order. Every
-result is therefore byte-identical to walking the blocks one after
-another, however many workers there are and whichever finishes first.
-Blocks run in a copy of the caller's context, so np.errstate holds in
-them. Threads start on the first call with more than one block, not at
+(numpy releases the interpreter lock inside its loops and BLAS calls); a
+call with a single block runs inline. Byte-identity rule: each block has
+its own scratch buffer and writes only its own slice of the output, and
+per-block partial sums are returned and merged by the caller in block
+order. Every result is therefore byte-identical to walking the blocks one
+after another, however many workers there are and whichever finishes
+first. Blocks run in a copy of the caller's context, so np.errstate holds
+in them. Threads start on the first call with more than one block, not at
 import.
 
 Numeric contract: reductions accumulate in float64 whatever the array
 dtype; batch-norm variance and backward use centred terms, never
 E[x^2] - E[x]^2 or an expanded (x - m) product, which cancel when
 |mean| >> std; NaN and Inf propagate (the trainer's non-finite guard
-depends on it).
+depends on it). In the depthwise conv an Inf meets the band's structural
+zeros as 0 * Inf, so it can turn its whole output row (and, in backward,
+its whole row of dx) into NaN. OpenBLAS also multiplies by the zeros it
+pads its packed panels with, so any Inf can raise the invalid flag in a
+GEMM whose stored result is Inf. The depthwise kernels therefore run with
+invalid-value reports off and raise no warning for non-finite input.
 """
 
 from __future__ import annotations
@@ -77,58 +91,126 @@ def _sum_nhw(a):
 # ---------------------------------------------------------------------------
 # depthwise convolution
 
-def _taps(w, stride, oh, ow):
-    """(ki, kj, window index into the padded input) for each kernel tap."""
-    return [(ki, kj, np.s_[:, :, ki:ki + stride * oh:stride,
-                           kj:kj + stride * ow:stride])
-            for ki in range(w.shape[1]) for kj in range(w.shape[2])]
+def conv_out_size(n, k, stride, pad):
+    """Output length of a conv over n inputs, kernel k, zero padding pad."""
+    return (n + 2 * pad - k) // stride + 1
 
 
-def dw_conv_fwd(xp, w, stride, oh, ow):
-    """Depthwise cross-correlation of padded input xp with [c,kh,kw] kernels."""
-    b, c = xp.shape[0], xp.shape[1]
-    wt = w.astype(xp.dtype, copy=False)
-    out = np.empty((b, c, oh, ow), dtype=xp.dtype)
-    taps = _taps(w, stride, oh, ow)
+def _band_entries(kw, stride, pad, width, ow):
+    """(kj, input columns, output columns) of kernel column kj: output
+    column j reads input column j*stride + kj - pad, kept where it lies in
+    [0, width) (the rest is padding)."""
+    j = np.arange(ow)
+    entries = []
+    for kj in range(kw):
+        r = j * stride + kj - pad
+        ok = (r >= 0) & (r < width)
+        entries.append((kj, r[ok], j[ok]))
+    return entries
+
+
+def _band(w, entries, width, ow, dtype):
+    """[c, kh, width, ow] banded matrices, T[c, ki, r, j] = w[c, ki, kj] at
+    each (kj, r, j) of entries and 0 elsewhere."""
+    c, kh, _ = w.shape
+    band = np.zeros((c, kh, width, ow), dtype=dtype)
+    for kj, r, j in entries:
+        band[:, :, r, j] = w[:, :, kj, None]
+    return band
+
+
+def _kernel_rows(kh, stride, pad, h, oh):
+    """(ki, output rows, input rows) of each kernel row ki that reaches the
+    input. Output row i reads input row i*stride + ki - pad, which must lie
+    in [0, h); both row sets are slices."""
+    rows = []
+    for ki in range(kh):
+        lo = max(0, -((ki - pad) // stride))
+        hi = min(oh, (h - 1 + pad - ki) // stride + 1)
+        if hi > lo:
+            first = lo * stride + ki - pad
+            rows.append((ki, np.s_[lo:hi],
+                         np.s_[first:first + (hi - lo - 1) * stride + 1:stride]))
+    return rows
+
+
+def _gemm_rows(dst, scratch, terms):
+    """dst[:, :, rows] = the sum of a @ b over the (rows, a, b) of terms;
+    rows that no term reaches are 0.
+
+    A term that covers all of dst's rows goes first and is written, not
+    added; without one, dst starts from zero.
+    """
+    n = dst.shape[2]
+    terms = sorted(terms, key=lambda t: t[1].shape[2] != n)
+    if terms and terms[0][1].shape[2] == n:
+        _, a, b = terms.pop(0)
+        np.matmul(a, b, out=dst)
+    else:
+        dst.fill(0)
+    for rows, a, b in terms:
+        t = scratch[:, :, :a.shape[2]]
+        np.matmul(a, b, out=t)
+        d = dst[:, :, rows]
+        np.add(d, t, out=d)
+
+
+def dw_conv_fwd(x, w, stride, pad):
+    """Depthwise cross-correlation of x [b, c, h, w] with [c, kh, kw]
+    kernels, zero padding pad on each side, as banded GEMMs."""
+    b, c, h, wd = x.shape
+    kh, kw = w.shape[1:]
+    oh, ow = conv_out_size(h, kh, stride, pad), conv_out_size(wd, kw, stride, pad)
+    band = _band(w, _band_entries(kw, stride, pad, wd, ow), wd, ow, x.dtype)
+    rows = _kernel_rows(kh, stride, pad, h, oh)
+    out = np.empty((b, c, oh, ow), dtype=x.dtype)
 
     def block(s):
-        xs, o = xp[s], out[s]
-        t = np.empty_like(o)
-        for i, (ki, kj, win) in enumerate(taps):
-            wk = wt[:, ki, kj].reshape(1, c, 1, 1)
-            if i == 0:
-                np.multiply(xs[win], wk, out=o)
-            else:
-                np.multiply(xs[win], wk, out=t)
-                np.add(o, t, out=o)
+        xs, o = x[s], out[s]
+        _gemm_rows(o, np.empty_like(o),
+                   [(ro, xs[:, :, ri], band[:, ki]) for ki, ro, ri in rows])
 
-    _map_blocks(block, xp)
+    with np.errstate(invalid="ignore"):  # 0 * Inf, see the module docstring
+        _map_blocks(block, x)
     return out
 
 
-def dw_conv_bwd(xp, w, g, stride):
-    """Returns (dxp, dw) for the depthwise convolution."""
-    c = xp.shape[1]
-    wt = w.astype(xp.dtype, copy=False)
-    dxp = np.zeros_like(xp)
-    taps = _taps(w, stride, g.shape[2], g.shape[3])
+def dw_conv_bwd(x, w, g, stride, pad):
+    """Returns (dx, dw) for the depthwise convolution of x, with g the
+    gradient of its output.
+
+    dx sums g's rows times each transposed band. dw[c, ki, kj] is the
+    (j*stride + kj - pad, j) diagonal of D = x[rows]^T @ g[rows], summed
+    into per-sample partials in x's dtype that are added in float64.
+    """
+    _, c, h, wd = x.shape
+    kh, kw = w.shape[1:]
+    oh, ow = g.shape[2], g.shape[3]
+    entries = _band_entries(kw, stride, pad, wd, ow)
+    bandt = np.ascontiguousarray(
+        _band(w, entries, wd, ow, x.dtype).swapaxes(2, 3))
+    rows = _kernel_rows(kh, stride, pad, h, oh)
+    dx = np.empty_like(x)
 
     def block(s):
-        xs, gs, ds = xp[s], g[s], dxp[s]
-        t = np.empty(gs.shape, dtype=xp.dtype)
-        dw = np.empty((len(taps), c))
-        for i, (ki, kj, win) in enumerate(taps):
-            np.multiply(gs, xs[win], out=t)
-            dw[i] = _sum_nhw(t)
-            np.multiply(gs, wt[:, ki, kj].reshape(1, c, 1, 1), out=t)
-            dwin = ds[win]
-            np.add(dwin, t, out=dwin)
+        xs, gs, ds = x[s], g[s], dx[s]
+        _gemm_rows(ds, np.empty((len(xs), c, min(h, oh), wd), x.dtype),
+                   [(ri, gs[:, :, ro], bandt[:, ki]) for ki, ro, ri in rows])
+        d = np.empty((len(xs), c, wd, ow), dtype=x.dtype)
+        dw = np.zeros((kh, kw, c))
+        for ki, ro, ri in rows:
+            np.matmul(xs[:, :, ri].swapaxes(2, 3), gs[:, :, ro], out=d)
+            for kj, r, j in entries:
+                dw[ki, kj] = np.add.reduce(d[:, :, r, j].sum(axis=2), axis=0,
+                                           dtype=np.float64)
         return dw
 
-    dw = np.zeros((len(taps), c))
-    for part in _map_blocks(block, xp):
+    dw = np.zeros((kh, kw, c))
+    with np.errstate(invalid="ignore"):  # 0 * Inf, see the module docstring
+        parts = _map_blocks(block, x)
+    for part in parts:
         dw += part
-    return dxp, dw.T.reshape(w.shape).astype(w.dtype)
+    return dx, dw.transpose(2, 0, 1).astype(w.dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -91,19 +91,21 @@ def profile(model, dataset, layer_names=None, batch_size=256,
 
     was_training = model.training
     model.eval()
-    spec = datamod.AugmentSpec(hflip=False, rotate_deg=(0.0, 0.0),
-                               normalize=normalize)
-    probes = {name: LayerProbe(name) for name in layer_names}
-    cache = GraphCache(model)
-    for b in datamod.batches(dataset, batch_size, shuffle=False,
-                             augment_spec=spec):
-        out = cache.get(b.images)
-        fp = ad.ForwardPass()
-        for name in layer_names:
-            fp.run(out.probes[name])
-            probes[name].update(batch_variances(out.probes[name].value))
-    if was_training:
-        model.train()
+    try:
+        spec = datamod.AugmentSpec(hflip=False, rotate_deg=(0.0, 0.0),
+                                   normalize=normalize)
+        probes = {name: LayerProbe(name) for name in layer_names}
+        cache = GraphCache(model)
+        for b in datamod.batches(dataset, batch_size, shuffle=False,
+                                 augment_spec=spec):
+            out = cache.get(b.images)
+            fp = ad.ForwardPass()
+            for name in layer_names:
+                fp.run(out.probes[name])
+                probes[name].update(batch_variances(out.probes[name].value))
+    finally:
+        if was_training:
+            model.train()
 
     ordered = [n for n in available if n in layer_names]
     rows = [(n, probes[n].avg, probes[n].max, probes[n].min) for n in ordered]

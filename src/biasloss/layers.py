@@ -3,9 +3,11 @@
 Convolution has three paths. 1x1 and depthwise kernels carry almost all
 the work in the compact networks built here. A 1x1 conv is one GEMM per
 sample on the NCHW activation, W [cout, cin] @ x[i] [cin, h*w], with no
-layout copy. Depthwise conv runs in the blocked kernels of _kernels. Every
+layout copy. Depthwise conv runs in the blocked kernels of _kernels, as
+one banded GEMM per (sample, channel) and kernel row on the unpadded
+input; the padding lives in the band, so no padded copy is made. Every
 other conv (the stem, grouped convs) is the same per-sample GEMM on im2col
-columns [cin*kh*kw, oh*ow]. Each per-sample GEMM is small enough that
+columns [cin*kh*kw, oh*ow]. Each of these GEMMs is small enough that
 OpenBLAS runs it on the calling thread; a multithreaded BLAS call would
 leave OpenBLAS's worker spinning between calls on a core the kernel pool
 needs. Weight gradients sum the per-sample partials in float64.
@@ -33,10 +35,6 @@ from .autodiff import Node, ShapeError, register_op, _node
 # ---------------------------------------------------------------------------
 # convolution
 
-def _conv_out_size(n, k, stride, pad):
-    return (n + 2 * pad - k) // stride + 1
-
-
 def _conv2d_fwd(node, xs):
     x, w = xs[0], xs[1]
     bias = xs[2] if len(xs) == 3 else None
@@ -51,8 +49,8 @@ def _conv2d_fwd(node, xs):
         raise ShapeError(
             f"channel/group mismatch: cin={cin} cout={cout} groups={groups} "
             f"weight cin/g={cin_g}")
-    oh = _conv_out_size(h, kh, stride, pad)
-    ow = _conv_out_size(wd, kw, stride, pad)
+    oh = K.conv_out_size(h, kh, stride, pad)
+    ow = K.conv_out_size(wd, kw, stride, pad)
     if oh < 1 or ow < 1:
         raise ShapeError("kernel larger than padded input")
 
@@ -62,10 +60,8 @@ def _conv2d_fwd(node, xs):
         out = np.matmul(w.reshape(cout, cin), xm)
         node.ctx = ("1x1", xm)
     elif groups == cin and cout == cin:
-        xp = (np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad
-              else np.ascontiguousarray(x))
-        out = K.dw_conv_fwd(xp, np.ascontiguousarray(w[:, 0]), stride, oh, ow)
-        node.ctx = ("dw", xp)
+        out = K.dw_conv_fwd(np.ascontiguousarray(x), w[:, 0], stride, pad)
+        node.ctx = ("dw",)
     else:
         # grouped general case: block-diagonal stack of dense convs
         cout_g = cout // groups
@@ -137,11 +133,9 @@ def _conv2d_bwd(node, g):
         else:
             dx = dxm.reshape(x.shape)
     elif kind == "dw":
-        _, xp = node.ctx
-        dxp, dw2 = K.dw_conv_bwd(xp, np.ascontiguousarray(w[:, 0]),
-                                 np.ascontiguousarray(g), stride)
+        dx, dw2 = K.dw_conv_bwd(np.ascontiguousarray(x), w[:, 0],
+                                np.ascontiguousarray(g), stride, pad)
         dw = dw2.reshape(w.shape)
-        dx = dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp
     else:
         _, cols = node.ctx
         gm = g.reshape(b, cout, oh * ow)

@@ -400,15 +400,21 @@ def _compute_loss(cfg, bias_cfg, out, labels):
 
 
 def _eval_epoch(model, cache, dataset, cfg, bias_cfg, eval_spec):
+    """Loss and accuracy stats over dataset in eval mode; the model's mode
+    is restored afterwards, also on error."""
+    was_training = model.training
     model.eval()
     stats = _epoch_stats()
-    for b in datamod.batches(dataset, cfg.batch_size, shuffle=False,
-                             augment_spec=eval_spec, prefetch=cfg.prefetch):
-        out = cache.get(b.images)
-        loss, record = _compute_loss(cfg, bias_cfg, out, b.labels)
-        _accumulate(stats, len(b.labels), loss.item(), out.logits.value,
-                    b.labels, record, bias_cfg)
-    model.train()
+    try:
+        for b in datamod.batches(dataset, cfg.batch_size, shuffle=False,
+                                 augment_spec=eval_spec, prefetch=cfg.prefetch):
+            out = cache.get(b.images)
+            loss, record = _compute_loss(cfg, bias_cfg, out, b.labels)
+            _accumulate(stats, len(b.labels), loss.item(), out.logits.value,
+                        b.labels, record, bias_cfg)
+    finally:
+        if was_training:
+            model.train()
     return stats
 
 

@@ -6,7 +6,7 @@ import pytest
 from biasloss import data, diagnostics
 from biasloss.diagnostics import (LayerProbe, ProbeError, VarianceProfile,
                                   bias_curve, curve_csv, depth_trend, profile)
-from biasloss.layers import MicroNetSpec, SkipblockNetMicro
+from biasloss.layers import BatchNorm2d, MicroNetSpec, SkipblockNetMicro
 
 
 @pytest.fixture()
@@ -96,6 +96,17 @@ class TestProfile:
     def test_csv_header(self, model, dataset):
         prof = profile(model, dataset, ["stem"])
         assert prof.to_csv().splitlines()[0] == "layer,avg,max,min"
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_error_restores_mode(self, model, dataset, training):
+        if not training:
+            model.eval()
+        # two-channel normalization on one-channel images
+        with pytest.raises(data.FormatError):
+            profile(model, dataset, normalize=((0.1, 0.2), (0.3, 0.4)))
+        bns = [m for m in model.modules() if isinstance(m, BatchNorm2d)]
+        assert len(bns) == 20
+        assert all(m.training == training for m in model.modules())
 
 
 class TestDepthTrend:

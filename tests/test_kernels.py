@@ -14,6 +14,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from biasloss import _kernels as K
 
+pytestmark = pytest.mark.filterwarnings("error")
+
 DTYPES = [np.float32, np.float64]
 
 
@@ -31,17 +33,15 @@ def ragged(x):
 # ---------------------------------------------------------------------------
 # float64 oracles
 
-def dw_windows(xp, kh, kw, stride, oh, ow):
-    """[b, c, oh, ow, kh, kw] input windows of each output position."""
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return win[:, :, ::stride, ::stride][:, :, :oh, :ow]
-
-
-def dw_oracle(xp, w, g, stride):
-    xp, w, g = (a.astype(np.float64) for a in (xp, w, g))
+def dw_oracle(x, w, g, stride, pad):
+    """float64 (out, dx, dw) of the depthwise conv on the zero-padded x."""
+    x, w, g = (a.astype(np.float64) for a in (x, w, g))
+    h, wd = x.shape[2:]
     kh, kw = w.shape[1:]
     oh, ow = g.shape[2:]
-    win = dw_windows(xp, kh, kw, stride, oh, ow)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride][:, :, :oh, :ow]
     out = np.einsum("nchwij,cij->nchw", win, w)
     dw = np.einsum("nchw,nchwij->cij", g, win)
     dxp = np.zeros_like(xp)
@@ -49,7 +49,7 @@ def dw_oracle(xp, w, g, stride):
         for j in range(ow):
             dxp[:, :, i * stride:i * stride + kh, j * stride:j * stride + kw] += (
                 g[:, :, i, j, None, None] * w)
-    return out, dxp, dw
+    return out, dxp[:, :, pad:pad + h, pad:pad + wd], dw
 
 
 def bn_oracle(x, g, gamma, beta, eps=1e-5):
@@ -78,27 +78,58 @@ def hswish_oracle(x, g):
 # ---------------------------------------------------------------------------
 # depthwise convolution
 
+# (h, w, kernel, pad): the model's 3x3 pad 1, pad 0 and 2, 5x5, odd h != w
+# (at stride 3 no window reaches row 14 of 15x11, at stride 2 none reaches
+# column 13 of 11x14), and pad 2 on a 3x3 kernel, where no kernel row
+# reaches every output row
+DW_GEOMETRIES = [(28, 28, 3, 1), (30, 30, 3, 0), (15, 11, 3, 1),
+                 (11, 14, 3, 0), (9, 7, 5, 2), (13, 10, 5, 2), (7, 10, 3, 2)]
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("batch", [1, 19])
 def test_dw_conv_matches_oracle(dtype, stride, batch):
     rng = np.random.default_rng(0)
-    xp = rng.normal(size=(batch, 16, 30, 30)).astype(dtype)
-    w = rng.normal(size=(16, 3, 3)).astype(dtype)
-    oh = ow = (30 - 3) // stride + 1
-    g = rng.normal(size=(batch, 16, oh, ow)).astype(dtype)
-    assert batch == 1 or ragged(xp)
-    out, dxp, dw = dw_oracle(xp, w, g, stride)
+    for h, wd, k, pad in DW_GEOMETRIES:
+        # enough channels that a batch of 19 spans about three blocks
+        c = -(-K._BLOCK_BYTES // (8 * np.dtype(dtype).itemsize * h * wd))
+        x = rng.normal(size=(batch, c, h, wd)).astype(dtype)
+        w = rng.normal(size=(c, k, k)).astype(dtype)
+        oh = (h + 2 * pad - k) // stride + 1
+        ow = (wd + 2 * pad - k) // stride + 1
+        g = rng.normal(size=(batch, c, oh, ow)).astype(dtype)
+        assert batch == 1 or ragged(x)
+        out, dx, dw = dw_oracle(x, w, g, stride, pad)
 
-    got = K.dw_conv_fwd(xp, w, stride, oh, ow)
-    assert got.dtype == dtype and got.shape == out.shape
-    np.testing.assert_allclose(got, out, **tol(dtype))
-    gdxp, gdw = K.dw_conv_bwd(xp, w, g, stride)
-    assert gdxp.dtype == dtype and gdw.dtype == dtype
-    np.testing.assert_allclose(gdxp, dxp, **tol(dtype))
-    # dw sums batch*oh*ow products; scale the absolute tolerance with it
-    np.testing.assert_allclose(gdw, dw, rtol=tol(dtype)["rtol"],
-                               atol=tol(dtype)["atol"] * g[0, 0].size * batch)
+        got = K.dw_conv_fwd(x, w, stride, pad)
+        assert got.dtype == dtype and got.shape == out.shape
+        np.testing.assert_allclose(got, out, **tol(dtype))
+        gdx, gdw = K.dw_conv_bwd(x, w, g, stride, pad)
+        assert gdx.dtype == dtype and gdw.dtype == dtype
+        assert gdx.shape == x.shape and gdw.shape == w.shape
+        np.testing.assert_allclose(gdx, dx, **tol(dtype))
+        # dw sums batch*oh*ow products; scale the absolute tolerance with it
+        np.testing.assert_allclose(gdw, dw, rtol=tol(dtype)["rtol"],
+                                   atol=tol(dtype)["atol"] * oh * ow * batch)
+
+
+def test_dw_conv_inf_warns_nothing():
+    """0 * Inf in the band's structural zeros is not reported; Inf still
+    reaches the outputs."""
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.5, 1.0, size=(3, 4, 9, 9)).astype(np.float32)
+    g = rng.uniform(0.5, 1.0, size=x.shape).astype(np.float32)
+    w = np.ones((4, 3, 3), np.float32)
+    x[1, 2, 4, 4] = np.inf
+    g[2, 1, 3, 3] = np.inf
+    with np.errstate(invalid="raise"):
+        out = K.dw_conv_fwd(x, w, 1, 1)
+        dx, dw = K.dw_conv_bwd(x, w, g, 1, 1)
+    assert not np.isfinite(out[1, 2, 3:6]).any()
+    assert np.isfinite(np.delete(out, 1, axis=0)).all()
+    assert not np.isfinite(dx[2, 1, 2:5]).any()
+    assert np.isinf(dw[1]).all() and np.isinf(dw[2]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +223,8 @@ def test_nan_propagates(dtype):
     gn[17, 2, 5, 5] = np.nan
 
     w = np.ones((4, 3, 3), dtype)
-    assert np.isnan(K.dw_conv_fwd(xn, w, 1, 62, 62)[17, 2]).any()
-    dxp, dw = K.dw_conv_bwd(x, w, gn[:, :, :62, :62], 1)
+    assert np.isnan(K.dw_conv_fwd(xn, w, 1, 0)[17, 2]).any()
+    dxp, dw = K.dw_conv_bwd(x, w, gn[:, :, :62, :62], 1, 0)
     assert np.isnan(dxp[17, 2]).any() and np.isnan(dw[2]).all()
 
     m, v = K.bn_stats(xn)
@@ -217,7 +248,7 @@ def test_inf_propagates():
     x = np.zeros((2, 3, 6, 6), dtype=np.float32)
     x[1, 0, 2, 2] = np.inf
     assert np.isinf(K.dw_conv_fwd(x, np.ones((3, 3, 3), np.float32),
-                                  1, 4, 4)[1, 0]).any()
+                                  1, 0)[1, 0]).any()
     with np.errstate(invalid="ignore"):  # inf - inf
         m, v = K.bn_stats(x)
     assert not np.isfinite(m[0]) and not np.isfinite(v[0])
@@ -242,7 +273,8 @@ def test_concurrent_callers_match_one_worker(monkeypatch):
     def run_all():
         mean, var = K.bn_stats(x)
         invstd = 1.0 / np.sqrt(var + 1e-5)
-        outs = [K.dw_conv_fwd(xp, w, 1, 28, 28), *K.dw_conv_bwd(xp, w, g, 1),
+        outs = [K.dw_conv_fwd(xp, w, 1, 0), *K.dw_conv_bwd(xp, w, g, 1, 0),
+                K.dw_conv_fwd(x, w, 1, 1), *K.dw_conv_bwd(x, w, g, 1, 1),
                 mean, var, K.bn_normalize(x, mean, invstd, gamma, beta),
                 *K.bn_bwd_train(x, g, gamma, mean, invstd),
                 K.hswish_fwd(x), K.hswish_bwd(x, g)]

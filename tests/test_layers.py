@@ -6,6 +6,8 @@ from biasloss import autodiff as ad
 from biasloss import layers as L
 from fdcheck import assert_grads_close
 
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def run(node):
     return ad.forward(node)
@@ -117,7 +119,9 @@ class TestConv2d:
 
     # pointwise (stride 1 and 2), grouped and the stem's dense 3x3
     GEMM_CASES = [(8, 12, 1, 1, 0, 1), (8, 12, 1, 2, 0, 1),
-                  (4, 6, 3, 1, 1, 2), (6, 4, 3, 2, 1, 2), (3, 8, 3, 1, 1, 1)]
+                  (4, 6, 3, 1, 1, 2), (6, 4, 3, 2, 1, 2), (3, 8, 3, 1, 1, 1),
+                  # depthwise: banded GEMMs per (sample, channel)
+                  (8, 8, 3, 1, 1, 8), (8, 8, 3, 2, 1, 8), (6, 6, 5, 1, 2, 6)]
 
     @pytest.mark.parametrize("cin,cout,k,stride,pad,groups", GEMM_CASES)
     def test_gemm_paths_match_f64_oracle(self, cin, cout, k, stride, pad,

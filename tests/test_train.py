@@ -309,6 +309,18 @@ class TestTrainRun:
             train_run(tiny_cfg(dataset="cifar10", prefetch=prefetch),
                       train_ds=tr, val_ds=va)
 
+    def test_eval_epoch_error_restores_train_mode(self, tiny_sets):
+        _, va = tiny_sets
+        cfg = tiny_cfg()
+        model = SkipblockNetMicro(cfg.model_spec(), seed=0)
+        # two-channel normalization on one-channel images
+        spec = data.AugmentSpec(hflip=False, rotate_deg=(0.0, 0.0),
+                                normalize=((0.1, 0.2), (0.3, 0.4)))
+        with pytest.raises(data.FormatError):
+            train._eval_epoch(model, GraphCache(model), va, cfg,
+                              cfg.bias_config(), spec)
+        assert all(m.training for m in model.modules())
+
     def test_missing_dataset_config_error(self, monkeypatch):
         monkeypatch.delenv("DATA_DIR", raising=False)
         with pytest.raises(ConfigError):
