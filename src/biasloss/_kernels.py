@@ -1,8 +1,18 @@
 """Inner loops of the layer operations that dominate a training step.
 
-Depthwise convolution, batch normalization and hard-swish take most of a
-training step in the compact networks built here. Batch normalization and
-hard-swish make several element-wise passes over an activation.
+Depthwise convolution and batch normalization with its activation take
+most of a training step in the compact networks built here. Batch
+normalization and the relu or hard-swish after it run as one op: the
+forward normalizes and applies the activation in the same walk over each
+block, and the backward recomputes the pre-activation from the stored conv
+output with the forward's own operations (bit-identical to the forward's,
+so it is never stored) and applies the activation's derivative in the
+first of its two sweeps. Per-channel sums are per-(sample, channel) row
+partials from one GEMV against a ones vector, added over the batch in
+float64. Per-channel operands are expanded to one contiguous sample
+[1, c, h, w], which numpy's binary loops take faster than a broadcast
+[1, c, 1, 1].
+
 Depthwise convolution runs as small BLAS GEMMs: each kernel row is one
 banded [W, ow] matrix, and every (sample, channel) pair multiplies its
 input rows by it. The band drops the entries that would fall in the
@@ -27,8 +37,9 @@ first. Blocks run in a copy of the caller's context, so np.errstate holds
 in them. Threads start on the first call with more than one block, not at
 import.
 
-Numeric contract: reductions accumulate in float64 whatever the array
-dtype; batch-norm variance and backward use centred terms, never
+Numeric contract: reductions add partials of at most one row (one sample
+and channel, or one GEMM product) in the array dtype, and accumulate those
+in float64 whatever the array dtype; batch-norm variance and backward use centred terms, never
 E[x^2] - E[x]^2 or an expanded (x - m) product, which cancel when
 |mean| >> std; NaN and Inf propagate (the trainer's non-finite guard
 depends on it). In the depthwise conv an Inf meets the band's structural
@@ -76,16 +87,6 @@ def _map_blocks(fn, a):
     futures = [_POOL.submit(contextvars.copy_context().run, fn, s)
                for s in blocks]
     return [f.result() for f in futures]
-
-
-def _channel(v, dtype):
-    """A per-channel f64 vector as a [1, c, 1, 1] array of dtype."""
-    return np.asarray(v).astype(dtype).reshape(1, -1, 1, 1)
-
-
-def _sum_nhw(a):
-    """Per-channel sum over (batch, h, w), accumulated in float64."""
-    return np.add.reduce(a, axis=(0, 2, 3), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -214,147 +215,195 @@ def dw_conv_bwd(x, w, g, stride, pad):
 
 
 # ---------------------------------------------------------------------------
-# batch normalization
+# batch normalization with its activation
+
+def _channel(v, x):
+    """Per-channel values v as a contiguous [1, c, h, w] array of x's dtype.
+
+    numpy runs a binary op against this operand 1.5-2x faster than against
+    a [1, c, 1, 1] broadcast, at the cost of one sample's worth of memory.
+    """
+    c, h, w = x.shape[1:]
+    return np.repeat(np.asarray(v).astype(x.dtype), h * w).reshape(1, c, h, w)
+
+
+def _row_sums(a, ones):
+    """Per-channel sums of a block a [n, c, h, w]: one GEMV against ones
+    gives each (sample, channel) row's sum in a's dtype, and those row
+    partials are added over the batch in float64."""
+    n, c = a.shape[:2]
+    rows = np.matmul(a.reshape(n * c, -1), ones)
+    return np.add.reduce(rows.reshape(n, c), axis=0, dtype=np.float64)
+
+
+def _ones(x):
+    return np.ones(x.shape[2] * x.shape[3], dtype=x.dtype)
+
 
 def bn_stats(x):
-    """Per-channel biased mean/var over (batch, h, w), f64 accumulation.
+    """Per-channel biased mean/var over (batch, h, w), from row partials
+    added in float64.
 
-    Each block's squared deviations are taken about the block mean rounded
-    to x's dtype, the rounding is corrected exactly in f64, and the blocks
-    are merged with Chan et al.'s pairwise update.
+    Each block's deviations are taken about the block mean rounded to x's
+    dtype. Their sum s1 corrects that rounding residual in f64: the block
+    mean is shift + s1/k and sum (x - mean)^2 = sum (x - shift)^2 - s1^2/k.
+    Blocks are merged with Chan et al.'s pairwise update.
     """
-    c = x.shape[1]
     per_sample = x.shape[2] * x.shape[3]
+    ones = _ones(x)
 
     def block(s):
         xs = x[s]
         k = len(xs) * per_sample
-        bsum = _sum_nhw(xs)
-        bm = bsum / k
-        shift = bm.astype(x.dtype)
-        t = np.subtract(xs, shift.reshape(1, c, 1, 1))
+        shift = (_row_sums(xs, ones) / k).astype(x.dtype)
+        t = np.subtract(xs, _channel(shift, xs))
+        s1 = _row_sums(t, ones)
         np.multiply(t, t, out=t)
-        # sum (x - shift)^2 = sum (x - bm)^2 + k (bm - shift)^2
-        d = bm - shift
-        return k, bsum, _sum_nhw(t) - k * d * d
+        return k, shift + s1 / k, _row_sums(t, ones) - s1 * s1 / k
 
-    counts, sums, m2s = zip(*_map_blocks(block, x))
+    counts, means, m2s = zip(*_map_blocks(block, x))
     counts = np.array(counts, dtype=np.float64)[:, None]
-    sums = np.array(sums)
+    means = np.array(means)
     total = counts.sum()
-    mean = sums.sum(axis=0) / total
-    m2 = np.sum(m2s, axis=0) + (counts * (sums / counts - mean) ** 2).sum(axis=0)
+    mean = (counts * means).sum(axis=0) / total
+    m2 = np.sum(m2s, axis=0) + (counts * (means - mean) ** 2).sum(axis=0)
     return mean, np.maximum(m2 / total, 0.0)
 
 
-def bn_normalize(x, mean, invstd, gamma, beta):
-    """(x - mean) * invstd * gamma + beta, centred per block.
-
-    x is centred on the mean rounded to x's dtype and the rounding
-    residual is folded into the shift in f64, so outputs keep their
-    precision when |mean| >> std.
-    """
+def _affine(x, mean, invstd, gamma, beta):
+    """(m, scale, shift) operands for x: x is centred on the mean rounded to
+    x's dtype, and the rounding residual is folded into the shift in f64,
+    so outputs keep their precision when |mean| >> std."""
     m = mean.astype(x.dtype)
     scale = gamma * invstd
     shift = beta - (mean - m) * scale
-    m4 = m.reshape(1, -1, 1, 1)
-    scale4, shift4 = _channel(scale, x.dtype), _channel(shift, x.dtype)
-    out = np.empty_like(x)
-
-    def block(s):
-        o = out[s]
-        np.subtract(x[s], m4, out=o)
-        np.multiply(o, scale4, out=o)
-        np.add(o, shift4, out=o)
-
-    _map_blocks(block, x)
-    return out
+    return _channel(m, x), _channel(scale, x), _channel(shift, x)
 
 
-def bn_bwd_train(x, g, gamma, mean, invstd):
-    """Returns (dx, dgamma, dbeta) for train-mode batch normalization."""
-    count = x.shape[0] * x.shape[2] * x.shape[3]
-    # x is centred on the mean rounded to x's dtype; the rounding residual
-    # d is folded back in f64
-    m = mean.astype(x.dtype)
-    d = mean - m
-    m4 = m.reshape(1, -1, 1, 1)
-
-    def sums(s):
-        xs, gs = x[s], g[s]
-        t = np.subtract(xs, m4)
-        np.multiply(t, gs, out=t)
-        return _sum_nhw(gs), _sum_nhw(t)
-
-    sum_g = np.zeros(x.shape[1])
-    sum_gx = np.zeros(x.shape[1])
-    for sg, sgx in _map_blocks(sums, x):
-        sum_g += sg
-        sum_gx += sgx
-    dbeta = sum_g
-    dgamma = (sum_gx - d * sum_g) * invstd
-    # dx = k g - a - (x - mean) c2 = k g - (a - d c2) - (x - m) c2
-    k = gamma * invstd
-    c2 = k * invstd * dgamma / count
-    a = k * dbeta / count - d * c2
-    k4, a4, c24 = (_channel(v, x.dtype) for v in (k, a, c2))
-    dx = np.empty_like(x)
-
-    def grad(s):
-        xs, gs, o = x[s], g[s], dx[s]
-        t = np.subtract(xs, m4)
-        np.multiply(t, c24, out=t)
-        np.multiply(gs, k4, out=o)
-        np.subtract(o, a4, out=o)
-        np.subtract(o, t, out=o)
-
-    _map_blocks(grad, x)
-    return dx, dgamma.astype(gamma.dtype), dbeta.astype(gamma.dtype)
+def _scale_shift(o, centred, affine):
+    """o = centred * scale + shift, where centred is x - m. Forward and
+    backward both build the pre-activation this way, so the backward's
+    recomputed copy is bit-identical to the forward's."""
+    _, scale, shift = affine
+    np.multiply(centred, scale, out=o)
+    np.add(o, shift, out=o)
 
 
-# ---------------------------------------------------------------------------
-# hard-swish
-
-def hswish_fwd(x):
-    """x * clip(x + 3, 0, 6) / 6, element-wise."""
-    xf = np.ascontiguousarray(x).reshape(-1)
-    out = np.empty(x.shape, dtype=x.dtype)
-    of = out.reshape(-1)
-
-    def block(s):
-        xs, o = xf[s], of[s]
-        np.add(xs, 3.0, out=o)
-        np.clip(o, 0.0, 6.0, out=o)
-        np.multiply(xs, o, out=o)
+def _act(o, act):
+    """Applies act in place: relu is max(z, 0), hswish z * clip(z + 3, 0, 6) / 6."""
+    if act == "relu":
+        np.maximum(o, 0, out=o)
+    elif act == "hswish":
+        t = np.add(o, 3.0)
+        np.clip(t, 0.0, 6.0, out=t)
+        np.multiply(o, t, out=o)
         np.divide(o, 6.0, out=o)
 
-    _map_blocks(block, xf)
-    return out
 
+def _act_grad(o, gs, act):
+    """o holds the pre-activation z; overwrites it with gs * act'(z).
 
-def hswish_bwd(x, g):
-    """g * d/dx hswish: 0 for x <= -3, 1 for x >= 3, (2x + 3) / 6 between.
-
-    With c = clip(x, -3, 3) the derivative is (c + c * [|c| < 3] + 3) / 6,
-    which needs no masked assignment (numpy's is several times slower
-    than arithmetic) and keeps NaN.
+    relu' is [z > 0]. With c = clip(z, -3, 3), hswish' is
+    (c + c * [|c| < 3] + 3) / 6: 0 for z <= -3, 1 for z >= 3 and
+    (2z + 3) / 6 between, with no masked assignment (numpy's is several
+    times slower than arithmetic), and NaN stays NaN.
     """
-    xf = np.ascontiguousarray(x).reshape(-1)
-    gf = np.ascontiguousarray(g).reshape(-1)
-    dx = np.empty(x.shape, dtype=x.dtype)
-    df = dx.reshape(-1)
-
-    def block(s):
-        xs, gs, o = xf[s], gf[s], df[s]
+    if act == "relu":
+        np.greater(o, 0, out=o)
+    else:
         t = np.empty_like(o)
-        np.clip(xs, -3.0, 3.0, out=o)
+        np.clip(o, -3.0, 3.0, out=o)
         np.abs(o, out=t)
         np.less(t, 3.0, out=t)
         np.multiply(o, t, out=t)
         np.add(o, t, out=o)
         np.add(o, 3.0, out=o)
         np.divide(o, 6.0, out=o)
-        np.multiply(gs, o, out=o)
+    np.multiply(gs, o, out=o)
 
-    _map_blocks(block, xf)
-    return dx
+
+def bn_normalize(x, mean, invstd, gamma, beta, act=None):
+    """act((x - mean) * invstd * gamma + beta), centred per block, with act
+    None, "relu" or "hswish" applied in the same walk."""
+    affine = _affine(x, mean, invstd, gamma, beta)
+    out = np.empty_like(x)
+
+    def block(s):
+        o = out[s]
+        np.subtract(x[s], affine[0], out=o)
+        _scale_shift(o, o, affine)
+        _act(o, act)
+
+    _map_blocks(block, x)
+    return out
+
+
+def _act_grad_sums(x, g, affine, act):
+    """Sweep 1 of the backward: (gz, sum gz, sum gz * (x - m)) with
+    gz = g * act'(z) and the sums per channel in f64 from row partials.
+
+    The pre-activation z is recomputed from x; gz is g itself when act is
+    None and a new array otherwise.
+    """
+    ones = _ones(x)
+    gz = g if act is None else np.empty_like(x)
+
+    def sweep(s):
+        o = gz[s]
+        t = np.subtract(x[s], affine[0])
+        if act is not None:
+            _scale_shift(o, t, affine)
+            _act_grad(o, g[s], act)
+        np.multiply(t, o, out=t)
+        return _row_sums(o, ones), _row_sums(t, ones)
+
+    sum_g = np.zeros(x.shape[1])
+    sum_gx = np.zeros(x.shape[1])
+    for sg, sgx in _map_blocks(sweep, x):
+        sum_g += sg
+        sum_gx += sgx
+    return gz, sum_g, sum_gx
+
+
+def bn_bwd_train(x, g, mean, invstd, gamma, beta, act=None):
+    """Returns (dx, dgamma, dbeta) for train-mode batch normalization
+    followed by act, with g the gradient of act's output.
+
+    Two sweeps: the first writes g * act'(z) into dx and sums it, the
+    second finishes dx in place.
+    """
+    count = x.shape[0] * x.shape[2] * x.shape[3]
+    affine = _affine(x, mean, invstd, gamma, beta)
+    gz, sum_g, sum_gx = _act_grad_sums(x, g, affine, act)
+    # x is centred on the mean rounded to x's dtype; the rounding residual
+    # d is folded back in f64
+    d = mean - mean.astype(x.dtype)
+    dbeta = sum_g
+    dgamma = (sum_gx - d * sum_g) * invstd
+    # dx = k gz - a - (x - mean) c2 = k gz - (a - d c2) - (x - m) c2
+    k = gamma * invstd
+    c2 = k * invstd * dgamma / count
+    a = k * dbeta / count - d * c2
+    k, a, c2 = (_channel(v, x) for v in (k, a, c2))
+    dx = np.empty_like(x) if act is None else gz
+
+    def grad(s):
+        o = dx[s]
+        t = np.subtract(x[s], affine[0])
+        np.multiply(t, c2, out=t)
+        np.multiply(gz[s], k, out=o)
+        np.subtract(o, a, out=o)
+        np.subtract(o, t, out=o)
+
+    _map_blocks(grad, x)
+    return dx, dgamma.astype(gamma.dtype), dbeta.astype(gamma.dtype)
+
+
+def bn_bwd_eval(x, g, mean, invstd, gamma, beta, act=None):
+    """Returns (dx, dgamma, dbeta) for eval-mode batch normalization, where
+    mean and invstd are constants, followed by act."""
+    gz, sum_g, sum_gx = _act_grad_sums(
+        x, g, _affine(x, mean, invstd, gamma, beta), act)
+    dgamma = (sum_gx - (mean - mean.astype(x.dtype)) * sum_g) * invstd
+    dx = np.multiply(gz, _channel(gamma * invstd, x))
+    return dx, dgamma.astype(gamma.dtype), sum_g.astype(gamma.dtype)

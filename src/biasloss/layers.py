@@ -12,6 +12,12 @@ OpenBLAS runs it on the calling thread; a multithreaded BLAS call would
 leave OpenBLAS's worker spinning between calls on a core the kernel pool
 needs. Weight gradients sum the per-sample partials in float64.
 
+Batch normalization and the activation after it (relu or hard-swish) are
+one "batchnorm" op with an act attribute, so a conv -> BN -> act unit adds
+two graph nodes, not three. The op keeps the conv output in its ctx and
+the activation output as its value; the backward recomputes the BN output
+from the conv output instead of storing it.
+
 Layer objects own their parameter nodes; calling a layer on an input node
 extends the graph, so one set of weights can back several graphs (e.g.
 different batch sizes). GraphCache keeps one such graph per batch size.
@@ -195,26 +201,22 @@ def _batchnorm_fwd(node, xs):
         m = layer.running_mean.astype(np.float64)
         invstd = 1.0 / np.sqrt(layer.running_var.astype(np.float64) + eps)
         node.ctx = ("eval", x, m, invstd)
-    return K.bn_normalize(x, m, invstd, gamma, beta)
+    return K.bn_normalize(x, m, invstd, gamma, beta, node.attrs["act"])
 
 
 def _batchnorm_bwd(node, g):
+    # the BN output before act is not kept; the kernel recomputes it from x
     mode, x, m, invstd = node.ctx
-    gamma = node.inputs[1].value
-    c = x.shape[1]
-    if mode == "train":
-        dx, dgamma, dbeta = K.bn_bwd_train(x, np.ascontiguousarray(g),
-                                           gamma, m, invstd)
-        return [dx, dgamma, dbeta]
-    xhat = ((x - m.astype(x.dtype).reshape(1, c, 1, 1))
-            * invstd.astype(x.dtype).reshape(1, c, 1, 1))
-    dgamma = (g * xhat).sum(axis=(0, 2, 3))
-    dbeta = g.sum(axis=(0, 2, 3))
-    dx = g * (gamma * invstd.astype(x.dtype)).reshape(1, c, 1, 1)
-    return [dx, dgamma, dbeta]
+    bwd = K.bn_bwd_train if mode == "train" else K.bn_bwd_eval
+    gamma, beta = node.inputs[1].value, node.inputs[2].value
+    return list(bwd(x, np.ascontiguousarray(g), m, invstd, gamma, beta,
+                    node.attrs["act"]))
 
 
 register_op("batchnorm", _batchnorm_fwd, _batchnorm_bwd)
+
+# activations the batchnorm op can apply to its output
+ACTIVATIONS = (None, "relu", "hswish")
 
 
 # ---------------------------------------------------------------------------
@@ -303,29 +305,6 @@ def _dropout_bwd(node, g):
 
 
 register_op("dropout", _dropout_fwd, _dropout_bwd)
-
-
-# ---------------------------------------------------------------------------
-# activations
-
-def _hswish_fwd(node, xs):
-    return K.hswish_fwd(np.ascontiguousarray(xs[0]))
-
-
-def _hswish_bwd(node, g):
-    return [K.hswish_bwd(np.ascontiguousarray(node.inputs[0].value),
-                         np.ascontiguousarray(g))]
-
-
-register_op("hswish", _hswish_fwd, _hswish_bwd)
-
-
-def hard_swish(x):
-    """x * clamp(x + 3, 0, 6) / 6, element-wise (fused op)."""
-    return _node("hswish", [x])
-
-
-_ACTIVATIONS = {"relu": ad.relu, "hswish": hard_swish, "hard-swish": hard_swish}
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +413,17 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    """Per-channel batch normalization with running statistics."""
+    """Per-channel batch normalization with running statistics, followed
+    by act: None, "relu" or "hswish" (hard-swish), in the same op."""
 
     # weight decay conventionally skips BN affine parameters
     weight_decay = False
 
     def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float32,
-                 name="bn"):
+                 name="bn", act=None):
+        if act not in ACTIVATIONS:
+            raise ValueError(f"{name}: activation must be one of "
+                             f"{ACTIVATIONS}, not {act!r}")
         self.gamma = ad.parameter(np.ones(channels, dtype=dtype),
                                   name=f"{name}.gamma")
         self.beta = ad.parameter(np.zeros(channels, dtype=dtype),
@@ -450,9 +433,11 @@ class BatchNorm2d(Module):
         self.eps = eps
         self.momentum = momentum
         self.name = name
+        self.act = act
 
     def __call__(self, x):
-        return _node("batchnorm", [x, self.gamma, self.beta], {"layer": self})
+        return _node("batchnorm", [x, self.gamma, self.beta],
+                     {"layer": self, "act": self.act})
 
 
 class Linear(Module):
@@ -481,18 +466,17 @@ class Dropout(Module):
 # composite blocks
 
 class ConvBnAct(Module):
-    """conv -> BN -> optional activation, the workhorse sub-block."""
+    """conv -> BN -> optional activation, the workhorse sub-block. The
+    activation runs inside the BN op."""
 
     def __init__(self, cin, cout, kernel, stride=1, padding=0, groups=1,
                  act="relu", rng=None, dtype=np.float32, name="cba"):
         self.conv = Conv2d(cin, cout, kernel, stride, padding, groups,
                            bias=False, rng=rng, dtype=dtype, name=f"{name}.conv")
-        self.bn = BatchNorm2d(cout, dtype=dtype, name=f"{name}.bn")
-        self.act = _ACTIVATIONS[act] if act else None
+        self.bn = BatchNorm2d(cout, dtype=dtype, name=f"{name}.bn", act=act)
 
     def __call__(self, x):
-        y = self.bn(self.conv(x))
-        return self.act(y) if self.act else y
+        return self.bn(self.conv(x))
 
 
 class SkipBlock(Module):

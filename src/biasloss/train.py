@@ -323,15 +323,24 @@ def save_checkpoint(path, model, cfg_hash=b""):
 
 
 def load_checkpoint(path):
-    """Returns (state dict name -> array, config hash bytes or b'')."""
+    """Returns (state dict name -> array, config hash bytes or b'').
+
+    A file that does not follow save_checkpoint's layout raises
+    CheckpointError.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 16:
+        raise CheckpointError(f"{path}: truncated header")
     (version,) = struct.unpack("<I", raw[4:8])
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
     (mlen,) = struct.unpack("<Q", raw[8:16])
-    manifest = raw[16:16 + mlen].decode("utf-8")
+    try:
+        manifest = raw[16:16 + mlen].decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: manifest is not UTF-8") from None
     blob = raw[16 + mlen:]
     state = {}
     for line in manifest.splitlines():
@@ -339,11 +348,18 @@ def load_checkpoint(path):
         if len(tokens) < 3:
             raise CheckpointError(f"{path}: malformed manifest line {line!r}")
         name = tokens[0]
-        offset = int(tokens[-1])
         dt = _DTYPES.get(tokens[-2])
         if dt is None:
             raise CheckpointError(f"{path}: unknown dtype {tokens[-2]!r}")
-        shape = tuple(int(t) for t in tokens[1:-2])
+        try:
+            offset = int(tokens[-1])
+            shape = tuple(int(t) for t in tokens[1:-2])
+        except ValueError:
+            raise CheckpointError(
+                f"{path}: malformed manifest line {line!r}") from None
+        if offset < 0 or any(d < 0 for d in shape):
+            raise CheckpointError(
+                f"{path}: negative offset or dimension in {line!r}")
         count = int(np.prod(shape)) if shape else 1
         end = offset + count * dt.itemsize
         if end > len(blob):

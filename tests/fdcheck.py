@@ -2,7 +2,8 @@
 
 Central differences are a valid derivative oracle only where the function
 is smooth on the whole secant interval. Perturbing a parameter by +-eps
-occasionally pushes some relu/clamp input across its threshold, so the two
+occasionally pushes some activation or clamp input across its threshold
+(for the activation inside the batchnorm op, its pre-activation), so the two
 endpoint evaluations sample different linear pieces and the FD estimate is
 corrupted by an amount unrelated to the backward implementation. The
 checker detects this exactly: it records which side of every kink each
@@ -17,43 +18,51 @@ implements.
 
 import numpy as np
 
+from biasloss import _kernels as K
 from biasloss import autodiff as ad
+
+# kinks of the activations the batchnorm op applies
+_ACT_KINKS = {"relu": (0.0,), "hswish": (-3.0, 3.0)}
+
+
+def _kinks(node):
+    """(input, thresholds) of a kink node's non-differentiable points.
+
+    A batchnorm node with an activation does not keep its pre-activation,
+    so it is recomputed from the conv output its ctx holds, with the
+    forward's own kernel.
+    """
+    if node.op == "relu":
+        return node.inputs[0].value, (0.0,)
+    if node.op == "clamp":
+        return node.inputs[0].value, (node.attrs["lo"], node.attrs["hi"])
+    _, x, m, invstd = node.ctx
+    z = K.bn_normalize(x, m, invstd, node.inputs[1].value,
+                       node.inputs[2].value)
+    return z, _ACT_KINKS[node.attrs["act"]]
 
 
 def kink_margin(root):
-    """Smallest distance of any relu/clamp/hswish input from its threshold."""
+    """Smallest distance of any activation or clamp input from a kink."""
     margin = np.inf
-    for node in ad.topo_order(root):
-        x = node.inputs[0].value if node.inputs else None
-        if node.op == "relu":
-            margin = min(margin, float(np.abs(x).min()))
-        elif node.op == "clamp":
-            margin = min(margin,
-                         float(np.abs(x - node.attrs["lo"]).min()),
-                         float(np.abs(x - node.attrs["hi"]).min()))
-        elif node.op == "hswish":
-            margin = min(margin, float(np.abs(x + 3.0).min()),
-                         float(np.abs(x - 3.0).min()))
+    for node in _kink_nodes(root):
+        z, thresholds = _kinks(node)
+        for t in thresholds:
+            margin = min(margin, float(np.abs(z - t).min()))
     return margin
 
 
 def _kink_nodes(root):
     return [n for n in ad.topo_order(root)
-            if n.op in ("relu", "clamp", "hswish")]
+            if n.op in ("relu", "clamp")
+            or n.op == "batchnorm" and n.attrs["act"] is not None]
 
 
 def _signature(kinks):
     parts = []
     for n in kinks:
-        x = n.inputs[0].value
-        if n.op == "relu":
-            parts.append((x > 0).tobytes())
-        elif n.op == "hswish":
-            parts.append((x > -3.0).tobytes())
-            parts.append((x < 3.0).tobytes())
-        else:
-            parts.append((x > n.attrs["lo"]).tobytes())
-            parts.append((x < n.attrs["hi"]).tobytes())
+        z, thresholds = _kinks(n)
+        parts.extend((z > t).tobytes() for t in thresholds)
     return hash(b"".join(parts))
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from biasloss import cli, data, layers, train
 from biasloss.cli import main
+from test_train import MALFORMED_CHECKPOINTS
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +188,18 @@ class TestTrainEvalProfile:
                      "--data_dir", str(synth_dir), "--out", str(tmp_path)])
         assert code == 2
         assert "does not fit model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["eval", "profile"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_checkpoint_exits_two(self, synth_dir, tmp_path, verb,
+                                            case, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(MALFORMED_CHECKPOINTS[case])
+        out = ["--out", str(tmp_path)] if verb == "profile" else []
+        code = main(["--quiet", verb, "--ckpt", str(ckpt),
+                     "--data_dir", str(synth_dir)] + out)
+        assert code == 2
+        assert "bad.ckpt" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_two(self, synth_dir, tmp_path):
         code = main(["eval", "--ckpt", str(tmp_path / "none.ckpt"),

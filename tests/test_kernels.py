@@ -52,7 +52,28 @@ def dw_oracle(x, w, g, stride, pad):
     return out, dxp[:, :, pad:pad + h, pad:pad + wd], dw
 
 
-def bn_oracle(x, g, gamma, beta, eps=1e-5):
+ACTS = [None, "relu", "hswish"]
+
+
+def act_oracle(z, act):
+    """float64 (act(z), act'(z))."""
+    if act is None:
+        return z, np.ones_like(z)
+    if act == "relu":
+        return np.maximum(z, 0.0), (z > 0).astype(np.float64)
+    y = z * np.clip(z + 3.0, 0.0, 6.0) / 6.0
+    d = np.where(z <= -3.0, 0.0, np.where(z >= 3.0, 1.0, (2.0 * z + 3.0) / 6.0))
+    return y, d
+
+
+def hswish_oracle(x, g):
+    y, d = act_oracle(x.astype(np.float64), "hswish")
+    return y, g.astype(np.float64) * d
+
+
+def bn_oracle(x, g, gamma, beta, eps=1e-5, act=None):
+    """float64 train-mode BN followed by act, with g the gradient of act's
+    output."""
     x, g, gamma, beta = (a.astype(np.float64) for a in (x, g, gamma, beta))
     ax = (0, 2, 3)
     n = x.shape[0] * x.shape[2] * x.shape[3]
@@ -60,7 +81,8 @@ def bn_oracle(x, g, gamma, beta, eps=1e-5):
     var = ((x - mean[:, None, None]) ** 2).mean(axis=ax)
     invstd = 1.0 / np.sqrt(var + eps)
     xhat = (x - mean[:, None, None]) * invstd[:, None, None]
-    y = xhat * gamma[:, None, None] + beta[:, None, None]
+    y, d = act_oracle(xhat * gamma[:, None, None] + beta[:, None, None], act)
+    g = g * d
     dbeta = g.sum(axis=ax)
     dgamma = (g * xhat).sum(axis=ax)
     dx = (gamma * invstd)[:, None, None] * (
@@ -68,11 +90,9 @@ def bn_oracle(x, g, gamma, beta, eps=1e-5):
     return mean, var, invstd, y, dx, dgamma, dbeta
 
 
-def hswish_oracle(x, g):
-    x, g = x.astype(np.float64), g.astype(np.float64)
-    y = x * np.clip(x + 3.0, 0.0, 6.0) / 6.0
-    d = np.where(x <= -3.0, 0.0, np.where(x >= 3.0, 1.0, (2.0 * x + 3.0) / 6.0))
-    return y, g * d
+def identity_bn(c):
+    """(mean, invstd, gamma, beta) of an eval-mode BN that passes x through."""
+    return np.zeros(c), np.ones(c), np.ones(c), np.zeros(c)
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +155,18 @@ def test_dw_conv_inf_warns_nothing():
 # ---------------------------------------------------------------------------
 # batch normalization
 
-def run_bn(x, g, gamma, beta):
+def run_bn(x, g, gamma, beta, act=None):
     mean, var = K.bn_stats(x)
     invstd = 1.0 / np.sqrt(var + 1e-5)
-    y = K.bn_normalize(x, mean, invstd, gamma, beta)
-    dx, dgamma, dbeta = K.bn_bwd_train(x, g, gamma, mean, invstd)
+    y = K.bn_normalize(x, mean, invstd, gamma, beta, act)
+    dx, dgamma, dbeta = K.bn_bwd_train(x, g, mean, invstd, gamma, beta, act)
     return mean, var, invstd, y, dx, dgamma, dbeta
+
+
+def mean_rtol(dtype):
+    """Row partials are summed in x's dtype before the f64 batch sum: about
+    8 float32 ulps."""
+    return 1e-6 if dtype == np.float32 else 1e-12
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -152,18 +178,23 @@ def test_bn_matches_oracle(dtype, batch):
     gamma = rng.normal(1.0, 0.1, size=12).astype(dtype)
     beta = rng.normal(size=12).astype(dtype)
     assert batch == 1 or ragged(x)
-    mean, var, _, y, dx, dgamma, dbeta = bn_oracle(x, g, gamma, beta)
+    for act in ACTS:
+        mean, var, _, y, dx, dgamma, dbeta = bn_oracle(x, g, gamma, beta,
+                                                       act=act)
 
-    gm, gv, invstd, gy, gdx, gdg, gdb = run_bn(x, g, gamma, beta)
-    assert gm.dtype == gv.dtype == np.float64
-    np.testing.assert_allclose(gm, mean, rtol=1e-12)
-    np.testing.assert_allclose(gv, var, rtol=1e-6)
-    assert gy.dtype == gdx.dtype == dtype
-    assert gdg.dtype == gdb.dtype == dtype
-    np.testing.assert_allclose(gy, y, rtol=1e-4, atol=1e-5)
-    np.testing.assert_allclose(gdx, dx, rtol=1e-4, atol=1e-5)
-    np.testing.assert_allclose(gdg, dgamma, rtol=1e-4, atol=1e-3)
-    np.testing.assert_allclose(gdb, dbeta, rtol=1e-4, atol=1e-3)
+        gm, gv, invstd, gy, gdx, gdg, gdb = run_bn(x, g, gamma, beta, act)
+        assert gm.dtype == gv.dtype == np.float64
+        np.testing.assert_allclose(gm, mean, rtol=mean_rtol(dtype))
+        np.testing.assert_allclose(gv, var, rtol=1e-6)
+        assert gy.dtype == gdx.dtype == dtype
+        assert gdg.dtype == gdb.dtype == dtype
+        np.testing.assert_allclose(gy, y, **tol(dtype))
+        np.testing.assert_allclose(gdx, dx, **tol(dtype))
+        # dgamma and dbeta sum 15k terms of order 1
+        sums = (dict(rtol=1e-4, atol=1e-3) if dtype == np.float32
+                else tol(dtype))
+        np.testing.assert_allclose(gdg, dgamma, **sums)
+        np.testing.assert_allclose(gdb, dbeta, **sums)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -185,13 +216,13 @@ def test_bn_mean_far_above_std(dtype):
     np.testing.assert_allclose(gv, var, rtol=1e-6)
     np.testing.assert_allclose(K.bn_normalize(x, gm, invstd, gamma, beta), y,
                                rtol=1e-5, atol=1e-5)
-    gdx, gdg, _ = K.bn_bwd_train(x, g, gamma, gm, invstd)
+    gdx, gdg, _ = K.bn_bwd_train(x, g, gm, invstd, gamma, beta)
     np.testing.assert_allclose(gdx, dx, rtol=1e-4, atol=1e-5 * np.abs(dx).max())
     np.testing.assert_allclose(gdg, dgamma, rtol=1e-4, atol=1e-3)
 
 
 # ---------------------------------------------------------------------------
-# hard-swish
+# hard-swish, as the activation of an identity batch normalization
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("shape", [(1,), (64,), (3, 48, 31, 31)])
@@ -201,7 +232,10 @@ def test_hswish_matches_oracle(dtype, shape):
     x.flat[:4] = [-3.0, 3.0, 0.0, -1.5][:x.size]
     g = rng.normal(size=shape).astype(dtype)
     y, dx = hswish_oracle(x, g)
-    gy, gdx = K.hswish_fwd(x), K.hswish_bwd(x, g)
+    x4, g4 = (a.reshape(shape + (1,) * (4 - len(shape))) for a in (x, g))
+    ident = identity_bn(x4.shape[1])
+    gy = K.bn_normalize(x4, *ident, "hswish").reshape(shape)
+    gdx = K.bn_bwd_eval(x4, g4, *ident, "hswish")[0].reshape(shape)
     assert gy.dtype == gdx.dtype == dtype
     assert gy.shape == gdx.shape == shape
     np.testing.assert_allclose(gy, y, rtol=1e-6, atol=1e-7)
@@ -232,16 +266,20 @@ def test_nan_propagates(dtype):
     assert np.isfinite(m[[0, 1, 3]]).all() and np.isfinite(v[[0, 1, 3]]).all()
     mean, var = K.bn_stats(x)
     invstd = 1.0 / np.sqrt(var + 1e-5)
-    y = K.bn_normalize(xn, mean, invstd, gamma, beta)
-    assert np.isnan(y[17, 2, 5, 5]) and np.isfinite(y).sum() == y.size - 1
-    dx, dgamma, dbeta = K.bn_bwd_train(x, gn, gamma, mean, invstd)
-    assert np.isnan(dx[:, 2]).all() and np.isnan(dgamma[2]) and np.isnan(dbeta[2])
-    dx, dgamma, _ = K.bn_bwd_train(xn, g, gamma, mean, invstd)
-    assert np.isnan(dx[17, 2, 5, 5]) and np.isnan(dgamma[2])
+    for act in ACTS:
+        y = K.bn_normalize(xn, mean, invstd, gamma, beta, act)
+        assert np.isnan(y[17, 2, 5, 5]) and np.isfinite(y).sum() == y.size - 1
+        dx, dgamma, dbeta = K.bn_bwd_train(x, gn, mean, invstd, gamma, beta,
+                                           act)
+        assert (np.isnan(dx[:, 2]).all() and np.isnan(dgamma[2])
+                and np.isnan(dbeta[2]))
+        dx, dgamma, _ = K.bn_bwd_train(xn, g, mean, invstd, gamma, beta, act)
+        assert np.isnan(dx[17, 2, 5, 5]) and np.isnan(dgamma[2])
 
-    assert np.isnan(K.hswish_fwd(xn)[17, 2, 5, 5])
-    assert np.isnan(K.hswish_bwd(xn, g)[17, 2, 5, 5])
-    assert np.isnan(K.hswish_bwd(x, gn)[17, 2, 5, 5])
+    ident = identity_bn(4)
+    assert np.isnan(K.bn_normalize(xn, *ident, "hswish")[17, 2, 5, 5])
+    assert np.isnan(K.bn_bwd_eval(xn, g, *ident, "hswish")[0][17, 2, 5, 5])
+    assert np.isnan(K.bn_bwd_eval(x, gn, *ident, "hswish")[0][17, 2, 5, 5])
 
 
 def test_inf_propagates():
@@ -252,7 +290,7 @@ def test_inf_propagates():
     with np.errstate(invalid="ignore"):  # inf - inf
         m, v = K.bn_stats(x)
     assert not np.isfinite(m[0]) and not np.isfinite(v[0])
-    assert np.isinf(K.hswish_fwd(x)[1, 0, 2, 2])
+    assert np.isinf(K.bn_normalize(x, *identity_bn(3), "hswish")[1, 0, 2, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +306,18 @@ def test_concurrent_callers_match_one_worker(monkeypatch):
     w = rng.normal(size=(16, 3, 3)).astype(np.float32)
     gamma = rng.normal(1.0, 0.1, size=16).astype(np.float32)
     beta = rng.normal(size=16).astype(np.float32)
-    assert ragged(xp) and ragged(x) and ragged(x.reshape(-1))
+    assert ragged(xp) and ragged(x)
 
     def run_all():
         mean, var = K.bn_stats(x)
         invstd = 1.0 / np.sqrt(var + 1e-5)
         outs = [K.dw_conv_fwd(xp, w, 1, 0), *K.dw_conv_bwd(xp, w, g, 1, 0),
                 K.dw_conv_fwd(x, w, 1, 1), *K.dw_conv_bwd(x, w, g, 1, 1),
-                mean, var, K.bn_normalize(x, mean, invstd, gamma, beta),
-                *K.bn_bwd_train(x, g, gamma, mean, invstd),
-                K.hswish_fwd(x), K.hswish_bwd(x, g)]
+                mean, var]
+        for act in ACTS:
+            outs += [K.bn_normalize(x, mean, invstd, gamma, beta, act),
+                     *K.bn_bwd_train(x, g, mean, invstd, gamma, beta, act),
+                     *K.bn_bwd_eval(x, g, mean, invstd, gamma, beta, act)]
         return [a.tobytes() for a in outs]
 
     with ThreadPoolExecutor(1) as serial, monkeypatch.context() as m:
@@ -305,7 +345,7 @@ def test_concurrent_callers_match_one_worker(monkeypatch):
 
 def test_caller_errstate_applies_in_every_block():
     x = np.zeros((19, 4, 64, 64), np.float32)
-    assert ragged(x.reshape(-1))
+    assert ragged(x)
     x[17, 0, 0, 0] = -np.inf  # -inf * clip(-inf + 3, 0, 6) = -inf * 0
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-        K.hswish_fwd(x)
+        K.bn_normalize(x, *identity_bn(4), "hswish")

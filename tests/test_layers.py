@@ -224,22 +224,48 @@ class TestBatchNorm:
 
     def test_gradients_train_and_eval(self):
         rng = np.random.default_rng(3)
-        for training in (True, False):
-            bn = L.BatchNorm2d(3, dtype=np.float64)
-            bn.training = training
-            x = ad.parameter(rng.normal(size=(4, 3, 4, 4)))
-            root = ad.sum_(ad.mul(bn(x),
-                                  ad.constant(rng.normal(size=(4, 3, 4, 4)))))
-            assert_grads_close(root, [x, bn.gamma, bn.beta],
-                               eps=1e-5, rtol=1e-4)
+        for act in L.ACTIVATIONS:
+            for training in (True, False):
+                bn = L.BatchNorm2d(3, dtype=np.float64, act=act)
+                bn.training = training
+                # gamma 2.5 spreads the pre-activations past hswish's kinks
+                bn.gamma.value = rng.normal(2.5, 0.2, size=3)
+                bn.beta.value = rng.normal(size=3)
+                x = ad.parameter(rng.normal(size=(4, 3, 4, 4)))
+                root = ad.sum_(ad.mul(
+                    bn(x), ad.constant(rng.normal(size=(4, 3, 4, 4)))))
+                assert_grads_close(root, [x, bn.gamma, bn.beta],
+                                   eps=1e-5, rtol=1e-4)
+
+    def test_unknown_activation(self):
+        with pytest.raises(ValueError, match="swish"):
+            L.BatchNorm2d(3, act="swish")
+
+    def test_fdcheck_skips_secant_across_fused_relu(self):
+        # x[0, 0, 0, 0] sits 0.3 eps above relu's kink in an identity BN,
+        # so its +-eps secant crosses zero; the entry must be skipped, not
+        # compared with a central difference that averages both slopes
+        bn = L.BatchNorm2d(2, eps=0.0, dtype=np.float64, act="relu")
+        bn.training = False
+        rng = np.random.default_rng(4)
+        xv = rng.uniform(0.5, 1.0, size=(2, 2, 3, 3))
+        xv *= rng.choice([-1.0, 1.0], size=xv.shape)
+        xv[0, 0, 0, 0] = 3e-6
+        x = ad.parameter(xv)
+        root = ad.sum_(ad.mul(bn(x), ad.constant(rng.normal(size=xv.shape))))
+        _, skipped = assert_grads_close(root, [x], eps=1e-5, rtol=1e-4)
+        assert skipped == 1 / xv.size
 
 
 class TestHardSwish:
     @pytest.mark.parametrize("x,expect", [(0.0, 0.0), (3.0, 3.0), (-3.0, 0.0),
                                           (6.0, 6.0), (1.0, 4.0 / 6.0)])
     def test_anchors(self, x, expect):
-        node = L.hard_swish(ad.constant(np.array(x)))
-        assert run(node) == pytest.approx(expect, abs=1e-12)
+        # the activation of an eval-mode BN on an identity affine
+        bn = L.BatchNorm2d(1, eps=0.0, dtype=np.float64, act="hswish")
+        bn.training = False
+        node = bn(ad.constant(np.full((1, 1, 1, 1), x)))
+        assert run(node).item() == pytest.approx(expect, abs=1e-12)
 
 
 class TestAdaptiveAvgPool:
@@ -497,7 +523,8 @@ class TestMicroNet:
 
     def test_full_model_gradcheck(self):
         # finite differences through stem, blocks, skip block, head and the
-        # classifier; f64, margin-checked draws keep FD off activation kinks
+        # classifier in f64; entries whose secant crosses an activation
+        # kink are skipped
         spec = L.MicroNetSpec(
             in_channels=2, num_classes=3, stem_channels=4,
             stages=((8, 4, 1, "relu"), (8, 8, 2, "hswish"),

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,23 @@ def tiny_cfg(**kw):
                 dataset="mnist", augment=False, dropout=0.0)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def checkpoint_bytes(manifest, blob=b"\0" * 8):
+    return (train.CHECKPOINT_MAGIC
+            + struct.pack("<IQ", train.CHECKPOINT_VERSION, len(manifest))
+            + manifest + blob)
+
+
+# files that follow save_checkpoint's layout only in part
+MALFORMED_CHECKPOINTS = {
+    "short_header": train.CHECKPOINT_MAGIC + b"\1\0\0\0\0\0",
+    "offset_not_integer": checkpoint_bytes(b"w 2 f32 zero\n"),
+    "dimension_not_integer": checkpoint_bytes(b"w 2.5 f32 0\n"),
+    "manifest_not_utf8": checkpoint_bytes(b"w\xff 2 f32 0\n"),
+    "negative_dimension": checkpoint_bytes(b"w -1 f32 0\n", b"\0" * 4),
+    "negative_offset": checkpoint_bytes(b"w 1 f32 -4\n"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +217,13 @@ class TestCheckpoint:
         raw = bytearray(p.read_bytes())
         raw[:4] = b"NOPE"
         p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_file_is_checkpoint_error(self, tmp_path, case):
+        p = tmp_path / "bad.ckpt"
+        p.write_bytes(MALFORMED_CHECKPOINTS[case])
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
 
