@@ -7,11 +7,11 @@ forward normalizes and applies the activation in the same walk over each
 block, and the backward recomputes the pre-activation from the stored conv
 output with the forward's own operations (bit-identical to the forward's,
 so it is never stored) and applies the activation's derivative in the
-first of its two sweeps. Per-channel sums are per-(sample, channel) row
-partials from one GEMV against a ones vector, added over the batch in
-float64. Per-channel operands are expanded to one contiguous sample
-[1, c, h, w], which numpy's binary loops take faster than a broadcast
-[1, c, 1, 1].
+first of its two sweeps. The batch mean is a float64 sum; the other
+per-channel sums are per-(sample, channel) row partials from one GEMV
+against a ones vector, added over the batch in float64. Per-channel
+operands are expanded to one contiguous sample [1, c, h, w], which
+numpy's binary loops take faster than a broadcast [1, c, 1, 1].
 
 Depthwise convolution runs as small BLAS GEMMs: each kernel row is one
 banded [W, ow] matrix, and every (sample, channel) pair multiplies its
@@ -241,13 +241,13 @@ def _ones(x):
 
 
 def bn_stats(x):
-    """Per-channel biased mean/var over (batch, h, w), from row partials
-    added in float64.
+    """Per-channel biased mean/var over (batch, h, w), f64 accumulation.
 
-    Each block's deviations are taken about the block mean rounded to x's
-    dtype. Their sum s1 corrects that rounding residual in f64: the block
-    mean is shift + s1/k and sum (x - mean)^2 = sum (x - shift)^2 - s1^2/k.
-    Blocks are merged with Chan et al.'s pairwise update.
+    Each block's mean is an f64 sum of its elements. Its squared deviations
+    are taken about that mean rounded to x's dtype and summed as row
+    partials; the rounding d is corrected in f64, sum (x - bm)^2 =
+    sum (x - shift)^2 - k d^2. Blocks are merged with Chan et al.'s
+    pairwise update.
     """
     per_sample = x.shape[2] * x.shape[3]
     ones = _ones(x)
@@ -255,11 +255,12 @@ def bn_stats(x):
     def block(s):
         xs = x[s]
         k = len(xs) * per_sample
-        shift = (_row_sums(xs, ones) / k).astype(x.dtype)
+        bm = np.add.reduce(xs, axis=(0, 2, 3), dtype=np.float64) / k
+        shift = bm.astype(x.dtype)
         t = np.subtract(xs, _channel(shift, xs))
-        s1 = _row_sums(t, ones)
         np.multiply(t, t, out=t)
-        return k, shift + s1 / k, _row_sums(t, ones) - s1 * s1 / k
+        d = bm - shift
+        return k, bm, _row_sums(t, ones) - k * d * d
 
     counts, means, m2s = zip(*_map_blocks(block, x))
     counts = np.array(counts, dtype=np.float64)[:, None]
@@ -280,13 +281,14 @@ def _affine(x, mean, invstd, gamma, beta):
     return _channel(m, x), _channel(scale, x), _channel(shift, x)
 
 
-def _scale_shift(o, centred, affine):
-    """o = centred * scale + shift, where centred is x - m. Forward and
-    backward both build the pre-activation this way, so the backward's
-    recomputed copy is bit-identical to the forward's."""
-    _, scale, shift = affine
-    np.multiply(centred, scale, out=o)
-    np.add(o, shift, out=o)
+# activations the batch-norm kernels can apply to their output
+ACTIVATIONS = (None, "relu", "hswish")
+
+
+def _check_act(act):
+    if act not in ACTIVATIONS:
+        raise ValueError(f"activation must be one of {ACTIVATIONS}, "
+                         f"not {act!r}")
 
 
 def _act(o, act):
@@ -301,7 +303,8 @@ def _act(o, act):
 
 
 def _act_grad(o, gs, act):
-    """o holds the pre-activation z; overwrites it with gs * act'(z).
+    """o holds the pre-activation z; overwrites it with gs * act'(z), for
+    act "relu" or "hswish".
 
     relu' is [z > 0]. With c = clip(z, -3, 3), hswish' is
     (c + c * [|c| < 3] + 3) / 6: 0 for z <= -3, 1 for z >= 3 and
@@ -310,7 +313,7 @@ def _act_grad(o, gs, act):
     """
     if act == "relu":
         np.greater(o, 0, out=o)
-    else:
+    elif act == "hswish":
         t = np.empty_like(o)
         np.clip(o, -3.0, 3.0, out=o)
         np.abs(o, out=t)
@@ -324,35 +327,45 @@ def _act_grad(o, gs, act):
 
 def bn_normalize(x, mean, invstd, gamma, beta, act=None):
     """act((x - mean) * invstd * gamma + beta), centred per block, with act
-    None, "relu" or "hswish" applied in the same walk."""
-    affine = _affine(x, mean, invstd, gamma, beta)
+    None, "relu" or "hswish" applied in the same walk.
+
+    The pre-activation is (x - m) * scale + shift; the backward recomputes
+    it with the same two operations, so its copy is bit-identical.
+    """
+    _check_act(act)
+    m, scale, shift = _affine(x, mean, invstd, gamma, beta)
     out = np.empty_like(x)
 
     def block(s):
         o = out[s]
-        np.subtract(x[s], affine[0], out=o)
-        _scale_shift(o, o, affine)
+        np.subtract(x[s], m, out=o)
+        np.multiply(o, scale, out=o)
+        np.add(o, shift, out=o)
         _act(o, act)
 
     _map_blocks(block, x)
     return out
 
 
-def _act_grad_sums(x, g, affine, act):
-    """Sweep 1 of the backward: (gz, sum gz, sum gz * (x - m)) with
-    gz = g * act'(z) and the sums per channel in f64 from row partials.
+def _act_grad_sums(x, g, mean, invstd, gamma, beta, act):
+    """Sweep 1 of the backward: (m, gz, sum gz, sum gz * (x - m)) with m the
+    centre of _affine, gz = g * act'(z) and the sums per channel in f64
+    from row partials.
 
-    The pre-activation z is recomputed from x; gz is g itself when act is
-    None and a new array otherwise.
+    The pre-activation z is recomputed from x as bn_normalize builds it;
+    gz is g itself when act is None and a new array otherwise.
     """
+    _check_act(act)
+    m, scale, shift = _affine(x, mean, invstd, gamma, beta)
     ones = _ones(x)
     gz = g if act is None else np.empty_like(x)
 
     def sweep(s):
         o = gz[s]
-        t = np.subtract(x[s], affine[0])
+        t = np.subtract(x[s], m)
         if act is not None:
-            _scale_shift(o, t, affine)
+            np.multiply(t, scale, out=o)
+            np.add(o, shift, out=o)
             _act_grad(o, g[s], act)
         np.multiply(t, o, out=t)
         return _row_sums(o, ones), _row_sums(t, ones)
@@ -362,7 +375,7 @@ def _act_grad_sums(x, g, affine, act):
     for sg, sgx in _map_blocks(sweep, x):
         sum_g += sg
         sum_gx += sgx
-    return gz, sum_g, sum_gx
+    return m, gz, sum_g, sum_gx
 
 
 def bn_bwd_train(x, g, mean, invstd, gamma, beta, act=None):
@@ -373,8 +386,8 @@ def bn_bwd_train(x, g, mean, invstd, gamma, beta, act=None):
     second finishes dx in place.
     """
     count = x.shape[0] * x.shape[2] * x.shape[3]
-    affine = _affine(x, mean, invstd, gamma, beta)
-    gz, sum_g, sum_gx = _act_grad_sums(x, g, affine, act)
+    m, gz, sum_g, sum_gx = _act_grad_sums(x, g, mean, invstd, gamma, beta,
+                                          act)
     # x is centred on the mean rounded to x's dtype; the rounding residual
     # d is folded back in f64
     d = mean - mean.astype(x.dtype)
@@ -389,7 +402,7 @@ def bn_bwd_train(x, g, mean, invstd, gamma, beta, act=None):
 
     def grad(s):
         o = dx[s]
-        t = np.subtract(x[s], affine[0])
+        t = np.subtract(x[s], m)
         np.multiply(t, c2, out=t)
         np.multiply(gz[s], k, out=o)
         np.subtract(o, a, out=o)
@@ -402,8 +415,8 @@ def bn_bwd_train(x, g, mean, invstd, gamma, beta, act=None):
 def bn_bwd_eval(x, g, mean, invstd, gamma, beta, act=None):
     """Returns (dx, dgamma, dbeta) for eval-mode batch normalization, where
     mean and invstd are constants, followed by act."""
-    gz, sum_g, sum_gx = _act_grad_sums(
-        x, g, _affine(x, mean, invstd, gamma, beta), act)
+    _, gz, sum_g, sum_gx = _act_grad_sums(x, g, mean, invstd, gamma, beta,
+                                          act)
     dgamma = (sum_gx - (mean - mean.astype(x.dtype)) * sum_g) * invstd
     dx = np.multiply(gz, _channel(gamma * invstd, x))
     return dx, dgamma.astype(gamma.dtype), sum_g.astype(gamma.dtype)

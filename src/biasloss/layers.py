@@ -216,7 +216,7 @@ def _batchnorm_bwd(node, g):
 register_op("batchnorm", _batchnorm_fwd, _batchnorm_bwd)
 
 # activations the batchnorm op can apply to its output
-ACTIVATIONS = (None, "relu", "hswish")
+ACTIVATIONS = K.ACTIVATIONS
 
 
 # ---------------------------------------------------------------------------

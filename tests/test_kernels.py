@@ -163,12 +163,6 @@ def run_bn(x, g, gamma, beta, act=None):
     return mean, var, invstd, y, dx, dgamma, dbeta
 
 
-def mean_rtol(dtype):
-    """Row partials are summed in x's dtype before the f64 batch sum: about
-    8 float32 ulps."""
-    return 1e-6 if dtype == np.float32 else 1e-12
-
-
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("batch", [1, 19])
 def test_bn_matches_oracle(dtype, batch):
@@ -184,7 +178,7 @@ def test_bn_matches_oracle(dtype, batch):
 
         gm, gv, invstd, gy, gdx, gdg, gdb = run_bn(x, g, gamma, beta, act)
         assert gm.dtype == gv.dtype == np.float64
-        np.testing.assert_allclose(gm, mean, rtol=mean_rtol(dtype))
+        np.testing.assert_allclose(gm, mean, rtol=1e-12)
         np.testing.assert_allclose(gv, var, rtol=1e-6)
         assert gy.dtype == gdx.dtype == dtype
         assert gdg.dtype == gdb.dtype == dtype
@@ -219,6 +213,15 @@ def test_bn_mean_far_above_std(dtype):
     gdx, gdg, _ = K.bn_bwd_train(x, g, gm, invstd, gamma, beta)
     np.testing.assert_allclose(gdx, dx, rtol=1e-4, atol=1e-5 * np.abs(dx).max())
     np.testing.assert_allclose(gdg, dgamma, rtol=1e-4, atol=1e-3)
+
+
+@pytest.mark.parametrize("fn", [K.bn_normalize, K.bn_bwd_train,
+                                K.bn_bwd_eval])
+def test_bn_unknown_activation(fn):
+    x = np.ones((2, 3, 4, 4), dtype=np.float32)
+    args = (x, x) if fn is not K.bn_normalize else (x,)
+    with pytest.raises(ValueError, match="swish"):
+        fn(*args, *identity_bn(3), "swish")
 
 
 # ---------------------------------------------------------------------------
