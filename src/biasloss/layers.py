@@ -60,23 +60,15 @@ def _conv2d_fwd(node, xs):
     if oh < 1 or ow < 1:
         raise ShapeError("kernel larger than padded input")
 
-    if kh == 1 and kw == 1 and groups == 1:
-        xs_ = x[:, :, ::stride, ::stride] if stride > 1 else x
-        xm = xs_.reshape(b, cin, oh * ow)
-        out = np.matmul(w.reshape(cout, cin), xm)
-        node.ctx = ("1x1", xm)
-    elif groups == cin and cout == cin:
+    if groups == cin and cout == cin:
         out = K.dw_conv_fwd(np.ascontiguousarray(x), w[:, 0], stride, pad)
-        node.ctx = ("dw",)
+        node.ctx = None
     else:
-        # grouped general case: block-diagonal stack of dense convs
-        cout_g = cout // groups
-        cols = [_im2col(x[:, gi * cin_g:(gi + 1) * cin_g], kh, kw, stride, pad)
-                for gi in range(groups)]
-        out = np.concatenate(
-            [np.matmul(w[gi * cout_g:(gi + 1) * cout_g].reshape(cout_g, -1),
-                       col) for gi, col in enumerate(cols)], axis=1)
-        node.ctx = ("grouped", cols)
+        # one block-diagonal stack of dense convs: [groups, cout/g, cin/g*kh*kw]
+        # @ [b, groups, cin/g*kh*kw, oh*ow], one GEMM per (sample, group)
+        cols = _im2col(x, kh, kw, stride, pad).reshape(b, groups, -1, oh * ow)
+        out = np.matmul(w.reshape(groups, cout // groups, -1), cols)
+        node.ctx = cols
     out = out.reshape(b, cout, oh, ow)
     if bias is not None:
         out = out + bias.reshape(1, cout, 1, 1)
@@ -84,7 +76,8 @@ def _conv2d_fwd(node, xs):
 
 
 def _im2col(x, kh, kw, stride, pad):
-    """[b, c*kh*kw, oh*ow] input windows, one column per output position."""
+    """[b, c*kh*kw, oh*ow] input windows, one column per output position.
+    For a 1x1 kernel at stride 1 without padding this is a view of x."""
     b, c, h, w = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
@@ -94,70 +87,43 @@ def _im2col(x, kh, kw, stride, pad):
         b, c * kh * kw, oh * ow)
 
 
-def _weight_grad(g, cols):
-    """Sum over the batch of g[i] @ cols[i].T, the per-sample partials
-    accumulated in float64."""
-    return np.add.reduce(np.matmul(g, cols.transpose(0, 2, 1)), axis=0,
-                         dtype=np.float64)
-
-
-def _col_accumulate(dcol, x_shape, kh, kw, stride, pad):
-    """Scatter-add column gradients [b,c,kh,kw,oh,ow] back onto the input."""
+def _col2im(dcol, x_shape, kh, kw, stride, pad):
+    """Adjoint of _im2col: scatter-add column gradients back onto the input."""
     b, c, h, w = x_shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    dx = np.zeros((b, c, hp, wp), dtype=dcol.dtype)
-    oh, ow = dcol.shape[4], dcol.shape[5]
+    if kh == kw == stride == 1 and not pad:
+        return dcol.reshape(x_shape)
+    oh = K.conv_out_size(h, kh, stride, pad)
+    ow = K.conv_out_size(w, kw, stride, pad)
+    dcol = dcol.reshape(b, c, kh, kw, oh, ow)
+    dx = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=dcol.dtype)
     for ki in range(kh):
         for kj in range(kw):
             dx[:, :, ki:ki + stride * oh:stride,
                kj:kj + stride * ow:stride] += dcol[:, :, ki, kj]
-    if pad:
-        dx = dx[:, :, pad:pad + h, pad:pad + w]
-    return dx
+    return dx[:, :, pad:pad + h, pad:pad + w]
 
 
 def _conv2d_bwd(node, g):
     x = node.inputs[0].value
     w = node.inputs[1].value
-    has_bias = len(node.inputs) == 3
     stride = node.attrs["stride"]
     pad = node.attrs["padding"]
     groups = node.attrs["groups"]
-    b, cin, h, wd = x.shape
-    cout, cin_g, kh, kw = w.shape
-    oh, ow = g.shape[2], g.shape[3]
-    kind = node.ctx[0]
-
-    if kind == "1x1":
-        _, xm = node.ctx
-        gm = g.reshape(b, cout, oh * ow)
-        dw = _weight_grad(gm, xm).astype(w.dtype).reshape(w.shape)
-        dxm = np.matmul(w.reshape(cout, cin).T, gm)
-        if stride > 1:
-            dx = np.zeros_like(x)
-            dx[:, :, ::stride, ::stride] = dxm.reshape(b, cin, oh, ow)
-        else:
-            dx = dxm.reshape(x.shape)
-    elif kind == "dw":
-        dx, dw2 = K.dw_conv_bwd(np.ascontiguousarray(x), w[:, 0],
-                                np.ascontiguousarray(g), stride, pad)
-        dw = dw2.reshape(w.shape)
+    b, cout, oh, ow = g.shape
+    cols = node.ctx
+    if cols is None:
+        dx, dw = K.dw_conv_bwd(np.ascontiguousarray(x), w[:, 0],
+                               np.ascontiguousarray(g), stride, pad)
     else:
-        _, cols = node.ctx
-        gm = g.reshape(b, cout, oh * ow)
-        cout_g = cout // groups
-        dx = np.zeros_like(x)
-        dw = np.zeros_like(w)
-        for gi, col in enumerate(cols):
-            gg = gm[:, gi * cout_g:(gi + 1) * cout_g]
-            wg = w[gi * cout_g:(gi + 1) * cout_g].reshape(cout_g, -1)
-            dw[gi * cout_g:(gi + 1) * cout_g] = _weight_grad(gg, col).reshape(
-                cout_g, cin_g, kh, kw)
-            dcol = np.matmul(wg.T, gg).reshape(b, cin_g, kh, kw, oh, ow)
-            dx[:, gi * cin_g:(gi + 1) * cin_g] = _col_accumulate(
-                dcol, (b, cin_g, h, wd), kh, kw, stride, pad)
-    grads = [dx, dw]
-    if has_bias:
+        gm = g.reshape(b, groups, cout // groups, oh * ow)
+        # per-sample weight-gradient partials, summed over the batch in f64
+        dw = np.add.reduce(np.matmul(gm, cols.swapaxes(2, 3)), axis=0,
+                           dtype=np.float64).astype(w.dtype)
+        dcol = np.matmul(w.reshape(groups, cout // groups, -1).swapaxes(1, 2),
+                         gm)
+        dx = _col2im(dcol, x.shape, w.shape[2], w.shape[3], stride, pad)
+    grads = [dx, dw.reshape(w.shape)]
+    if len(node.inputs) == 3:
         grads.append(g.sum(axis=(0, 2, 3)))
     return grads
 

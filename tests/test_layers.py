@@ -104,6 +104,8 @@ class TestConv2d:
         (5, 5, 3, 2, 1, 5),   # depthwise, strided
         (2, 3, 1, 1, 0, 1),   # pointwise
         (4, 2, 1, 2, 0, 1),   # pointwise, strided
+        (3, 4, 1, 1, 1, 1),   # pointwise, padded
+        (4, 2, 1, 2, 1, 1),   # pointwise, padded and strided
     ])
     def test_matches_naive_loop(self, cin, cout, k, stride, pad, groups):
         rng = np.random.default_rng(cin * 100 + cout)
@@ -117,8 +119,8 @@ class TestConv2d:
             y.value, naive_conv(x, w, bias, stride, pad, groups),
             rtol=1e-10, atol=1e-12)
 
-    # pointwise (stride 1 and 2), grouped and the stem's dense 3x3
-    GEMM_CASES = [(8, 12, 1, 1, 0, 1), (8, 12, 1, 2, 0, 1),
+    # pointwise (stride 1 and 2, grouped), grouped and the stem's dense 3x3
+    GEMM_CASES = [(8, 12, 1, 1, 0, 1), (8, 12, 1, 2, 0, 1), (8, 12, 1, 1, 0, 2),
                   (4, 6, 3, 1, 1, 2), (6, 4, 3, 2, 1, 2), (3, 8, 3, 1, 1, 1),
                   # depthwise: banded GEMMs per (sample, channel)
                   (8, 8, 3, 1, 1, 8), (8, 8, 3, 2, 1, 8), (6, 6, 5, 1, 2, 6)]
