@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import autodiff as ad
 from . import _kernels as K
@@ -79,12 +79,14 @@ def _im2col(x, kh, kw, stride, pad):
     """[b, c*kh*kw, oh*ow] input windows, one column per output position.
     For a 1x1 kernel at stride 1 without padding this is a view of x."""
     b, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # win: [b, c, oh, ow, kh, kw] -> [b, c, kh, kw, oh, ow]
-    oh, ow = win.shape[2], win.shape[3]
-    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(
-        b, c * kh * kw, oh * ow)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else \
+        np.ascontiguousarray(x)
+    oh = K.conv_out_size(h, kh, stride, pad)
+    ow = K.conv_out_size(w, kw, stride, pad)
+    sb, sc, sh, sw = xp.strides
+    win = as_strided(xp, (b, c, kh, kw, oh, ow),
+                     (sb, sc, sh, sw, sh * stride, sw * stride), writeable=False)
+    return np.ascontiguousarray(win).reshape(b, c * kh * kw, oh * ow)
 
 
 def _col2im(dcol, x_shape, kh, kw, stride, pad):
