@@ -190,10 +190,13 @@ ACTIVATIONS = K.ACTIVATIONS
 # ---------------------------------------------------------------------------
 # pooling
 
-def _pool_windows(n_in, n_out):
-    starts = [(i * n_in) // n_out for i in range(n_out)]
-    stops = [-(-((i + 1) * n_in) // n_out) for i in range(n_out)]
-    return starts, stops
+def _pool_matrix(n_in, n_out):
+    """[n_out, n_in] averaging matrix: row i averages inputs
+    [floor(i*n_in/n_out), ceil((i+1)*n_in/n_out))."""
+    i = np.arange(n_out)[:, None]
+    j = np.arange(n_in)
+    inside = (j >= i * n_in // n_out) & (j < -(-(i + 1) * n_in // n_out))
+    return inside / inside.sum(axis=1, keepdims=True)
 
 
 def _adaptive_pool_fwd(node, xs):
@@ -204,36 +207,16 @@ def _adaptive_pool_fwd(node, xs):
     b, c, h, w = x.shape
     if ho > h or wo > w:
         raise ShapeError(f"output {ho}x{wo} larger than input {h}x{w}")
-    if h % ho == 0 and w % wo == 0:
-        kh, kw = h // ho, w // wo
-        out = x.reshape(b, c, ho, kh, wo, kw).mean(axis=(3, 5))
-        node.ctx = ("even", kh, kw)
-        return out
-    rs, re = _pool_windows(h, ho)
-    cs, ce = _pool_windows(w, wo)
-    out = np.empty((b, c, ho, wo), dtype=x.dtype)
-    for i in range(ho):
-        for j in range(wo):
-            out[:, :, i, j] = x[:, :, rs[i]:re[i], cs[j]:ce[j]].mean(axis=(2, 3))
-    node.ctx = ("uneven", rs, re, cs, ce)
-    return out
+    # P [ho*wo, h*w] averages each output cell's window of the flat image;
+    # the pool is one GEMM per sample, x[i] [c, h*w] @ P.T
+    p = np.kron(_pool_matrix(h, ho), _pool_matrix(w, wo)).astype(x.dtype)
+    node.ctx = p
+    return np.matmul(x.reshape(b, c, h * w), p.T).reshape(b, c, ho, wo)
 
 
 def _adaptive_pool_bwd(node, g):
-    x = node.inputs[0].value
-    b, c, h, w = x.shape
-    if node.ctx[0] == "even":
-        _, kh, kw = node.ctx
-        gx = np.repeat(np.repeat(g, kh, axis=2), kw, axis=3) / x.dtype.type(kh * kw)
-        return [gx]
-    _, rs, re, cs, ce = node.ctx
-    gx = np.zeros_like(x)
-    for i in range(len(rs)):
-        for j in range(len(cs)):
-            area = (re[i] - rs[i]) * (ce[j] - cs[j])
-            gx[:, :, rs[i]:re[i], cs[j]:ce[j]] += (
-                g[:, :, i:i + 1, j:j + 1] / x.dtype.type(area))
-    return [gx]
+    b, c, h, w = node.inputs[0].value.shape
+    return [np.matmul(g.reshape(b, c, -1), node.ctx).reshape(b, c, h, w)]
 
 
 register_op("adaptive_avg_pool", _adaptive_pool_fwd, _adaptive_pool_bwd)

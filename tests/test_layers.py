@@ -309,12 +309,43 @@ class TestAdaptiveAvgPool:
         with pytest.raises(ad.ShapeError):
             run(L.adaptive_avg_pool(x, (4, 4)))
 
-    def test_gradients_uneven(self):
+    @pytest.mark.parametrize("hw,out", [((5, 7), (2, 3)), ((8, 8), (2, 2))],
+                             ids=["uneven", "even"])
+    def test_gradients(self, hw, out):
         rng = np.random.default_rng(3)
-        x = ad.parameter(rng.normal(size=(2, 2, 5, 7)))
-        root = ad.sum_(ad.mul(L.adaptive_avg_pool(x, (2, 3)),
-                              ad.constant(rng.normal(size=(2, 2, 2, 3)))))
+        x = ad.parameter(rng.normal(size=(2, 2) + hw))
+        root = ad.sum_(ad.mul(L.adaptive_avg_pool(x, out),
+                              ad.constant(rng.normal(size=(2, 2) + out))))
         assert_grads_close(root, [x], eps=1e-5, rtol=1e-4)
+
+    # the model's two pools: the skip block's and the global pool before
+    # the classifier
+    @pytest.mark.parametrize("shape,out", [((16, 8, 28, 28), (7, 7)),
+                                           ((16, 64, 7, 7), (1, 1))])
+    def test_f32_matches_f64_oracle(self, shape, out):
+        rng = np.random.default_rng(9)
+        x = (1 + rng.normal(size=shape)).astype(np.float32)
+        g = rng.normal(size=shape[:2] + out).astype(np.float32)
+        (b, c, h, w), (ho, wo) = shape, out
+        ref = np.empty((b, c, ho, wo))
+        dref = np.zeros(shape)
+        for i in range(ho):
+            for j in range(wo):
+                r0, r1 = (i * h) // ho, -(-((i + 1) * h) // ho)
+                c0, c1 = (j * w) // wo, -(-((j + 1) * w) // wo)
+                ref[:, :, i, j] = x[:, :, r0:r1, c0:c1].astype(
+                    np.float64).mean(axis=(2, 3))
+                dref[:, :, r0:r1, c0:c1] += (g[:, :, i:i + 1, j:j + 1]
+                                             / ((r1 - r0) * (c1 - c0)))
+        xn = ad.parameter(x)
+        y = L.adaptive_avg_pool(xn, out)
+        root = ad.sum_(ad.mul(y, ad.constant(g)))
+        run(root)
+        dx = ad.backward(root)[xn]
+        for got, want in ((y.value, ref), (dx, dref)):
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=1e-6,
+                                       atol=1e-6 * np.abs(want).max())
 
     def test_global_mean_preserved_f32(self):
         rng = np.random.default_rng(4)
