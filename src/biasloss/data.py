@@ -218,7 +218,7 @@ def default_augment(dataset_name):
         return AugmentSpec(hflip=False, normalize=(MNIST_MEAN, MNIST_STD))
     if dataset_name == "cifar10":
         return AugmentSpec(hflip=True, normalize=(CIFAR10_MEAN, CIFAR10_STD))
-    return AugmentSpec(hflip=False, normalize=None)
+    raise ValueError(f"unknown dataset {dataset_name!r}")
 
 
 def normalize_only(spec: AugmentSpec):

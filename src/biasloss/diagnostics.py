@@ -92,8 +92,7 @@ def profile(model, dataset, layer_names=None, batch_size=256,
     was_training = model.training
     model.eval()
     try:
-        spec = datamod.AugmentSpec(hflip=False, rotate_deg=(0.0, 0.0),
-                                   normalize=normalize)
+        spec = datamod.normalize_only(datamod.AugmentSpec(normalize=normalize))
         probes = {name: LayerProbe(name) for name in layer_names}
         cache = GraphCache(model)
         for b in datamod.batches(dataset, batch_size, shuffle=False,

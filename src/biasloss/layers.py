@@ -1,16 +1,17 @@
 """CNN building blocks on top of the autodiff engine.
 
-Convolution has three paths. 1x1 and depthwise kernels carry almost all
-the work in the compact networks built here. A 1x1 conv is one GEMM per
-sample on the NCHW activation, W [cout, cin] @ x[i] [cin, h*w], with no
-layout copy. Depthwise conv runs in the blocked kernels of _kernels, as
-one banded GEMM per (sample, channel) and kernel row on the unpadded
-input; the padding lives in the band, so no padded copy is made. Every
-other conv (the stem, grouped convs) is the same per-sample GEMM on im2col
-columns [cin*kh*kw, oh*ow]. Each of these GEMMs is small enough that
-OpenBLAS runs it on the calling thread; a multithreaded BLAS call would
-leave OpenBLAS's worker spinning between calls on a core the kernel pool
-needs. Weight gradients sum the per-sample partials in float64.
+Convolution has two paths. Depthwise conv runs in the blocked kernels of
+_kernels, as one banded GEMM per (sample, channel) and kernel row on the
+unpadded input; the padding lives in the band, so no padded copy is made.
+Every other conv (1x1, the stem, grouped convs) is one GEMM per sample and
+group on im2col columns, W[g] [cout/g, cin/g*kh*kw] @ cols[i, g]
+[cin/g*kh*kw, oh*ow]. For a 1x1 kernel at stride 1 the columns are the
+NCHW activation itself, with no layout copy. Adaptive average pooling is
+one GEMM per sample against an averaging matrix. Each of these GEMMs is
+small enough that OpenBLAS runs it on the calling thread; a multithreaded
+BLAS call would leave OpenBLAS's worker spinning between calls on a core
+the kernel pool needs. Weight gradients sum the per-sample partials in
+float64.
 
 Batch normalization and the activation after it (relu or hard-swish) are
 one "batchnorm" op with an act attribute, so a conv -> BN -> act unit adds
@@ -79,8 +80,7 @@ def _im2col(x, kh, kw, stride, pad):
     """[b, c*kh*kw, oh*ow] input windows, one column per output position.
     For a 1x1 kernel at stride 1 without padding this is a view of x."""
     b, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else \
-        np.ascontiguousarray(x)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     oh = K.conv_out_size(h, kh, stride, pad)
     ow = K.conv_out_size(w, kw, stride, pad)
     sb, sc, sh, sw = xp.strides

@@ -46,20 +46,6 @@ class VarianceRecord:
     scaled: np.ndarray       # min-max scaled into [0, 1]
     weight: np.ndarray       # clamped per-sample loss weights
 
-    def mean_raw(self):
-        return float(self.raw.mean())
-
-    def mean_scaled(self):
-        return float(self.scaled.mean())
-
-    def mean_weight(self):
-        return float(self.weight.mean())
-
-    def frac_clamped(self, lo, hi):
-        n = self.weight.size
-        return (float((self.weight == lo).sum()) / n,
-                float((self.weight == hi).sum()) / n)
-
 
 @dataclass
 class LossBatch:

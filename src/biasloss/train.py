@@ -457,10 +457,8 @@ def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
     params = model.parameters()
     cache = GraphCache(model)
     bias_cfg = cfg.bias_config()
-    aug = datamod.default_augment(cfg.dataset) if cfg.augment else \
-        datamod.AugmentSpec(hflip=False, rotate_deg=(0.0, 0.0),
-                            normalize=datamod.default_augment(cfg.dataset).normalize)
-    eval_spec = datamod.normalize_only(aug)
+    eval_spec = datamod.normalize_only(datamod.default_augment(cfg.dataset))
+    aug = datamod.default_augment(cfg.dataset) if cfg.augment else eval_spec
     opt_state = {}
     log = RunLog()
     best = None

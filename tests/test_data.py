@@ -156,6 +156,10 @@ class TestAugment:
         with pytest.raises(FormatError, match="channels"):
             augment(img, spec, (0, 0), seed=0)
 
+    def test_default_augment_unknown_dataset_rejected(self):
+        with pytest.raises(ValueError, match="unknown dataset"):
+            data.default_augment("svhn")
+
     def test_flip_involution(self):
         # find a key whose draw triggers the flip, then flipping the flipped
         # image with the same key restores the original

@@ -14,8 +14,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from biasloss import _kernels as K
 
-pytestmark = pytest.mark.filterwarnings("error")
-
 DTYPES = [np.float32, np.float64]
 
 

@@ -6,8 +6,6 @@ from biasloss import autodiff as ad
 from biasloss import layers as L
 from fdcheck import assert_grads_close
 
-pytestmark = pytest.mark.filterwarnings("error")
-
 
 def run(node):
     return ad.forward(node)
