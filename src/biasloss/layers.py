@@ -65,8 +65,9 @@ def _conv2d_fwd(node, xs):
         out = K.dw_conv_fwd(np.ascontiguousarray(x), w[:, 0], stride, pad)
         node.ctx = None
     else:
-        # one block-diagonal stack of dense convs: [groups, cout/g, cin/g*kh*kw]
-        # @ [b, groups, cin/g*kh*kw, oh*ow], one GEMM per (sample, group)
+        # a block-diagonal stack of dense convs, one GEMM per (sample,
+        # group): [groups, cout/g, cin/g*kh*kw] @ [b, groups, cin/g*kh*kw,
+        # oh*ow]
         cols = _im2col(x, kh, kw, stride, pad).reshape(b, groups, -1, oh * ow)
         out = np.matmul(w.reshape(groups, cout // groups, -1), cols)
         node.ctx = cols
@@ -85,7 +86,8 @@ def _im2col(x, kh, kw, stride, pad):
     ow = K.conv_out_size(w, kw, stride, pad)
     sb, sc, sh, sw = xp.strides
     win = as_strided(xp, (b, c, kh, kw, oh, ow),
-                     (sb, sc, sh, sw, sh * stride, sw * stride), writeable=False)
+                     (sb, sc, sh, sw, sh * stride, sw * stride),
+                     writeable=False)
     return np.ascontiguousarray(win).reshape(b, c * kh * kw, oh * ow)
 
 

@@ -118,8 +118,9 @@ class TestConv2d:
             rtol=1e-10, atol=1e-12)
 
     # pointwise (stride 1 and 2, grouped), grouped and the stem's dense 3x3
-    GEMM_CASES = [(8, 12, 1, 1, 0, 1), (8, 12, 1, 2, 0, 1), (8, 12, 1, 1, 0, 2),
-                  (4, 6, 3, 1, 1, 2), (6, 4, 3, 2, 1, 2), (3, 8, 3, 1, 1, 1),
+    GEMM_CASES = [(8, 12, 1, 1, 0, 1), (8, 12, 1, 2, 0, 1),
+                  (8, 12, 1, 1, 0, 2), (4, 6, 3, 1, 1, 2), (6, 4, 3, 2, 1, 2),
+                  (3, 8, 3, 1, 1, 1),
                   # depthwise: banded GEMMs per (sample, channel)
                   (8, 8, 3, 1, 1, 8), (8, 8, 3, 2, 1, 8), (6, 6, 5, 1, 2, 6)]
 
