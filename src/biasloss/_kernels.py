@@ -21,6 +21,11 @@ would be vertical padding, so the kernels take the unpadded input and no
 padded copy is made. Each GEMM (about 23k multiply-adds at 28x28) stays
 below OpenBLAS's threading cutoff, so it runs on the calling thread and
 OpenBLAS's worker is never woken to spin on a core the pool needs.
+Every other conv is one GEMM per (sample, group) on im2col columns,
+walked in the same blocks. Both conv kernels take an optional epilogue,
+a per-channel shift and an activation, applied to each output block right
+after its GEMMs; an eval-mode batch norm folded into the conv runs there,
+while the block is still in cache.
 
 The kernels walk the batch in blocks of about _BLOCK_BYTES, so that every
 pass after the first re-reads cache rather than memory, and they write
@@ -156,20 +161,58 @@ def _gemm_rows(dst, scratch, terms):
         np.add(d, t, out=d)
 
 
-def dw_conv_fwd(x, w, stride, pad):
+def _epilogue(o, shift, act):
+    """Adds the per-channel operand shift (None adds nothing) to the block
+    o and applies act, in place."""
+    if shift is not None:
+        np.add(o, shift, out=o)
+    _act(o, act)
+
+
+def gemm_conv_fwd(w, cols, shift=None, act=None):
+    """[b, groups * m, p] output of a grouped conv on im2col columns,
+    w[g] [m, k] @ cols[i, g] [k, p] per (sample, group), then act(out +
+    shift) with shift per output channel (None adds nothing).
+
+    Each block of the batch runs its GEMMs into its slice of the output and
+    then the epilogue, while that slice is still in cache. Blocked matmul
+    calls the same GEMM per (sample, group) as a whole-batch one, so the
+    GEMM results are the same bytes.
+    """
+    _check_act(act)
+    b, groups, _, p = cols.shape
+    m = w.shape[1]
+    out = np.empty((b, groups * m, p), dtype=np.result_type(w, cols))
+    shift = None if shift is None else _channel(shift, out)
+
+    def block(s):
+        o = out[s]
+        np.matmul(w, cols[s], out=o.reshape(len(o), groups, m, p))
+        _epilogue(o, shift, act)
+
+    _map_blocks(block, out)
+    return out
+
+
+def dw_conv_fwd(x, w, stride, pad, shift=None, act=None):
     """Depthwise cross-correlation of x [b, c, h, w] with [c, kh, kw]
-    kernels, zero padding pad on each side, as banded GEMMs."""
+    kernels, zero padding pad on each side, as banded GEMMs; each block's
+    output then gets act(out + shift) with shift per channel (None adds
+    nothing), as in gemm_conv_fwd."""
+    _check_act(act)
     b, c, h, wd = x.shape
     kh, kw = w.shape[1:]
     oh, ow = conv_out_size(h, kh, stride, pad), conv_out_size(wd, kw, stride, pad)
     band = _band(w, _band_entries(kw, stride, pad, wd, ow), wd, ow, x.dtype)
     rows = _kernel_rows(kh, stride, pad, h, oh)
     out = np.empty((b, c, oh, ow), dtype=x.dtype)
+    shift = None if shift is None else _channel(shift, out)
 
     def block(s):
         xs, o = x[s], out[s]
         _gemm_rows(o, np.empty_like(o),
                    [(ro, xs[:, :, ri], band[:, ki]) for ki, ro, ri in rows])
+        _epilogue(o, shift, act)
 
     with np.errstate(invalid="ignore"):  # 0 * Inf, see the module docstring
         _map_blocks(block, x)
@@ -218,13 +261,14 @@ def dw_conv_bwd(x, w, g, stride, pad):
 # batch normalization with its activation
 
 def _channel(v, x):
-    """Per-channel values v as a contiguous [1, c, h, w] array of x's dtype.
+    """Per-channel values v as one contiguous sample [1, c, ...] of x's
+    shape and dtype.
 
     numpy runs a binary op against this operand 1.5-2x faster than against
     a [1, c, 1, 1] broadcast, at the cost of one sample's worth of memory.
     """
-    c, h, w = x.shape[1:]
-    return np.repeat(np.asarray(v).astype(x.dtype), h * w).reshape(1, c, h, w)
+    return np.repeat(np.asarray(v).astype(x.dtype),
+                     math.prod(x.shape[2:])).reshape((1,) + x.shape[1:])
 
 
 def _row_sums(a, ones):

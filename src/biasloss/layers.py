@@ -1,23 +1,35 @@
 """CNN building blocks on top of the autodiff engine.
 
-Convolution has two paths. Depthwise conv runs in the blocked kernels of
-_kernels, as one banded GEMM per (sample, channel) and kernel row on the
-unpadded input; the padding lives in the band, so no padded copy is made.
-Every other conv (1x1, the stem, grouped convs) is one GEMM per sample and
-group on im2col columns, W[g] [cout/g, cin/g*kh*kw] @ cols[i, g]
-[cin/g*kh*kw, oh*ow]. For a 1x1 kernel at stride 1 the columns are the
-NCHW activation itself, with no layout copy. Adaptive average pooling is
-one GEMM per sample against an averaging matrix. Each of these GEMMs is
-small enough that OpenBLAS runs it on the calling thread; a multithreaded
-BLAS call would leave OpenBLAS's worker spinning between calls on a core
-the kernel pool needs. Weight gradients sum the per-sample partials in
-float64.
+Convolution has two paths, both walked in blocks of the batch by the
+kernels of _kernels. Depthwise conv is one banded GEMM per (sample,
+channel) and kernel row on the unpadded input; the padding lives in the
+band, so no padded copy is made. Every other conv (1x1, the stem, grouped
+convs) is one GEMM per sample and group on im2col columns, W[g]
+[cout/g, cin/g*kh*kw] @ cols[i, g] [cin/g*kh*kw, oh*ow]. For a 1x1 kernel
+at stride 1 the columns are the NCHW activation itself, with no layout
+copy. Adaptive average pooling is one GEMM per sample against an
+averaging matrix built once per shape. Each of these GEMMs is small
+enough that OpenBLAS runs it on the calling thread; a multithreaded BLAS
+call would leave OpenBLAS's worker spinning between calls on a core the
+kernel pool needs. Weight gradients sum the per-sample partials in
+float64. A conv whose input needs no gradient (the stem's images) skips
+its dx.
 
 Batch normalization and the activation after it (relu or hard-swish) are
 one "batchnorm" op with an act attribute, so a conv -> BN -> act unit adds
-two graph nodes, not three. The op keeps the conv output in its ctx and
-the activation output as its value; the backward recomputes the BN output
-from the conv output instead of storing it.
+two graph nodes, not three. In train mode the op keeps the conv output in
+its ctx and the activation output as its value; the backward recomputes
+the BN output from the conv output instead of storing it.
+
+In eval mode the conv node of a ConvBnAct, which holds its BatchNorm2d,
+folds the BN into itself: it computes act(conv(x, w * s) + t) with
+s = gamma * invstd and t = beta - running_mean * s, taken in float64 from
+the current parameters and running statistics on every forward, and the
+kernels add t and apply act to each block right after its GEMMs. The BN
+node then returns its input unchanged, so the graph keeps the same two
+nodes in both modes. An eval-mode backward recomputes the unfolded conv
+output and runs the BN's eval backward on it, then the conv's own
+backward. A BatchNorm2d used on its own still normalizes.
 
 Layer objects own their parameter nodes; calling a layer on an input node
 extends the graph, so one set of weights can back several graphs (e.g.
@@ -29,6 +41,7 @@ mode, loading a checkpoint's state and counting parameters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,19 +75,50 @@ def _conv2d_fwd(node, xs):
         raise ShapeError("kernel larger than padded input")
 
     if groups == cin and cout == cin:
-        out = K.dw_conv_fwd(np.ascontiguousarray(x), w[:, 0], stride, pad)
-        node.ctx = None
+        node.ctx = None  # depthwise: the kernels read x itself
     else:
         # a block-diagonal stack of dense convs, one GEMM per (sample,
         # group): [groups, cout/g, cin/g*kh*kw] @ [b, groups, cin/g*kh*kw,
         # oh*ow]
-        cols = _im2col(x, kh, kw, stride, pad).reshape(b, groups, -1, oh * ow)
-        out = np.matmul(w.reshape(groups, cout // groups, -1), cols)
-        node.ctx = cols
-    out = out.reshape(b, cout, oh, ow)
+        node.ctx = _im2col(x, kh, kw, stride, pad).reshape(b, groups, -1,
+                                                           oh * ow)
+    bn = node.attrs.get("bn")
+    if bn is None or bn.training:
+        return _conv(node, x, w, bias, None)
+    w, shift = _fold(bn, w, bias)
+    return _conv(node, x, w, shift, bn.act)
+
+
+def _conv(node, x, w, shift, act):
+    """act(conv(x, w) + shift) for conv node's geometry, with shift per
+    output channel (None adds nothing); the kernels apply shift and act to
+    each block of the batch right after its GEMMs. A dense conv reads its
+    columns from node.ctx."""
+    stride, pad = node.attrs["stride"], node.attrs["padding"]
+    if node.ctx is None:
+        return K.dw_conv_fwd(np.ascontiguousarray(x), w[:, 0], stride, pad,
+                             shift, act)
+    b, _, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    groups = node.attrs["groups"]
+    out = K.gemm_conv_fwd(w.reshape(groups, cout // groups, -1), node.ctx,
+                          shift, act)
+    return out.reshape(b, cout, K.conv_out_size(h, kh, stride, pad),
+                       K.conv_out_size(wd, kw, stride, pad))
+
+
+def _fold(bn, w, bias):
+    """(w * s, t) folding eval-mode BN layer bn into the conv before it:
+    bn(conv(x, w) + bias) = conv(x, w * s) + t per output channel, with
+    s = gamma * invstd and t = beta - (running_mean - bias) * s taken in
+    float64 and cast to w's dtype. Computed on every call from the current
+    parameters and running statistics, so it cannot go stale."""
+    m = bn.running_mean.astype(np.float64)
     if bias is not None:
-        out = out + bias.reshape(1, cout, 1, 1)
-    return np.ascontiguousarray(out)
+        m = m - bias
+    s = bn.gamma.value * _invstd(bn)
+    t = bn.beta.value - m * s
+    return w * s.astype(w.dtype)[:, None, None, None], t.astype(w.dtype)
 
 
 def _im2col(x, kh, kw, stride, pad):
@@ -123,9 +167,11 @@ def _conv2d_bwd(node, g):
         # per-sample weight-gradient partials, summed over the batch in f64
         dw = np.add.reduce(np.matmul(gm, cols.swapaxes(2, 3)), axis=0,
                            dtype=np.float64).astype(w.dtype)
-        dcol = np.matmul(w.reshape(groups, cout // groups, -1).swapaxes(1, 2),
-                         gm)
-        dx = _col2im(dcol, x.shape, w.shape[2], w.shape[3], stride, pad)
+        dx = None  # an input without gradient, like the stem's images
+        if node.inputs[0].requires_grad:
+            dcol = np.matmul(
+                w.reshape(groups, cout // groups, -1).swapaxes(1, 2), gm)
+            dx = _col2im(dcol, x.shape, w.shape[2], w.shape[3], stride, pad)
     grads = [dx, dw.reshape(w.shape)]
     if len(node.inputs) == 3:
         grads.append(g.sum(axis=(0, 2, 3)))
@@ -135,12 +181,17 @@ def _conv2d_bwd(node, g):
 register_op("conv2d", _conv2d_fwd, _conv2d_bwd)
 
 
-def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
-    """Cross-correlation of [b,cin,h,w] with [cout,cin/groups,kh,kw]."""
+def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1, bn=None):
+    """Cross-correlation of [b,cin,h,w] with [cout,cin/groups,kh,kw].
+
+    With bn, the BatchNorm2d applied to this conv's output, the conv
+    computes that BN and its activation itself whenever bn is in eval mode;
+    the BN's own node then passes the result through.
+    """
     inputs = [x, weight] if bias is None else [x, weight, bias]
     return _node("conv2d", inputs,
                  {"stride": int(stride), "padding": int(padding),
-                  "groups": int(groups)})
+                  "groups": int(groups), "bn": bn})
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +220,36 @@ def _batchnorm_fwd(node, xs):
         node.ctx = ("train", x, m, invstd)
     else:
         m = layer.running_mean.astype(np.float64)
-        invstd = 1.0 / np.sqrt(layer.running_var.astype(np.float64) + eps)
+        invstd = _invstd(layer)
+        if node.inputs[0].attrs.get("bn") is layer:
+            # the conv before this node applied the BN and act already
+            node.ctx = ("eval", None, m, invstd)
+            return x
         node.ctx = ("eval", x, m, invstd)
     return K.bn_normalize(x, m, invstd, gamma, beta, node.attrs["act"])
 
 
+def _invstd(layer):
+    """Eval-mode 1 / sqrt(running_var + eps) of a BN layer, in float64."""
+    return 1.0 / np.sqrt(layer.running_var.astype(np.float64) + layer.eps)
+
+
+def bn_input(node):
+    """(mode, x, mean, invstd) of a batchnorm node's last forward, with x
+    the input its kernels normalize. For a BN folded into its conv, x is
+    the unfolded conv output, recomputed from the conv's inputs."""
+    mode, x, m, invstd = node.ctx
+    if x is None:
+        conv = node.inputs[0]
+        bias = conv.inputs[2].value if len(conv.inputs) == 3 else None
+        x = _conv(conv, conv.inputs[0].value, conv.inputs[1].value, bias,
+                  None)
+    return mode, x, m, invstd
+
+
 def _batchnorm_bwd(node, g):
     # the BN output before act is not kept; the kernel recomputes it from x
-    mode, x, m, invstd = node.ctx
+    mode, x, m, invstd = bn_input(node)
     bwd = K.bn_bwd_train if mode == "train" else K.bn_bwd_eval
     gamma, beta = node.inputs[1].value, node.inputs[2].value
     return list(bwd(x, np.ascontiguousarray(g), m, invstd, gamma, beta,
@@ -201,6 +274,16 @@ def _pool_matrix(n_in, n_out):
     return inside / inside.sum(axis=1, keepdims=True)
 
 
+@functools.lru_cache(maxsize=64)
+def _pool_operator(h, w, ho, wo, dtype):
+    """Read-only P [ho*wo, h*w] averaging each output cell's window of the
+    flat image, built once per shape: the pool is one GEMM per sample,
+    x[i] [c, h*w] @ P.T."""
+    p = np.kron(_pool_matrix(h, ho), _pool_matrix(w, wo)).astype(dtype)
+    p.flags.writeable = False
+    return p
+
+
 def _adaptive_pool_fwd(node, xs):
     x = xs[0]
     ho, wo = node.attrs["out"]
@@ -209,9 +292,7 @@ def _adaptive_pool_fwd(node, xs):
     b, c, h, w = x.shape
     if ho > h or wo > w:
         raise ShapeError(f"output {ho}x{wo} larger than input {h}x{w}")
-    # P [ho*wo, h*w] averages each output cell's window of the flat image;
-    # the pool is one GEMM per sample, x[i] [c, h*w] @ P.T
-    p = np.kron(_pool_matrix(h, ho), _pool_matrix(w, wo)).astype(x.dtype)
+    p = _pool_operator(h, w, ho, wo, x.dtype)
     node.ctx = p
     return np.matmul(x.reshape(b, c, h * w), p.T).reshape(b, c, ho, wo)
 
@@ -360,9 +441,9 @@ class Conv2d(Module):
         self.stride, self.padding, self.groups = stride, padding, groups
         self.name = name
 
-    def __call__(self, x):
+    def __call__(self, x, bn=None):
         return conv2d(x, self.weight, self.bias, self.stride, self.padding,
-                      self.groups)
+                      self.groups, bn)
 
 
 class BatchNorm2d(Module):
@@ -420,7 +501,8 @@ class Dropout(Module):
 
 class ConvBnAct(Module):
     """conv -> BN -> optional activation, the workhorse sub-block. The
-    activation runs inside the BN op."""
+    activation runs inside the BN op in train mode; in eval mode the conv
+    op computes BN and activation in its own block walk."""
 
     def __init__(self, cin, cout, kernel, stride=1, padding=0, groups=1,
                  act="relu", rng=None, dtype=np.float32, name="cba"):
@@ -429,7 +511,7 @@ class ConvBnAct(Module):
         self.bn = BatchNorm2d(cout, dtype=dtype, name=f"{name}.bn", act=act)
 
     def __call__(self, x):
-        return self.bn(self.conv(x))
+        return self.bn(self.conv(x, self.bn))
 
 
 class SkipBlock(Module):

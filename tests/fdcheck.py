@@ -20,6 +20,7 @@ import numpy as np
 
 from biasloss import _kernels as K
 from biasloss import autodiff as ad
+from biasloss import layers as L
 
 # kinks of the activations the batchnorm op applies
 _ACT_KINKS = {"relu": (0.0,), "hswish": (-3.0, 3.0)}
@@ -29,14 +30,15 @@ def _kinks(node):
     """(input, thresholds) of a kink node's non-differentiable points.
 
     A batchnorm node with an activation does not keep its pre-activation,
-    so it is recomputed from the conv output its ctx holds, with the
-    forward's own kernel.
+    so it is recomputed from the conv output, with the forward's own
+    kernel. For a BN folded into its conv that is the unfolded conv output,
+    so the pre-activation differs from the folded one by rounding only.
     """
     if node.op == "relu":
         return node.inputs[0].value, (0.0,)
     if node.op == "clamp":
         return node.inputs[0].value, (node.attrs["lo"], node.attrs["hi"])
-    _, x, m, invstd = node.ctx
+    _, x, m, invstd = L.bn_input(node)
     z = K.bn_normalize(x, m, invstd, node.inputs[1].value,
                        node.inputs[2].value)
     return z, _ACT_KINKS[node.attrs["act"]]

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -175,6 +177,26 @@ class TestConv2d:
         assert_grads_close(root, [x, w, bias], eps=1e-5, rtol=1e-4)
 
 
+    @pytest.mark.parametrize("k,pad", [(3, 1), (1, 0)], ids=["stem", "1x1"])
+    def test_input_without_grad_gets_no_dx(self, k, pad):
+        # the stem's images need no gradient: its backward must not compute
+        # the column GEMM and scatter-add of a dx that backward drops
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(3, 2, 6, 6))
+        w = rng.normal(size=(4, 2, k, k))
+        g = rng.normal(size=(3, 4, 6, 6))
+        for xn in (ad.constant(x), ad.parameter(x)):
+            y = L.conv2d(xn, ad.parameter(w), padding=pad)
+            run(y)
+            dx, dw = L._conv2d_bwd(y, g)
+            _, ref_dx, ref_dw = conv_oracle(x, w, g, 1, pad, 1)
+            np.testing.assert_allclose(dw, ref_dw, rtol=1e-10)
+            if xn.requires_grad:
+                np.testing.assert_allclose(dx, ref_dx, rtol=1e-10)
+            else:
+                assert dx is None
+
+
 class TestBatchNorm:
     def test_train_normalizes(self):
         rng = np.random.default_rng(0)
@@ -345,6 +367,20 @@ class TestAdaptiveAvgPool:
             assert got.dtype == np.float32
             np.testing.assert_allclose(got, want, rtol=1e-6,
                                        atol=1e-6 * np.abs(want).max())
+
+    def test_pool_operator_built_once_per_shape(self):
+        x = np.random.default_rng(5).normal(size=(2, 3, 9, 6))
+        outs = []
+        for _ in range(2):
+            y = L.adaptive_avg_pool(ad.constant(x), (4, 3))
+            run(y)
+            outs.append((y.value, y.ctx))
+        (y1, p1), (y2, p2) = outs
+        assert p1 is p2 and not p1.flags.writeable
+        assert p1.dtype == np.float64 and p1.shape == (12, 54)
+        np.testing.assert_array_equal(y1, y2)
+        np.testing.assert_array_equal(
+            p1, np.kron(L._pool_matrix(9, 4), L._pool_matrix(6, 3)))
 
     def test_global_mean_preserved_f32(self):
         rng = np.random.default_rng(4)
@@ -572,6 +608,143 @@ class TestMicroNet:
         assert_grads_close(root, [p.node for p in model.parameters()],
                            eps=1e-4, rtol=1e-4, sample=6,
                            rng=np.random.default_rng(0))
+
+
+def bn_layers(module):
+    return [m for m in module.modules() if isinstance(m, L.BatchNorm2d)]
+
+
+def perturb_bn(module, rng):
+    """Running statistics and affine parameters far from their init, so a
+    fold that ignored any of them would show."""
+    for bn in bn_layers(module):
+        c = bn.running_mean.size
+        dtype = bn.gamma.value.dtype
+        bn.running_mean[:] = rng.normal(0.0, 0.5, c)
+        bn.running_var[:] = rng.uniform(0.3, 3.0, c)
+        bn.gamma.value = rng.uniform(0.5, 1.5, c).astype(dtype)
+        bn.beta.value = rng.normal(0.0, 0.3, c).astype(dtype)
+
+
+@contextlib.contextmanager
+def unfolded():
+    """Graphs built inside run every ConvBnAct's BN as its own op."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(L.ConvBnAct, "__call__",
+                   lambda self, x: self.bn(self.conv(x)))
+        yield
+
+
+def unfolded_eval_logits(model, images):
+    """Eval-mode logits of model's parameters and running statistics in
+    float64, with every BN run as its own op after the conv."""
+    ref = L.SkipblockNetMicro(model.spec, dtype=np.float64)
+    ref.load_state({**{p.name: p.node.value for p in model.parameters()},
+                    **dict(model.buffers())})
+    ref.eval()
+    with unfolded():
+        out = ref.build(ad.leaf(images.astype(np.float64)))
+    assert not any(n.attrs.get("bn") for n in ad.topo_order(out.logits))
+    return ad.forward(out.logits)
+
+
+class TestEvalFold:
+    """In eval mode each ConvBnAct computes act(conv(x, w * s) + t) in its
+    conv op and its BN node passes that through."""
+
+    def test_bn_node_passes_conv_output_through(self):
+        cba = L.ConvBnAct(3, 4, 1, rng=np.random.default_rng(0))
+        perturb_bn(cba, np.random.default_rng(1))
+        cba.eval()
+        y = cba(ad.constant(np.ones((2, 3, 4, 4), dtype=np.float32)))
+        run(y)
+        assert y.value is y.inputs[0].value
+        # a standalone BN after the same conv still normalizes
+        z = cba.bn(cba.conv(y.inputs[0].inputs[0]))
+        run(z)
+        assert z.value is not z.inputs[0].value
+        np.testing.assert_allclose(z.value, y.value, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("block", ["inverted_residual", "skip"])
+    def test_eval_gradients(self, block):
+        # f64 finite differences through folded convs of every kind (1x1,
+        # depthwise, relu, hswish and linear) over x, conv weights, gamma
+        # and beta
+        rng = np.random.default_rng(11)
+        if block == "skip":
+            blk = L.SkipBlock(4, 8, 6, (3, 3), rng=rng, dtype=np.float64)
+        else:
+            blk = L.InvertedResidual(4, 8, 4, act="hswish", rng=rng,
+                                     dtype=np.float64)
+        perturb_bn(blk, rng)
+        blk.eval()
+        x = ad.parameter(rng.normal(size=(2, 4, 6, 6)))
+        y = blk(x)
+        run(y)
+        root = ad.sum_(ad.mul(y, ad.constant(rng.normal(size=y.value.shape))))
+        params = [x] + [p.node for p in blk.parameters()]
+        assert len(params) == 10
+        assert_grads_close(root, params, eps=1e-5, rtol=1e-4, sample=8,
+                           rng=np.random.default_rng(0))
+
+    def test_eval_gradients_match_unfolded_graph(self):
+        rng = np.random.default_rng(12)
+        blk = L.InvertedResidual(4, 8, 4, act="relu", rng=rng,
+                                 dtype=np.float64)
+        perturb_bn(blk, rng)
+        blk.eval()
+        x = ad.parameter(rng.normal(size=(3, 4, 5, 5)))
+        g = ad.constant(rng.normal(size=(3, 4, 5, 5)))
+        grads = []
+        for build in (contextlib.nullcontext, unfolded):
+            with build():
+                root = ad.sum_(ad.mul(blk(x), g))
+            run(root)
+            store = ad.backward(root)
+            grads.append([store[n] for n in
+                          [x] + [p.node for p in blk.parameters()]])
+        for a, b in zip(*grads):
+            np.testing.assert_allclose(a, b, rtol=1e-10,
+                                       atol=1e-12 * np.abs(b).max())
+
+    def test_fold_follows_train_steps(self):
+        # train step, eval, train step, eval on one graph: each eval must
+        # use the parameters and running statistics of that moment
+        spec = L.MicroNetSpec(dropout=0.0)
+        model = L.SkipblockNetMicro(spec, seed=2)
+        rng = np.random.default_rng(13)
+        images = rng.normal(size=(8, 1, 28, 28)).astype(np.float32)
+        labels = rng.integers(0, 10, size=8)
+        out = L.GraphCache(model).get(images)
+        loss = ad.neg(ad.mean(ad.take_rows(ad.log_softmax(out.logits),
+                                           labels)))
+        seen = []
+        for _ in range(2):
+            model.train()
+            run(loss)
+            grads = ad.backward(loss)
+            for p in model.parameters():
+                p.node.value = p.node.value - np.float32(0.2) * grads[p.node]
+            model.eval()
+            run(out.logits)
+            ref = unfolded_eval_logits(model, images)
+            np.testing.assert_allclose(out.logits.value, ref, rtol=0,
+                                       atol=1e-6 * np.abs(ref).max())
+            seen.append(out.logits.value.copy())
+        assert np.abs(seen[0] - seen[1]).max() > 1e-3 * np.abs(seen[1]).max()
+
+    def test_full_model_f32_matches_unfolded_f64(self):
+        model = L.SkipblockNetMicro(L.MicroNetSpec(), seed=3)
+        rng = np.random.default_rng(14)
+        perturb_bn(model, rng)
+        model.eval()
+        images = rng.normal(size=(16, 1, 28, 28)).astype(np.float32)
+        out = model.build(ad.leaf(images))
+        got = ad.forward(out.logits)
+        ref = unfolded_eval_logits(model, images)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, ref, rtol=0,
+                                   atol=1e-6 * np.abs(ref).max())
 
 
 def cba_names(path):
