@@ -1,16 +1,18 @@
 """Command-line surface: train, eval, profile, sweep, curve, fixtures.
 
-Flags mirror config-file keys one-to-one; precedence is CLI flag over
-config file over built-in default. All outputs land under --out. Exit
-codes: 0 success, 2 usage/config problems, 3 numerical failure.
+The config flags of train, eval, profile and sweep are built from
+TrainConfig's fields (name, type and help text), so they mirror the
+config-file keys one-to-one; precedence is CLI flag over config file over
+built-in default. All outputs land under --out. Exit codes: 0 success,
+2 usage/config problems, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,42 +25,19 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_CONFIG_FLAGS = [
-    ("loss", str, "loss function: ce | focal | bias"),
-    ("alpha", float, "exponential weight slope"),
-    ("beta", float, "weight offset (minimum raw weight is 1 - beta)"),
-    ("clamp_lo", float, "lower clamp for per-sample weights"),
-    ("clamp_hi", float, "upper clamp for per-sample weights"),
-    ("detach_weight", str, "true/false: treat weights as constants in backprop"),
-    ("gamma", float, "focal modulation exponent"),
-    ("epochs", int, "training epochs"),
-    ("batch_size", int, "minibatch size"),
-    ("lr0", float, "initial learning rate"),
-    ("momentum", float, "SGD momentum"),
-    ("weight_decay", float, "L2 weight decay (BN parameters exempt)"),
-    ("schedule", str, "decay points, e.g. 60:0.2,120:0.2,160:0.2"),
-    ("seed", int, "global seed"),
-    ("dataset", str, "mnist | cifar10"),
-    ("data_dir", str, "dataset root (default: DATA_DIR env var)"),
-    ("width_multiplier", float, "uniform channel scaling"),
-    ("dropout", float, "dropout rate before the classifier"),
-    ("augment", str, "true/false: random flip/rotation"),
-    ("prefetch", str, "true/false: background batch prefetch"),
-    ("train_limit", int, "use only the first N training samples"),
-    ("val_limit", int, "use only the first N validation samples"),
-]
-
-
 def _add_config_flags(p):
     p.add_argument("--config", help="key=value config file")
-    for name, typ, help_ in _CONFIG_FLAGS:
-        p.add_argument(f"--{name}", type=typ, default=None, help=help_)
+    for f in fields(TrainConfig):
+        # bools and the schedule reach build_config as text and are
+        # parsed there, like config-file values
+        p.add_argument(f"--{f.name}",
+                       type=f.type if f.type in (int, float) else str,
+                       default=None, help=f.metadata["help"])
 
 
-def _gather_config(args):
-    overrides = {name: getattr(args, name) for name, _, _ in _CONFIG_FLAGS
-                 if getattr(args, name) is not None}
-    return trainmod.build_config(args.config, overrides)
+def _gather_config(args, **fixed):
+    overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig)}
+    return trainmod.build_config(args.config, overrides | fixed)
 
 
 def _out_dir(args):
@@ -67,20 +46,11 @@ def _out_dir(args):
     return out
 
 
-def _load_split(cfg, split):
-    root = cfg.data_dir or os.environ.get("DATA_DIR")
-    if not root:
-        raise ConfigError("no dataset root: pass --data_dir or set DATA_DIR")
-    if not Path(root).exists():
-        raise ConfigError(f"dataset root {root} does not exist")
-    return datamod.load_dataset(cfg.dataset, root, split)
-
-
 def cmd_train(args):
     cfg = _gather_config(args)
     out = _out_dir(args)
-    train_ds = _load_split(cfg, "train")
-    val_ds = _load_split(cfg, "test")
+    train_ds = trainmod.load_split(cfg, "train")
+    val_ds = trainmod.load_split(cfg, "test")
 
     def progress(row):
         if not args.quiet:
@@ -90,14 +60,17 @@ def cmd_train(args):
     log, _ = trainmod.train_run(cfg, out_dir=out, train_ds=train_ds,
                                 val_ds=val_ds, progress=progress)
     if not args.quiet:
-        print(f"wrote {out / 'runlog.csv'}, {out / 'best.ckpt'}, "
-              f"{out / 'final.ckpt'}")
+        # best.ckpt is written only when an epoch ran
+        written = [str(out / name) for name in
+                   ("runlog.csv", "best.ckpt", "final.ckpt")
+                   if (out / name).exists()]
+        print(f"wrote {', '.join(written)}")
     return EXIT_OK
 
 
 def cmd_eval(args):
     cfg = _gather_config(args)
-    ds = _load_split(cfg, args.split)
+    ds = trainmod.load_split(cfg, args.split)
     ckpt = Path(args.ckpt)
     if not ckpt.exists():
         raise ConfigError(f"checkpoint {ckpt} does not exist")
@@ -108,7 +81,7 @@ def cmd_eval(args):
 
 def cmd_profile(args):
     cfg = _gather_config(args)
-    ds = _load_split(cfg, args.split)
+    ds = trainmod.load_split(cfg, args.split)
     ckpt = Path(args.ckpt)
     if not ckpt.exists():
         raise ConfigError(f"checkpoint {ckpt} does not exist")
@@ -140,17 +113,16 @@ def cmd_sweep(args):
     alphas = _parse_grid(args.alphas, "alpha")
     betas = _parse_grid(args.betas, "beta")
     cfg = _gather_config(args)
+    if cfg.epochs < 1:
+        # each cell reports its last val row, which needs an epoch
+        raise ConfigError(f"sweep needs epochs >= 1, got {cfg.epochs}")
     out = _out_dir(args)
-    train_ds = _load_split(cfg, "train")
-    val_ds = _load_split(cfg, "test")
+    train_ds = trainmod.load_split(cfg, "train")
+    val_ds = trainmod.load_split(cfg, "test")
 
     def run_cell(ab):
         a, b = ab
-        cell_cfg = trainmod.build_config(
-            args.config,
-            {name: getattr(args, name) for name, _, _ in _CONFIG_FLAGS
-             if getattr(args, name) is not None} |
-            {"loss": "bias", "alpha": a, "beta": b})
+        cell_cfg = _gather_config(args, loss="bias", alpha=a, beta=b)
         cell_dir = out / f"a{a:g}_b{b:g}"
         try:
             log, _ = trainmod.train_run(cell_cfg, out_dir=cell_dir,
@@ -178,6 +150,8 @@ def cmd_sweep(args):
 def cmd_curve(args):
     alphas = _parse_grid(args.alpha, "alpha")
     betas = _parse_grid(args.beta, "beta")
+    if args.samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {args.samples}")
     if args.clamp_lo > args.clamp_hi:
         raise ConfigError(f"clamp_lo {args.clamp_lo} exceeds clamp_hi "
                           f"{args.clamp_hi}")
@@ -192,6 +166,10 @@ def cmd_curve(args):
 
 
 def cmd_fixtures(args):
+    for name in ("synthetic_mnist", "synthetic_cifar"):
+        if getattr(args, name) < 0:
+            raise ConfigError(f"{name} must be >= 0, got "
+                              f"{getattr(args, name)}")
     out = _out_dir(args)
     # handcrafted format fixtures: a 2-image 2x2 IDX pair and a 1-record
     # CIFAR batch with known contents

@@ -10,9 +10,9 @@ whether prefetching is on.
 from __future__ import annotations
 
 import gzip
-import queue
 import struct
-import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -284,10 +284,11 @@ def batches(ds: Dataset, batch_size, seed=0, epoch=0, augment_spec=None,
             shuffle=True, prefetch=False):
     """Iterate over the dataset in deterministic epoch-keyed order.
 
-    The final partial batch is kept. With prefetch, one background worker
+    The final partial batch is kept. With prefetch, a one-worker executor
     assembles up to 4 batches ahead; the batch stream is identical either
-    way. An exception in the worker is raised in the consumer, and closing
-    the iterator early stops and joins the worker.
+    way. An exception in the worker is raised in the consumer by the
+    failed batch's future, and closing the iterator early cancels the
+    batches not yet started and joins the worker.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -302,44 +303,22 @@ def batches(ds: Dataset, batch_size, seed=0, epoch=0, augment_spec=None,
             yield _assemble(ds, idx, augment_spec, epoch, seed)
         return
 
-    q = queue.Queue(maxsize=4)
-    done = object()
-    stop = threading.Event()
-
-    def worker():
-        # stop is checked before every put, so once the consumer has set
-        # it and emptied the queue the worker makes at most one more put,
-        # which finds room, and then returns
+    # one worker assembles the batches in order; while a batch is being
+    # consumed at most 4 more are submitted. _assemble is looked up at
+    # each submit, so a patched module attribute is honoured
+    with ThreadPoolExecutor(1, thread_name_prefix="biasloss-prefetch") as ex:
+        ahead = deque()
         try:
             for idx in chunks:
-                item = _assemble(ds, idx, augment_spec, epoch, seed)
-                if stop.is_set():
-                    return
-                q.put(item)
-            item = done
-        except Exception as e:  # re-raised in the consumer
-            item = e
-        if not stop.is_set():
-            q.put(item)
-
-    t = threading.Thread(target=worker, name="biasloss-prefetch", daemon=True)
-    t.start()
-    try:
-        while True:
-            item = q.get()
-            if item is done:
-                return
-            if isinstance(item, Exception):
-                raise item
-            yield item
-    finally:
-        stop.set()
-        while True:
-            try:
-                q.get_nowait()
-            except queue.Empty:
-                break
-        t.join()
+                ahead.append(ex.submit(_assemble, ds, idx, augment_spec,
+                                       epoch, seed))
+                if len(ahead) > 4:
+                    yield ahead.popleft().result()
+            while ahead:
+                yield ahead.popleft().result()
+        finally:
+            for f in ahead:
+                f.cancel()
 
 
 # ---------------------------------------------------------------------------

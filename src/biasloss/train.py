@@ -4,9 +4,10 @@ per-epoch metrics including variance/weight statistics, and checkpointing.
 A run is reproducible bit-for-bit given (config, seed): shuffling and
 augmentation are counter-keyed, dropout draws follow the fixed forward
 order, and the only nondeterministic RunLog column is wall_seconds.
-"""
 
-from __future__ import annotations
+TrainConfig's fields are the one config schema: each is a config-file key
+and a CLI flag, with its type, help text and hash identity on the field.
+"""
 
 import hashlib
 import os
@@ -48,30 +49,41 @@ class NonFiniteLossError(ArithmeticError):
         self.record = record
 
 
+def _opt(default, help, identity=True):
+    """A config field with the help text of its CLI flag; identity=False
+    keeps an execution detail out of config_hash."""
+    return field(default=default,
+                 metadata={"help": help, "identity": identity})
+
+
 @dataclass
 class TrainConfig:
-    loss: str = "ce"                # ce | focal | bias
-    alpha: float = 0.3
-    beta: float = 0.3
-    clamp_lo: float = 0.5
-    clamp_hi: float = 1.5
-    detach_weight: bool = True
-    gamma: float = 2.0              # focal modulation exponent
-    epochs: int = 5
-    batch_size: int = 128
-    lr0: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    schedule: tuple = None          # ((epoch, multiplier), ...); None derives
-    seed: int = 0
-    dataset: str = "mnist"
-    data_dir: str = None
-    width_multiplier: float = 1.0
-    dropout: float = 0.2
-    augment: bool = True
-    prefetch: bool = False
-    train_limit: int = None
-    val_limit: int = None
+    loss: str = _opt("ce", "loss function: ce | focal | bias")
+    alpha: float = _opt(0.3, "exponential weight slope")
+    beta: float = _opt(0.3, "weight offset (minimum raw weight is 1 - beta)")
+    clamp_lo: float = _opt(0.5, "lower clamp for per-sample weights")
+    clamp_hi: float = _opt(1.5, "upper clamp for per-sample weights")
+    detach_weight: bool = _opt(
+        True, "true/false: treat weights as constants in backprop")
+    gamma: float = _opt(2.0, "focal modulation exponent")
+    epochs: int = _opt(5, "training epochs")
+    batch_size: int = _opt(128, "minibatch size")
+    lr0: float = _opt(0.1, "initial learning rate")
+    momentum: float = _opt(0.9, "SGD momentum")
+    weight_decay: float = _opt(5e-4, "L2 weight decay (BN parameters exempt)")
+    # ((epoch, multiplier), ...); None derives the reference recipe
+    schedule: tuple = _opt(None, "decay points, e.g. 60:0.2,120:0.2,160:0.2")
+    seed: int = _opt(0, "global seed")
+    dataset: str = _opt("mnist", "mnist | cifar10")
+    data_dir: str = _opt(None, "dataset root (default: DATA_DIR env var)",
+                         identity=False)
+    width_multiplier: float = _opt(1.0, "uniform channel scaling")
+    dropout: float = _opt(0.2, "dropout rate before the classifier")
+    augment: bool = _opt(True, "true/false: random flip/rotation")
+    prefetch: bool = _opt(False, "true/false: background batch prefetch",
+                          identity=False)
+    train_limit: int = _opt(None, "use only the first N training samples")
+    val_limit: int = _opt(None, "use only the first N validation samples")
 
     def __post_init__(self):
         if self.loss not in ("ce", "focal", "bias"):
@@ -82,12 +94,19 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("train_limit", "val_limit"):
+            n = getattr(self, name)
+            if n is not None and n < 1:
+                raise ConfigError(f"{name} must be >= 1, got {n}")
+        if not self.width_multiplier > 0.0:
+            raise ConfigError(f"width_multiplier must be > 0, got "
+                              f"{self.width_multiplier}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.clamp_lo > self.clamp_hi:
             raise ConfigError(f"clamp_lo {self.clamp_lo} exceeds clamp_hi "
                               f"{self.clamp_hi}")
-        for name in ("alpha", "beta"):
+        for name in ("alpha", "beta", "gamma"):
             if not getattr(self, name) >= 0.0:
                 raise ConfigError(f"{name} must be >= 0, got "
                                   f"{getattr(self, name)}")
@@ -114,53 +133,47 @@ class TrainConfig:
                             dropout=self.dropout)
 
     def canonical(self):
-        # data_dir and prefetch are execution details, not experiment
-        # identity, so they stay out of the hash
-        parts = []
-        for f in fields(self):
-            if f.name in ("data_dir", "prefetch"):
-                continue
-            parts.append(f"{f.name}={getattr(self, f.name)!r}")
-        return ";".join(parts)
+        return ";".join(f"{f.name}={getattr(self, f.name)!r}"
+                        for f in fields(self) if f.metadata["identity"])
 
     def config_hash(self):
         return hashlib.sha256(self.canonical().encode()).digest()[:16]
 
 
-_BOOL_KEYS = {"detach_weight", "augment", "prefetch"}
-_INT_KEYS = {"epochs", "batch_size", "seed", "train_limit", "val_limit"}
-_FLOAT_KEYS = {"alpha", "beta", "clamp_lo", "clamp_hi", "gamma", "lr0",
-               "momentum", "weight_decay", "width_multiplier", "dropout"}
-_STR_KEYS = {"loss", "dataset", "data_dir"}
+def _parse_bool(value):
+    v = value.strip().lower()
+    if v in ("1", "true", "yes", "on"):
+        return True
+    if v in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(value)
+
+
+def _parse_schedule(value):
+    value = value.strip()
+    if not value:
+        return ()
+    out = []
+    for part in value.split(","):
+        e, m = part.split(":")
+        out.append((int(e), float(m)))
+    return tuple(out)
+
+
+# the text parser of each config key, picked by its field's annotation
+# (a class, since this module does not postpone annotations)
+_PARSERS = {f.name: {bool: _parse_bool, int: int, float: float,
+                     str: str.strip, tuple: _parse_schedule}[f.type]
+            for f in fields(TrainConfig)}
 
 
 def _parse_value(key, value):
+    if key not in _PARSERS:
+        raise ConfigError(f"unknown config key {key!r}")
     try:
-        if key in _BOOL_KEYS:
-            v = value.strip().lower()
-            if v in ("1", "true", "yes", "on"):
-                return True
-            if v in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(value)
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key == "schedule":
-            value = value.strip()
-            if not value:
-                return ()
-            out = []
-            for part in value.split(","):
-                e, m = part.split(":")
-                out.append((int(e), float(m)))
-            return tuple(out)
+        return _PARSERS[key](value)
     except ValueError:
         raise ConfigError(f"{key}: cannot parse value {value!r}") from None
-    if key in _STR_KEYS:
-        return value.strip()
-    raise ConfigError(f"unknown config key {key!r}")
 
 
 def parse_config_file(path):
@@ -434,6 +447,17 @@ def _eval_epoch(model, cache, dataset, cfg, bias_cfg, eval_spec):
     return stats
 
 
+def load_split(cfg: TrainConfig, split):
+    """One split of cfg.dataset, read from cfg.data_dir or, when that is
+    unset, from the DATA_DIR environment variable."""
+    root = cfg.data_dir or os.environ.get("DATA_DIR")
+    if not root:
+        raise ConfigError("no dataset root: pass --data_dir or set DATA_DIR")
+    if not Path(root).exists():
+        raise ConfigError(f"dataset root {root} does not exist")
+    return datamod.load_dataset(cfg.dataset, root, split)
+
+
 def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
               progress=None):
     """Run the full training recipe; returns (RunLog, model).
@@ -442,11 +466,8 @@ def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
     With out_dir set, writes runlog.csv, best.ckpt and final.ckpt there.
     """
     if train_ds is None or val_ds is None:
-        root = cfg.data_dir or os.environ.get("DATA_DIR")
-        if not root:
-            raise ConfigError("no dataset: set data_dir or DATA_DIR")
-        train_ds = datamod.load_dataset(cfg.dataset, root, "train")
-        val_ds = datamod.load_dataset(cfg.dataset, root, "test")
+        train_ds = load_split(cfg, "train")
+        val_ds = load_split(cfg, "test")
     train_ds = train_ds.take(cfg.train_limit)
     val_ds = val_ds.take(cfg.val_limit)
     if out_dir is not None:

@@ -1,3 +1,6 @@
+import argparse
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,21 @@ class TestUsage:
         assert code == 2
         assert flag[2:] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--train_limit", "0"], ["--train_limit", "-60"],
+        ["--val_limit", "0"], ["--width_multiplier", "0"],
+        ["--loss", "focal", "--gamma", "-1"],
+    ])
+    def test_out_of_range_field_exits_two_without_traceback(
+            self, tmp_path, synth_dir, flags, capsys):
+        code = main(["train", "--data_dir", str(synth_dir),
+                     "--out", str(tmp_path / "run")] + flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and flags[-2][2:] in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("verb,extra", [("train", ["--out"]),
                                             ("eval", ["--ckpt"])])
     def test_unknown_dataset_exits_two(self, tmp_path, synth_dir, verb,
@@ -67,6 +85,23 @@ class TestUsage:
                      str(synth_dir)] + extra + [str(tmp_path / "x")])
         assert code == 2
         assert "unknown dataset 'foo'" in capsys.readouterr().err
+
+
+def verb_parsers():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("verb", ["train", "eval", "profile", "sweep"])
+    def test_every_field_is_a_flag_with_its_help(self, verb):
+        actions = {a.dest: a for a in verb_parsers()[verb]._actions}
+        for f in dataclasses.fields(train.TrainConfig):
+            action = actions[f.name]
+            assert action.option_strings == [f"--{f.name}"]
+            assert action.help == f.metadata["help"]
+            assert action.default is None
 
 
 class TestCurve:
@@ -110,6 +145,13 @@ class TestCurve:
         assert main(["curve", "--clamp_hi", "0", "--out", str(tmp_path)]) == 2
         assert "clamp_lo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["-1", "0"])
+    def test_nonpositive_samples_exit_two(self, tmp_path, capsys, samples):
+        assert main(["curve", "--samples", samples,
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: samples must be")
+        assert not (tmp_path / "curve.csv").exists()
+
 
 class TestFixtures:
     def test_writes_parseable_fixtures(self, tmp_path):
@@ -127,6 +169,13 @@ class TestFixtures:
         ds = data.load_mnist(tmp_path / "synthetic-mnist", "train")
         assert len(ds) == 64
 
+    @pytest.mark.parametrize("flag", ["--synthetic_mnist", "--synthetic_cifar"])
+    def test_negative_synthetic_size_exits_two(self, tmp_path, capsys, flag):
+        assert main(["fixtures", "--out", str(tmp_path / "f"),
+                     flag, "-5"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag[2:]} must")
+        assert not (tmp_path / "f").exists()
+
 
 class TestTrainEvalProfile:
     def test_train_writes_outputs(self, synth_dir, tmp_path, capsys):
@@ -137,6 +186,15 @@ class TestTrainEvalProfile:
         assert (out / "runlog.csv").exists()
         assert (out / "best.ckpt").exists()
         assert (out / "final.ckpt").exists()
+
+    def test_zero_epochs_lists_only_written_files(self, synth_dir, tmp_path,
+                                                  capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--data_dir", str(synth_dir), "--epochs", "0",
+                     "--out", str(out)]) == 0
+        assert not (out / "best.ckpt").exists()
+        printed = capsys.readouterr().out.strip()
+        assert printed == f"wrote {out / 'runlog.csv'}, {out / 'final.ckpt'}"
 
     def test_bias_zero_equals_ce_runlog(self, synth_dir, tmp_path):
         out_ce = tmp_path / "ce"
@@ -236,6 +294,13 @@ class TestSweep:
         assert cell[2] == ce_val[3]  # top1
         assert cell[3] == ce_val[2]  # loss
         assert cell[4] == "ok"
+
+    def test_zero_epochs_exits_two(self, synth_dir, tmp_path, capsys):
+        code = main(["sweep", "--data_dir", str(synth_dir), "--epochs", "0",
+                     "--out", str(tmp_path / "sweep")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: sweep needs epochs")
+        assert not (tmp_path / "sweep").exists()
 
     def test_parallel_jobs_match_sequential(self, synth_dir, tmp_path):
         args = ["--quiet", "sweep", "--data_dir", str(synth_dir),

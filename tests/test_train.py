@@ -1,4 +1,6 @@
+import dataclasses
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,7 +144,10 @@ class TestConfig:
         ("dropout", -0.1), ("dropout", 1.0), ("dropout", 1.5),
         ("dropout", float("nan")), ("clamp_lo", 1.6), ("clamp_hi", 0.4),
         ("alpha", -1.0), ("beta", -0.1), ("alpha", float("nan")),
-        ("dataset", "foo"),
+        ("dataset", "foo"), ("train_limit", 0), ("train_limit", -60),
+        ("val_limit", 0), ("width_multiplier", 0.0),
+        ("width_multiplier", -1.0), ("width_multiplier", float("nan")),
+        ("gamma", -1.0), ("gamma", float("nan")),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -150,7 +155,9 @@ class TestConfig:
 
     def test_range_edges_accepted(self):
         cfg = TrainConfig(batch_size=1, epochs=0, dropout=0.0,
-                          clamp_lo=1.0, clamp_hi=1.0, alpha=0.0, beta=0.0)
+                          clamp_lo=1.0, clamp_hi=1.0, alpha=0.0, beta=0.0,
+                          gamma=0.0, train_limit=1, val_limit=1,
+                          width_multiplier=1e-3)
         assert cfg.schedule == ()
 
     def test_hash_stable_and_sensitive(self):
@@ -158,6 +165,43 @@ class TestConfig:
         b = TrainConfig(seed=1)
         c = TrainConfig(seed=2)
         assert a.config_hash() == b.config_hash() != c.config_hash()
+        # a valid non-default value for every field
+        changed = dict(
+            loss="bias", alpha=0.5, beta=0.1, clamp_lo=0.4, clamp_hi=1.6,
+            detach_weight=False, gamma=1.0, epochs=3, batch_size=64,
+            lr0=0.05, momentum=0.8, weight_decay=1e-4, schedule=((1, 0.5),),
+            seed=2, dataset="cifar10", data_dir="/elsewhere",
+            width_multiplier=0.5, dropout=0.1, augment=False, prefetch=True,
+            train_limit=10, val_limit=10)
+        assert set(changed) == {f.name for f in dataclasses.fields(a)}
+        base = TrainConfig().config_hash()
+        for name, value in changed.items():
+            same = TrainConfig(**{name: value}).config_hash() == base
+            assert same == (name in ("data_dir", "prefetch")), name
+
+
+# the hash every checkpoint of a shipped config carries
+SHIPPED_CONFIG_HASHES = {
+    "cifar10_subset": "2e31850fac04f025a5a7df1afe008cd1",
+    "mnist_bias": "b23d11fc70d81160716b3fed4a123dcf",
+    "mnist_ce_baseline": "3722a085b220e22daee56855da291bf8",
+}
+
+
+class TestShippedConfigs:
+    CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+    def test_every_shipped_config_is_pinned(self):
+        assert ({p.stem for p in self.CONFIG_DIR.glob("*.cfg")}
+                == set(SHIPPED_CONFIG_HASHES))
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIG_HASHES))
+    def test_keys_are_fields_and_hash_pinned(self, name):
+        path = self.CONFIG_DIR / f"{name}.cfg"
+        keys = set(train.parse_config_file(path))
+        assert keys <= {f.name for f in dataclasses.fields(TrainConfig)}
+        cfg = train.build_config(path)
+        assert cfg.config_hash().hex() == SHIPPED_CONFIG_HASHES[name]
 
 
 class TestCheckpoint:
@@ -351,6 +395,10 @@ class TestTrainRun:
         monkeypatch.delenv("DATA_DIR", raising=False)
         with pytest.raises(ConfigError):
             train_run(tiny_cfg(data_dir=None))
+
+    def test_absent_dataset_root_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="does not exist"):
+            train_run(tiny_cfg(data_dir=str(tmp_path / "absent")))
 
     def test_mean_weight_within_clamp(self, tiny_sets):
         tr, va = tiny_sets
