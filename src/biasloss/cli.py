@@ -4,7 +4,7 @@ The config flags of train, eval, profile and sweep are built from
 TrainConfig's fields (name, type and help text), so they mirror the
 config-file keys one-to-one; precedence is CLI flag over config file over
 built-in default. All outputs land under --out. Exit codes: 0 success,
-2 usage/config problems, 3 numerical failure.
+2 usage/config problems and unreadable paths, 3 a non-finite loss.
 """
 
 from __future__ import annotations
@@ -48,17 +48,14 @@ def _out_dir(args):
 
 def cmd_train(args):
     cfg = _gather_config(args)
-    out = _out_dir(args)
-    train_ds = trainmod.load_split(cfg, "train")
-    val_ds = trainmod.load_split(cfg, "test")
+    out = Path(args.out)
 
     def progress(row):
         if not args.quiet:
             print(f"epoch {row.epoch}: val loss {row.loss:.4f} "
                   f"top1 {row.top1:.4f} lr {row.lr:g}")
 
-    log, _ = trainmod.train_run(cfg, out_dir=out, train_ds=train_ds,
-                                val_ds=val_ds, progress=progress)
+    trainmod.train_run(cfg, out_dir=out, progress=progress)
     if not args.quiet:
         # best.ckpt is written only when an epoch ran
         written = [str(out / name) for name in
@@ -71,10 +68,7 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg = _gather_config(args)
     ds = trainmod.load_split(cfg, args.split)
-    ckpt = Path(args.ckpt)
-    if not ckpt.exists():
-        raise ConfigError(f"checkpoint {ckpt} does not exist")
-    loss, top1 = trainmod.evaluate(ckpt, ds, cfg)
+    loss, top1 = trainmod.evaluate(args.ckpt, ds, cfg)
     print(f"loss={loss!r} top1={top1!r}")
     return EXIT_OK
 
@@ -82,10 +76,7 @@ def cmd_eval(args):
 def cmd_profile(args):
     cfg = _gather_config(args)
     ds = trainmod.load_split(cfg, args.split)
-    ckpt = Path(args.ckpt)
-    if not ckpt.exists():
-        raise ConfigError(f"checkpoint {ckpt} does not exist")
-    model = trainmod.model_from_checkpoint(ckpt, cfg)
+    model = trainmod.model_from_checkpoint(args.ckpt, cfg)
     layers = args.layers.split(",") if args.layers else None
     norm = datamod.default_augment(cfg.dataset).normalize
     prof = diagnostics.profile(model, ds, layers, batch_size=cfg.batch_size,
@@ -116,6 +107,8 @@ def cmd_sweep(args):
     if cfg.epochs < 1:
         # each cell reports its last val row, which needs an epoch
         raise ConfigError(f"sweep needs epochs >= 1, got {cfg.epochs}")
+    if args.jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
     out = _out_dir(args)
     train_ds = trainmod.load_split(cfg, "train")
     val_ds = trainmod.load_split(cfg, "test")
@@ -133,11 +126,8 @@ def cmd_sweep(args):
             return (a, b, float("nan"), float("nan"), f"nonfinite:{e}")
 
     cells = [(a, b) for a in alphas for b in betas]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            results = list(ex.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
+    with ThreadPoolExecutor(args.jobs) as ex:
+        results = list(ex.map(run_cell, cells))
     lines = ["alpha,beta,final_top1,final_loss,status"]
     for a, b, top1, loss, status in results:
         lines.append(f"{a!r},{b!r},{top1!r},{loss!r},{status}")
@@ -266,8 +256,8 @@ def main(argv=None):
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (ConfigError, CheckpointError, datamod.FormatError,
-            FileNotFoundError, diagnostics.ProbeError) as e:
+    except (ConfigError, CheckpointError, datamod.FormatError, OSError,
+            diagnostics.ProbeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except NonFiniteLossError as e:

@@ -1,6 +1,8 @@
 """Classification losses: variance-weighted cross-entropy and baselines.
 
-The weighted loss scales each sample's cross-entropy term by
+Every loss is the batch mean of ``w_i * CE_i``, with CE_i sample i's
+softmax cross-entropy: w_i = 1 for plain cross-entropy and
+``(1 - p_target)^gamma`` for focal loss. The weighted loss uses
 ``z(v) = exp(alpha * v) - beta`` where v is that sample's feature-map
 variance, min-max scaled across the batch into [0, 1]. z is clamped to a
 configurable range to keep outlier activations from destabilising
@@ -65,14 +67,6 @@ def _as_node(x):
     return x if isinstance(x, Node) else ad.constant(np.asarray(x))
 
 
-def _check_labels(logits_value, labels):
-    n, k = logits_value.shape
-    if labels.shape[0] != n:
-        raise ValueError(f"{labels.shape[0]} labels for {n} logit rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(f"labels must lie in [0, {k})")
-
-
 # ---------------------------------------------------------------------------
 # variance machinery (numpy side)
 
@@ -128,35 +122,33 @@ def variance_record(feature_map, cfg: BiasLossConfig = None):
 # ---------------------------------------------------------------------------
 # losses (graph side; they evaluate eagerly and return scalar nodes)
 
-def _per_sample_ce(logits: Node, labels) -> Node:
-    return ad.neg(ad.take_rows(ad.log_softmax(logits), labels))
+def _weighted_ce(batch: LossBatch, fp, weight=None) -> Node:
+    """mean_i(w_i * CE_i), CE_i = -log p(target_i), evaluated in pass fp;
+    weight maps the log p(target) node to w (None: w_i = 1, plain CE)."""
+    logits, labels = _as_node(batch.logits), batch.labels
+    n, k = fp.run(logits).shape
+    if labels.shape[0] != n:
+        raise ValueError(f"{labels.shape[0]} labels for {n} logit rows")
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"labels must lie in [0, {k})")
+    logp_t = ad.take_rows(ad.log_softmax(logits), labels)
+    ce_i = ad.neg(logp_t)
+    loss = ad.mean(ce_i if weight is None else ad.mul(weight(logp_t), ce_i))
+    fp.run(loss)
+    return loss
 
 
 def cross_entropy(batch: LossBatch) -> Node:
     """Mean softmax cross-entropy, stabilized by max subtraction."""
-    logits = _as_node(batch.logits)
-    fp = ad.ForwardPass()
-    fp.run(logits)
-    _check_labels(logits.value, batch.labels)
-    loss = ad.mean(_per_sample_ce(logits, batch.labels))
-    fp.run(loss)
-    return loss
+    return _weighted_ce(batch, ad.ForwardPass())
 
 
 def focal_loss(batch: LossBatch, gamma=2.0) -> Node:
     """Cross-entropy scaled per sample by (1 - p_target)^gamma."""
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
-    logits = _as_node(batch.logits)
-    fp = ad.ForwardPass()
-    fp.run(logits)
-    _check_labels(logits.value, batch.labels)
-    logp_t = ad.take_rows(ad.log_softmax(logits), batch.labels)
-    ce_i = ad.neg(logp_t)
-    modulator = ad.power(1.0 - ad.exp(logp_t), gamma)
-    loss = ad.mean(ad.mul(modulator, ce_i))
-    fp.run(loss)
-    return loss
+    return _weighted_ce(batch, ad.ForwardPass(),
+                        lambda logp_t: ad.power(1.0 - ad.exp(logp_t), gamma))
 
 
 def _variance_nodes(feature: Node) -> Node:
@@ -180,7 +172,6 @@ def bias_loss(batch: LossBatch, cfg: BiasLossConfig = None):
     cfg = cfg or BiasLossConfig()
     if batch.feature_map is None:
         raise ValueError("feature map required for the variance-weighted loss")
-    logits = _as_node(batch.logits)
     feature = _as_node(batch.feature_map)
     fp = ad.ForwardPass()
     fp.run(feature)
@@ -205,13 +196,7 @@ def bias_loss(batch: LossBatch, cfg: BiasLossConfig = None):
         w_node = ad.clamp(ad.exp(scaled_n * cfg.alpha) - cfg.beta,
                           cfg.clamp_lo, cfg.clamp_hi)
 
-    fp.run(logits)
-    _check_labels(logits.value, batch.labels)
-    ce_i = _per_sample_ce(logits, batch.labels)
-    loss = ad.mean(ad.mul(w_node, ce_i))
-    fp.run(loss)
+    loss = _weighted_ce(batch, fp, lambda _: w_node)
     if not cfg.detach_weight:
-        record = VarianceRecord(record.raw, record.batch_min,
-                                record.batch_max, record.scaled,
-                                np.asarray(w_node.value, dtype=np.float64))
+        record.weight = np.asarray(w_node.value, dtype=np.float64)
     return loss, record

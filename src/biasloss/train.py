@@ -24,10 +24,6 @@ from .layers import GraphCache, MicroNetSpec, SkipblockNetMicro
 from .losses import (BiasLossConfig, LossBatch, bias_loss, cross_entropy,
                      focal_loss, variance_record)
 
-RUNLOG_HEADER = ("epoch,split,loss,top1,lr,mean_raw_variance,"
-                 "mean_scaled_variance,mean_weight,frac_clamped_lo,"
-                 "frac_clamped_hi,wall_seconds")
-
 CHECKPOINT_MAGIC = b"BLCK"
 CHECKPOINT_VERSION = 1
 
@@ -54,6 +50,26 @@ def _opt(default, help, identity=True):
     keeps an execution detail out of config_hash."""
     return field(default=default,
                  metadata={"help": help, "identity": identity})
+
+
+# (field, rule, test) for TrainConfig's numeric fields; the comparisons
+# also reject NaN, and an unset limit (None) passes
+_RANGES = (
+    ("batch_size", ">= 1", lambda v: v >= 1),
+    ("epochs", ">= 0", lambda v: v >= 0),
+    ("train_limit", ">= 1", lambda v: v is None or v >= 1),
+    ("val_limit", ">= 1", lambda v: v is None or v >= 1),
+    ("width_multiplier", "> 0", lambda v: v > 0.0),
+    ("dropout", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    ("alpha", ">= 0", lambda v: v >= 0.0),
+    ("beta", ">= 0", lambda v: v >= 0.0),
+    ("gamma", ">= 0", lambda v: v >= 0.0),
+    ("lr0", "finite and > 0", lambda v: 0.0 < v < np.inf),
+    ("momentum", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    ("weight_decay", "finite and >= 0", lambda v: 0.0 <= v < np.inf),
+    ("clamp_lo", "finite", np.isfinite),
+    ("clamp_hi", "finite", np.isfinite),
+)
 
 
 @dataclass
@@ -90,26 +106,13 @@ class TrainConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.dataset not in ("mnist", "cifar10"):
             raise ConfigError(f"unknown dataset {self.dataset!r}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        for name in ("train_limit", "val_limit"):
-            n = getattr(self, name)
-            if n is not None and n < 1:
-                raise ConfigError(f"{name} must be >= 1, got {n}")
-        if not self.width_multiplier > 0.0:
-            raise ConfigError(f"width_multiplier must be > 0, got "
-                              f"{self.width_multiplier}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        for name, rule, ok in _RANGES:
+            if not ok(getattr(self, name)):
+                raise ConfigError(f"{name} must be {rule}, got "
+                                  f"{getattr(self, name)}")
         if self.clamp_lo > self.clamp_hi:
             raise ConfigError(f"clamp_lo {self.clamp_lo} exceeds clamp_hi "
                               f"{self.clamp_hi}")
-        for name in ("alpha", "beta", "gamma"):
-            if not getattr(self, name) >= 0.0:
-                raise ConfigError(f"{name} must be >= 0, got "
-                                  f"{getattr(self, name)}")
         if self.schedule is None:
             # the reference recipe decays x0.2 at 30/60/80% of the run
             self.schedule = tuple(
@@ -121,6 +124,9 @@ class TrainConfig:
             es = [e for e, _ in self.schedule]
             if es != sorted(set(es)):
                 raise ConfigError("schedule epochs must be strictly increasing")
+            if not all(e >= 0 and 0.0 < m < np.inf for e, m in self.schedule):
+                raise ConfigError(f"schedule needs epochs >= 0 and finite "
+                                  f"multipliers > 0, got {self.schedule}")
 
     def bias_config(self):
         return BiasLossConfig(self.alpha, self.beta, self.clamp_lo,
@@ -177,16 +183,24 @@ def _parse_value(key, value):
 
 
 def parse_config_file(path):
-    """Line-oriented key=value file -> dict of typed overrides."""
-    overrides = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    """Line-oriented UTF-8 key=value file, each key once -> overrides."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
+    overrides, seen = {}, {}
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        overrides[key.strip()] = _parse_value(key.strip(), value)
+        key, value = (t.strip() for t in line.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line "
+                              f"{seen[key]}")
+        seen[key] = lineno
+        overrides[key] = _parse_value(key, value)
     return overrides
 
 
@@ -259,11 +273,11 @@ class RunRow:
     wall_seconds: float
 
     def csv(self):
-        return (f"{self.epoch},{self.split},{self.loss!r},{self.top1!r},"
-                f"{self.lr!r},{self.mean_raw_variance!r},"
-                f"{self.mean_scaled_variance!r},{self.mean_weight!r},"
-                f"{self.frac_clamped_lo!r},{self.frac_clamped_hi!r},"
-                f"{self.wall_seconds!r}")
+        return ",".join(self.split if f.name == "split"
+                        else repr(getattr(self, f.name)) for f in fields(self))
+
+
+RUNLOG_HEADER = ",".join(f.name for f in fields(RunRow))
 
 
 @dataclass
@@ -409,37 +423,44 @@ def _row(epoch, split, stats, lr, wall):
                   stats["clamp_lo"] / n, stats["clamp_hi"] / n, wall)
 
 
-def _ones_record(feature_value, bias_cfg):
-    rec = variance_record(feature_value, bias_cfg)
-    rec.weight = np.ones_like(rec.weight)
-    return rec
-
-
 def _compute_loss(cfg, bias_cfg, out, labels):
     """Returns (loss node, applied-weight variance record)."""
     batch = LossBatch(out.logits, labels, out.feature_map)
     if cfg.loss == "bias":
         return bias_loss(batch, bias_cfg)
-    if cfg.loss == "focal":
-        loss = focal_loss(batch, cfg.gamma)
-    else:
-        loss = cross_entropy(batch)
+    loss = (focal_loss(batch, cfg.gamma) if cfg.loss == "focal"
+            else cross_entropy(batch))
     # unweighted losses log the variance columns with unit applied weights
-    return loss, _ones_record(out.feature_map.value, bias_cfg)
+    record = variance_record(out.feature_map.value, bias_cfg)
+    record.weight = np.ones_like(record.weight)
+    return loss, record
 
 
-def _eval_epoch(model, cache, dataset, cfg, bias_cfg, eval_spec):
+def _finite_loss(loss, record, where):
+    """loss's value; NonFiniteLossError, naming where, if it is not finite."""
+    lval = loss.item()
+    if not np.isfinite(lval):
+        raise NonFiniteLossError(
+            f"non-finite loss {lval} at {where}; variance record: "
+            f"raw={record.raw!r} scaled={record.scaled!r} "
+            f"weight={record.weight!r}", record)
+    return lval
+
+
+def _eval_epoch(model, cache, dataset, cfg, bias_cfg, eval_spec, where="eval"):
     """Loss and accuracy stats over dataset in eval mode; the model's mode
     is restored afterwards, also on error."""
     was_training = model.training
     model.eval()
     stats = _epoch_stats()
     try:
-        for b in datamod.batches(dataset, cfg.batch_size, shuffle=False,
-                                 augment_spec=eval_spec, prefetch=cfg.prefetch):
+        for i, b in enumerate(datamod.batches(
+                dataset, cfg.batch_size, shuffle=False,
+                augment_spec=eval_spec, prefetch=cfg.prefetch)):
             out = cache.get(b.images)
             loss, record = _compute_loss(cfg, bias_cfg, out, b.labels)
-            _accumulate(stats, len(b.labels), loss.item(), out.logits.value,
+            lval = _finite_loss(loss, record, f"{where} batch {i}")
+            _accumulate(stats, len(b.labels), lval, out.logits.value,
                         b.labels, record, bias_cfg)
     finally:
         if was_training:
@@ -455,7 +476,10 @@ def load_split(cfg: TrainConfig, split):
         raise ConfigError("no dataset root: pass --data_dir or set DATA_DIR")
     if not Path(root).exists():
         raise ConfigError(f"dataset root {root} does not exist")
-    return datamod.load_dataset(cfg.dataset, root, split)
+    ds = datamod.load_dataset(cfg.dataset, root, split)
+    if not len(ds):
+        raise ConfigError(f"{cfg.dataset} {split} split under {root} is empty")
+    return ds
 
 
 def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
@@ -493,13 +517,8 @@ def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
                 augment_spec=aug, prefetch=cfg.prefetch)):
             out = cache.get(b.images)
             loss, record = _compute_loss(cfg, bias_cfg, out, b.labels)
-            lval = loss.item()
-            if not np.isfinite(lval):
-                raise NonFiniteLossError(
-                    f"non-finite loss {lval} at epoch {epoch} step {step}; "
-                    f"variance record: raw={record.raw!r} "
-                    f"scaled={record.scaled!r} weight={record.weight!r}",
-                    record)
+            lval = _finite_loss(loss, record,
+                                f"train epoch {epoch} step {step}")
             grads = ad.backward(loss)
             sgd_step(params, grads, opt_state, lr, cfg.momentum,
                      cfg.weight_decay)
@@ -509,7 +528,8 @@ def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
                              time.perf_counter() - t0))
 
         t0 = time.perf_counter()
-        vstats = _eval_epoch(model, cache, val_ds, cfg, bias_cfg, eval_spec)
+        vstats = _eval_epoch(model, cache, val_ds, cfg, bias_cfg, eval_spec,
+                             f"val epoch {epoch}")
         vrow = _row(epoch, "val", vstats, lr, time.perf_counter() - t0)
         log.rows.append(vrow)
         if progress:
@@ -544,5 +564,5 @@ def evaluate(checkpoint_path, dataset, cfg: TrainConfig):
     model = model_from_checkpoint(checkpoint_path, cfg)
     eval_spec = datamod.normalize_only(datamod.default_augment(cfg.dataset))
     stats = _eval_epoch(model, GraphCache(model), dataset, cfg,
-                        cfg.bias_config(), eval_spec)
+                        cfg.bias_config(), eval_spec, f"{dataset.split} split")
     return stats["loss"] / stats["n"], stats["correct"] / stats["n"]

@@ -1,12 +1,15 @@
 import argparse
 import dataclasses
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from biasloss import cli, data, layers, train
 from biasloss.cli import main
-from test_train import MALFORMED_CHECKPOINTS
+from test_train import (MALFORMED_CHECKPOINTS, write_empty_test_split,
+                        write_nan_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +68,9 @@ class TestUsage:
     @pytest.mark.parametrize("flags", [
         ["--train_limit", "0"], ["--train_limit", "-60"],
         ["--val_limit", "0"], ["--width_multiplier", "0"],
-        ["--loss", "focal", "--gamma", "-1"],
+        ["--loss", "focal", "--gamma", "-1"], ["--lr0", "nan"],
+        ["--momentum", "-5"], ["--weight_decay", "-1"],
+        ["--schedule", "1:-1"], ["--clamp_lo", "nan"],
     ])
     def test_out_of_range_field_exits_two_without_traceback(
             self, tmp_path, synth_dir, flags, capsys):
@@ -85,6 +90,88 @@ class TestUsage:
                      str(synth_dir)] + extra + [str(tmp_path / "x")])
         assert code == 2
         assert "unknown dataset 'foo'" in capsys.readouterr().err
+
+
+def assert_config_error(code, capsys):
+    """Exit 2 with one error line and no traceback."""
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+class TestBadPaths:
+    def test_config_is_a_directory(self, tmp_path, synth_dir, capsys):
+        code = main(["train", "--config", str(tmp_path), "--data_dir",
+                     str(synth_dir), "--out", str(tmp_path / "run")])
+        assert str(tmp_path) in assert_config_error(code, capsys)
+
+    def test_config_not_utf8(self, tmp_path, synth_dir, capsys):
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"loss=bias\n# caf\xe9\n")
+        code = main(["train", "--config", str(cfg), "--data_dir",
+                     str(synth_dir), "--out", str(tmp_path / "run")])
+        assert "not UTF-8" in assert_config_error(code, capsys)
+        assert not (tmp_path / "run").exists()
+
+    def test_config_repeated_key(self, tmp_path, synth_dir, capsys):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("loss=bias\nloss=ce\n")
+        code = main(["train", "--config", str(cfg), "--data_dir",
+                     str(synth_dir), "--out", str(tmp_path / "run")])
+        err = assert_config_error(code, capsys)
+        assert "dup.cfg:2: key 'loss' repeats line 1" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("verb", ["eval", "profile"])
+    def test_checkpoint_is_a_directory(self, tmp_path, synth_dir, verb,
+                                       capsys):
+        out = ["--out", str(tmp_path)] if verb == "profile" else []
+        code = main([verb, "--ckpt", str(tmp_path), "--data_dir",
+                     str(synth_dir)] + out)
+        assert str(tmp_path) in assert_config_error(code, capsys)
+
+    def test_train_out_is_a_file(self, tmp_path, synth_dir, capsys):
+        out = tmp_path / "taken"
+        out.write_text("x")
+        code = main(["train", "--data_dir", str(synth_dir),
+                     "--out", str(out)] + TRAIN_ARGS)
+        assert str(out) in assert_config_error(code, capsys)
+        assert out.read_text() == "x"
+
+    @pytest.mark.parametrize("verb", ["train", "eval"])
+    def test_empty_split(self, tmp_path, verb, capsys):
+        root = tmp_path / "data"
+        write_empty_test_split(root)
+        extra = (["--out", str(tmp_path / "run")] if verb == "train"
+                 else ["--ckpt", str(tmp_path / "none.ckpt")])
+        code = main([verb, "--data_dir", str(root)] + extra)
+        assert "test split" in assert_config_error(code, capsys)
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_nonpositive_jobs(self, tmp_path, synth_dir, jobs, capsys):
+        code = main(["sweep", "--data_dir", str(synth_dir), "--jobs", jobs,
+                     "--out", str(tmp_path / "sweep")] + TRAIN_ARGS)
+        assert f"jobs must be >= 1, got {jobs}" in assert_config_error(
+            code, capsys)
+        assert not (tmp_path / "sweep").exists()
+
+
+def readme_cli_commands():
+    """Every `biasloss ...` command in README's CLI section, as argv."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1].split("\n## ")[0]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(l)[1:] for l in lines if l.startswith("biasloss ")]
+
+
+def test_readme_cli_examples_parse():
+    commands = readme_cli_commands()
+    assert len(commands) == 7
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        assert args.verb == argv[0]
 
 
 def verb_parsers():
@@ -259,10 +346,20 @@ class TestTrainEvalProfile:
         assert code == 2
         assert "bad.ckpt" in capsys.readouterr().err
 
-    def test_missing_checkpoint_exits_two(self, synth_dir, tmp_path):
+    def test_missing_checkpoint_exits_two(self, synth_dir, tmp_path, capsys):
         code = main(["eval", "--ckpt", str(tmp_path / "none.ckpt"),
                      "--data_dir", str(synth_dir)])
         assert code == 2
+        assert str(tmp_path / "none.ckpt") in capsys.readouterr().err
+
+    def test_nan_checkpoint_exits_three(self, synth_dir, tmp_path, capsys):
+        write_nan_checkpoint(tmp_path / "nan.ckpt")
+        code = main(["eval", "--ckpt", str(tmp_path / "nan.ckpt"),
+                     "--data_dir", str(synth_dir)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical failure: non-finite loss nan at "
+                              "test split batch 0;")
 
     def test_numerical_failure_exits_three(self, synth_dir, tmp_path):
         # lr * weight_decay >> 1 makes the weights themselves overflow f32

@@ -44,6 +44,22 @@ MALFORMED_CHECKPOINTS = {
 }
 
 
+def write_empty_test_split(root):
+    """An MNIST-format dataset under root with 16 train and 0 test samples."""
+    data.write_synthetic_mnist(root, n_train=16, n_test=16)
+    data.write_idx_images(Path(root) / "t10k-images-idx3-ubyte",
+                          np.zeros((0, 1, 28, 28), np.uint8))
+    data.write_idx_labels(Path(root) / "t10k-labels-idx1-ubyte",
+                          np.zeros(0, np.uint8))
+
+
+def write_nan_checkpoint(path):
+    """A checkpoint of the default model with one NaN classifier entry."""
+    model = SkipblockNetMicro(TrainConfig().model_spec(), seed=0)
+    model.parameters()[-1].node.value[0] = np.nan
+    save_checkpoint(path, model)
+
+
 @pytest.fixture(scope="module")
 def tiny_sets():
     return (data.make_synthetic("mnist", 96, seed=0),
@@ -135,6 +151,19 @@ class TestConfig:
         cfg = train.build_config(p)
         assert cfg.schedule == ((3, 0.5), (6, 0.1))
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("loss=bias\n# comment\nalpha=0.4\n loss = ce\n")
+        with pytest.raises(ConfigError,
+                           match=r"c.cfg:4: key 'loss' repeats line 1"):
+            train.parse_config_file(p)
+
+    def test_non_utf8_file(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(b"loss=bias\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match="c.cfg: not UTF-8"):
+            train.parse_config_file(p)
+
     def test_bad_loss(self):
         with pytest.raises(ConfigError):
             TrainConfig(loss="mse")
@@ -148,17 +177,29 @@ class TestConfig:
         ("val_limit", 0), ("width_multiplier", 0.0),
         ("width_multiplier", -1.0), ("width_multiplier", float("nan")),
         ("gamma", -1.0), ("gamma", float("nan")),
+        ("lr0", float("nan")), ("lr0", 0.0), ("lr0", -0.1),
+        ("lr0", float("inf")), ("momentum", -5.0), ("momentum", 1.0),
+        ("momentum", float("nan")), ("weight_decay", -1.0),
+        ("weight_decay", float("inf")), ("weight_decay", float("nan")),
+        ("clamp_lo", float("nan")), ("clamp_lo", -float("inf")),
+        ("clamp_hi", float("nan")), ("clamp_hi", float("inf")),
+        ("schedule", ((1, -1.0),)), ("schedule", ((1, 0.0),)),
+        ("schedule", ((1, float("nan")),)), ("schedule", ((1, float("inf")),)),
+        ("schedule", ((-1, 0.2),)),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
     def test_range_edges_accepted(self):
+        # lr0 1e10 is the CLI's numerical-failure fixture
         cfg = TrainConfig(batch_size=1, epochs=0, dropout=0.0,
                           clamp_lo=1.0, clamp_hi=1.0, alpha=0.0, beta=0.0,
                           gamma=0.0, train_limit=1, val_limit=1,
-                          width_multiplier=1e-3)
+                          width_multiplier=1e-3, momentum=0.0,
+                          weight_decay=0.0, lr0=1e10)
         assert cfg.schedule == ()
+        assert TrainConfig(schedule=((0, 1e-3),)).schedule == ((0, 1e-3),)
 
     def test_hash_stable_and_sensitive(self):
         a = TrainConfig(seed=1)
@@ -312,6 +353,18 @@ class TestTrainRun:
             losses.LossBatch(out.logits, first.labels)).item()
         assert end_loss < batch_losses[0]
 
+    def test_runlog_header_and_row_format(self):
+        # the column order is the RunRow field order; split is written raw
+        # and every other field as its repr
+        assert RUNLOG_HEADER == (
+            "epoch,split,loss,top1,lr,mean_raw_variance,"
+            "mean_scaled_variance,mean_weight,frac_clamped_lo,"
+            "frac_clamped_hi,wall_seconds")
+        row = train.RunRow(3, "val", 0.1, 0.5, 0.020000000000000004,
+                           2.0, 0.25, 1.0, 0.0, 1 / 3, 12.5)
+        assert row.csv() == ("3,val,0.1,0.5,0.020000000000000004,2.0,0.25,"
+                             "1.0,0.0,0.3333333333333333,12.5")
+
     def test_runlog_shape_and_header(self, tmp_path, tiny_sets):
         tr, va = tiny_sets
         log, _ = train_run(tiny_cfg(), out_dir=tmp_path, train_ds=tr,
@@ -390,6 +443,29 @@ class TestTrainRun:
             train._eval_epoch(model, GraphCache(model), va, cfg,
                               cfg.bias_config(), spec)
         assert all(m.training for m in model.modules())
+
+    def test_nan_parameter_fails_evaluate(self, tmp_path, tiny_sets):
+        _, va = tiny_sets
+        write_nan_checkpoint(tmp_path / "nan.ckpt")
+        with pytest.raises(train.NonFiniteLossError,
+                           match="at test split batch 0;"):
+            train.evaluate(tmp_path / "nan.ckpt", va, tiny_cfg())
+
+    def test_nonfinite_val_loss_aborts(self, tiny_sets):
+        tr, va = tiny_sets
+        images = va.images.copy()
+        images[-1, 0, 0, 0] = np.nan  # in the last of three val batches
+        nan_va = data.Dataset(images, va.labels, va.name, va.split)
+        with pytest.raises(train.NonFiniteLossError,
+                           match="at val epoch 0 batch 2;"):
+            train_run(tiny_cfg(), train_ds=tr, val_ds=nan_va)
+
+    def test_empty_split_config_error(self, tmp_path):
+        write_empty_test_split(tmp_path)
+        cfg = tiny_cfg(data_dir=str(tmp_path))
+        assert len(train.load_split(cfg, "train")) == 16
+        with pytest.raises(ConfigError, match="mnist test split .* is empty"):
+            train.load_split(cfg, "test")
 
     def test_missing_dataset_config_error(self, monkeypatch):
         monkeypatch.delenv("DATA_DIR", raising=False)
