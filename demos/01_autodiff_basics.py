@@ -24,7 +24,7 @@ value = ad.forward(loss)
 print(f"forward value: {value:.6f}")
 
 # ---------------------------------------------------------------------------
-# backward returns a GradStore mapping nodes to gradients.
+# backward returns a GradStore mapping leaf nodes to gradients.
 
 grads = ad.backward(loss)
 print("dL/dx:", grads[x])

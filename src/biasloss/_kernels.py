@@ -31,16 +31,22 @@ The kernels walk the batch in blocks of about _BLOCK_BYTES, so that every
 pass after the first re-reads cache rather than memory, and they write
 into preallocated buffers instead of chaining temporaries.
 
-Blocks run on _POOL, one worker thread per core this process may use
-(numpy releases the interpreter lock inside its loops and BLAS calls); a
-call with a single block runs inline. Byte-identity rule: each block has
-its own scratch buffer and writes only its own slice of the output, and
-per-block partial sums are returned and merged by the caller in block
-order. Every result is therefore byte-identical to walking the blocks one
-after another, however many workers there are and whichever finishes
-first. Blocks run in a copy of the caller's context, so np.errstate holds
-in them. Threads start on the first call with more than one block, not at
-import.
+The calling thread works through the blocks itself, alongside up to
+_HELPERS threads of _POOL: one fewer than the cores this process may use
+(numpy releases the interpreter lock inside its loops and BLAS calls).
+Caller and helpers take block indices from one shared queue, so the
+caller never parks while blocks are left, and a helper that has not
+started when the caller runs out of blocks is cancelled. With one core
+there is no pool and every block runs inline, as does a call with a
+single block. Byte-identity rule: each block has its own scratch buffer
+and writes only its own slice of the output, and per-block partial sums
+are returned and merged by the caller in block order. Every result is
+therefore byte-identical to walking the blocks one after another, however
+many threads there are and whichever finishes first. Helpers run in a
+copy of the caller's context, so np.errstate holds in them. A block's
+exception reaches the caller only after every helper has stopped, so no
+thread still writes into the output. Threads start on the first call
+with more than one block, not at import.
 
 Numeric contract: reductions add partials of at most one row (one sample
 and channel, or one GEMM product) in the array dtype, and accumulate those
@@ -57,10 +63,11 @@ invalid-value reports off and raise no warning for non-finite input.
 
 from __future__ import annotations
 
+import collections
 import contextvars
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -68,8 +75,10 @@ import numpy as np
 # for a block's input, output and scratch buffer.
 _BLOCK_BYTES = 512 * 1024
 
-_POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)),
-                           thread_name_prefix="biasloss-kernel")
+# threads that work blocks besides the caller
+_HELPERS = len(os.sched_getaffinity(0)) - 1
+_POOL = (ThreadPoolExecutor(_HELPERS, thread_name_prefix="biasloss-kernel")
+         if _HELPERS else None)
 
 
 def _block_len(a):
@@ -82,16 +91,41 @@ def _map_blocks(fn, a):
     """[fn(block) for each block of a's first axis], in block order.
 
     fn gets a slice and must write only that slice of any shared output.
-    Each block runs in a copy of the caller's context, so np.errstate
-    applies in the workers as it does inline.
+    The caller and up to _HELPERS pool threads drain the blocks; helpers
+    run in a copy of the caller's context, so np.errstate applies in them
+    as it does inline. If a block raises, the blocks not yet started are
+    dropped and the exception is raised once every helper has stopped.
     """
     n = _block_len(a)
     blocks = [np.s_[s:s + n] for s in range(0, len(a), n)]
-    if len(blocks) == 1:
-        return [fn(blocks[0])]
-    futures = [_POOL.submit(contextvars.copy_context().run, fn, s)
-               for s in blocks]
-    return [f.result() for f in futures]
+    helpers = min(_HELPERS, len(blocks) - 1)
+    if helpers < 1:
+        return [fn(s) for s in blocks]
+    results = [None] * len(blocks)
+    todo = collections.deque(range(len(blocks)))  # thread-safe popleft
+
+    def drain():
+        try:
+            while True:
+                try:
+                    i = todo.popleft()
+                except IndexError:  # no block left
+                    return
+                results[i] = fn(blocks[i])
+        except BaseException:
+            todo.clear()  # no thread starts another block
+            raise
+
+    futures = [_POOL.submit(contextvars.copy_context().run, drain)
+               for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        started = [f for f in futures if not f.cancel()]
+        wait(started)
+    for f in started:
+        f.result()  # raises a helper's exception
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Values are numpy arrays (row-major, float32 by default, float64 for
 verification work). A computation is a DAG of ``Node`` objects built ahead
 of time; leaves receive values, ``forward`` evaluates the graph in
 topological order, and ``backward`` walks it in reverse accumulating
-gradients into a fresh :class:`GradStore`.
+gradients, freeing each node's once it is consumed, and returns the
+leaves' in a fresh :class:`GradStore`.
 
 A graph instance is single-threaded. Distinct graphs are independent and
 parameters (leaf nodes) may be shared between graphs, e.g. one graph per
@@ -236,16 +237,20 @@ def forward(root, validate=None):
 
 
 class GradStore:
-    """Map from node to gradient array of identical shape.
+    """Map from leaf node to gradient array of identical shape.
 
-    Nodes that require grad but were unreachable from the backward root
-    read as zeros.
+    Only leaves' gradients are kept: backward frees every other node's
+    gradient once that node's backward has consumed it, so looking up a
+    non-leaf raises KeyError. Leaves that require grad but were unreachable
+    from the backward root read as zeros.
     """
 
     def __init__(self, grads):
         self._grads = grads
 
     def __getitem__(self, node):
+        if node.op != "leaf":
+            raise KeyError(f"gradients are kept for leaves only, not {node!r}")
         g = self._grads.get(node.id)
         if g is not None:
             return g
@@ -267,7 +272,10 @@ def backward(root):
     """Reverse-mode differentiation from a scalar root.
 
     Forward must have been run already. Returns a GradStore with the
-    gradient of root w.r.t. every requires_grad node it reaches.
+    gradient of root w.r.t. every requires_grad leaf it reaches. A node's
+    gradient is dropped as soon as its backward has run, so the live
+    gradients are the frontier of the reverse walk plus the leaves', not
+    one per node of the graph.
     """
     if root.value is None:
         raise UninitializedValueError("run forward before backward")
@@ -277,10 +285,11 @@ def backward(root):
     order = topo_order(root)
     grads = {root.id: np.ones_like(root.value)}
     for node in reversed(order):
-        g = grads.get(node.id)
-        if g is None or node.op == "leaf":
+        if node.op == "leaf":
             continue
-        if not any(inp.requires_grad for inp in node.inputs):
+        # popped, not read: the gradient is freed once its backward ran
+        g = grads.pop(node.id, None)
+        if g is None or not any(inp.requires_grad for inp in node.inputs):
             continue
         in_grads = _BACKWARD[node.op](node, g)
         for inp, ig in zip(node.inputs, in_grads):

@@ -95,8 +95,9 @@ def _parse_grid(text, what):
         raise ConfigError(f"bad {what} list: {text!r}") from None
     if not values:
         raise ConfigError(f"{what} list must be non-empty")
-    if not all(v >= 0.0 for v in values):
-        raise ConfigError(f"{what} values must be >= 0, got {text!r}")
+    if not all(0.0 <= v < np.inf for v in values):
+        raise ConfigError(f"{what} values must be >= 0 and finite, got "
+                          f"{text!r}")
     return values
 
 
@@ -122,8 +123,9 @@ def cmd_sweep(args):
                                         train_ds=train_ds, val_ds=val_ds)
             row = log.last("val")
             return (a, b, row.top1, row.loss, "ok")
-        except NonFiniteLossError as e:
-            return (a, b, float("nan"), float("nan"), f"nonfinite:{e}")
+        except NonFiniteLossError:
+            # a one-word status: the error message holds commas
+            return (a, b, float("nan"), float("nan"), "nonfinite")
 
     cells = [(a, b) for a in alphas for b in betas]
     with ThreadPoolExecutor(args.jobs) as ex:
@@ -142,6 +144,10 @@ def cmd_curve(args):
     betas = _parse_grid(args.beta, "beta")
     if args.samples < 1:
         raise ConfigError(f"samples must be >= 1, got {args.samples}")
+    for name in ("clamp_lo", "clamp_hi"):
+        value = getattr(args, name)
+        if not np.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if args.clamp_lo > args.clamp_hi:
         raise ConfigError(f"clamp_lo {args.clamp_lo} exceeds clamp_hi "
                           f"{args.clamp_hi}")

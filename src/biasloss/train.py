@@ -437,13 +437,17 @@ def _compute_loss(cfg, bias_cfg, out, labels):
 
 
 def _finite_loss(loss, record, where):
-    """loss's value; NonFiniteLossError, naming where, if it is not finite."""
+    """loss's value; NonFiniteLossError, naming where, if it is not finite.
+
+    The one-line message gives the range of the batch's variances and
+    weights; the whole record rides on the exception.
+    """
     lval = loss.item()
     if not np.isfinite(lval):
         raise NonFiniteLossError(
-            f"non-finite loss {lval} at {where}; variance record: "
-            f"raw={record.raw!r} scaled={record.scaled!r} "
-            f"weight={record.weight!r}", record)
+            f"non-finite loss {lval} at {where}; variance in "
+            f"[{record.raw.min():.4g}, {record.raw.max():.4g}], weight in "
+            f"[{record.weight.min():.4g}, {record.weight.max():.4g}]", record)
     return lval
 
 

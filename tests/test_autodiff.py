@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +141,42 @@ class TestBackward:
         ad.forward(root)
         g = ad.backward(root)
         assert g[other] == 0.0
+
+    def test_non_leaf_lookup_raises(self):
+        x = ad.parameter(np.array([1.0, 2.0]))
+        h = ad.exp(x)
+        root = ad.sum_(h)
+        ad.forward(root)
+        g = ad.backward(root)
+        for node in (h, root):
+            with pytest.raises(KeyError, match="leaves only"):
+                g[node]
+            assert node not in g and g.get(node) is None
+        np.testing.assert_allclose(g[x], np.exp([1.0, 2.0]))
+
+    @staticmethod
+    def _backward_peak(depth, n=1 << 18):
+        """Peak bytes traced during backward of a depth-long elementwise
+        chain on 1 MiB arrays; the forward values exist beforehand."""
+        y = x = ad.parameter(np.full(n, 0.5, np.float32))
+        for _ in range(depth):
+            y = ad.exp(ad.neg(y))
+        root = ad.sum_(y)
+        ad.forward(root)
+        tracemalloc.start()
+        try:
+            assert ad.backward(root)[x].nbytes == 4 * n
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_backward_memory_is_the_frontier(self):
+        # consumed gradients are freed: the peak is a few arrays, whatever
+        # the depth
+        mib = 1 << 20
+        shallow, deep = self._backward_peak(4), self._backward_peak(32)
+        assert deep <= 4 * mib
+        assert deep - shallow < mib // 2
 
     def test_mlp_matches_finite_differences(self):
         # three dense layers with mixed nonlinearity, f64

@@ -1,5 +1,7 @@
 import argparse
+import csv
 import dataclasses
+import io
 import shlex
 from pathlib import Path
 
@@ -232,6 +234,18 @@ class TestCurve:
         assert main(["curve", "--clamp_hi", "0", "--out", str(tmp_path)]) == 2
         assert "clamp_lo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,msg", [
+        (["--clamp_lo", "nan"], "error: clamp_lo must be finite, got nan"),
+        (["--clamp_hi", "inf"], "error: clamp_hi must be finite, got inf"),
+        (["--alpha", "inf"], "error: alpha values must be >= 0 and finite"),
+        (["--beta", "0.3,inf"], "error: beta values must be >= 0 and finite"),
+    ], ids=["clamp_lo_nan", "clamp_hi_inf", "alpha_inf", "beta_inf"])
+    def test_nonfinite_values_exit_two(self, tmp_path, capsys, flags, msg):
+        assert main(["curve", "--samples", "3", "--out", str(tmp_path)]
+                    + flags) == 2
+        assert capsys.readouterr().err.startswith(msg)
+        assert not (tmp_path / "curve.csv").exists()
+
     @pytest.mark.parametrize("samples", ["-1", "0"])
     def test_nonpositive_samples_exit_two(self, tmp_path, capsys, samples):
         assert main(["curve", "--samples", samples,
@@ -409,3 +423,17 @@ class TestSweep:
         assert main(args + ["--out", str(out2), "--jobs", "2"]) == 0
         assert ((out1 / "sweep.csv").read_text()
                 == (out2 / "sweep.csv").read_text())
+
+    # the cell runs on the sweep's own thread, outside any errstate here
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_cell_is_one_csv_row(self, synth_dir, tmp_path):
+        # lr * weight_decay >> 1 makes the weights overflow in the first step
+        out = tmp_path / "sweep"
+        code = main(["--quiet", "sweep", "--data_dir", str(synth_dir),
+                     "--alphas", "0.3", "--betas", "0.3", "--out", str(out)]
+                    + TRAIN_ARGS + ["--lr0", "1e10", "--weight_decay", "1e10"])
+        assert code == 0
+        text = (out / "sweep.csv").read_text()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert text.count("\n") == 2 and len(rows) == 2
+        assert rows[1] == ["0.3", "0.3", "nan", "nan", "nonfinite"]

@@ -6,6 +6,7 @@ remainder, and each kernel also runs at batch 1.
 
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -350,3 +351,93 @@ def test_caller_errstate_applies_in_every_block():
     x[17, 0, 0, 0] = -np.inf  # -inf * clip(-inf + 3, 0, 6) = -inf * 0
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
         K.bn_normalize(x, *identity_bn(4), "hswish")
+
+
+def pool_of_one(monkeypatch, pool):
+    """Blocks are worked by the caller and one helper from pool, whatever
+    this machine's core count."""
+    monkeypatch.setattr(K, "_HELPERS", 1)
+    monkeypatch.setattr(K, "_POOL", pool)
+
+
+def test_inline_blocks_match_pooled(monkeypatch):
+    """With no helpers every block runs on the caller, and the results are
+    the bytes the caller and a helper produce together."""
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(37, 12, 28, 28)).astype(np.float32)
+    g = rng.normal(size=x.shape).astype(np.float32)
+    g2 = rng.normal(size=(37, 12, 14, 14)).astype(np.float32)
+    w = rng.normal(size=(12, 3, 3)).astype(np.float32)
+    w1 = rng.normal(size=(1, 24, 12)).astype(np.float32)
+    gamma = rng.normal(1.0, 0.1, size=12).astype(np.float32)
+    beta = rng.normal(size=12).astype(np.float32)
+    shift = rng.normal(size=24).astype(np.float32)
+    assert ragged(x)
+
+    def run_all():
+        mean, var = K.bn_stats(x)
+        invstd = 1.0 / np.sqrt(var + 1e-5)
+        outs = [K.dw_conv_fwd(x, w, 2, 1, beta, "hswish"),
+                *K.dw_conv_bwd(x, w, g2, 2, 1),
+                K.gemm_conv_fwd(w1, x.reshape(37, 1, 12, -1), shift, "relu"),
+                mean, var]
+        for act in ACTS:
+            outs += [K.bn_normalize(x, mean, invstd, gamma, beta, act),
+                     *K.bn_bwd_train(x, g, mean, invstd, gamma, beta, act),
+                     *K.bn_bwd_eval(x, g, mean, invstd, gamma, beta, act)]
+        return [a.tobytes() for a in outs]
+
+    with ThreadPoolExecutor(1) as pool, monkeypatch.context() as m:
+        pool_of_one(m, pool)
+        pooled = run_all()
+    monkeypatch.setattr(K, "_HELPERS", 0)
+    monkeypatch.setattr(K, "_POOL", None)
+    assert run_all() == pooled
+
+
+def test_partials_come_back_in_block_order(monkeypatch):
+    monkeypatch.setattr(K, "_BLOCK_BYTES", 1)  # one block per entry
+    caller = threading.current_thread()
+
+    def fn(s):
+        # the helper's blocks finish after the caller's later ones
+        time.sleep(0.01 if threading.current_thread() is caller else 0.03)
+        return s.start
+
+    with ThreadPoolExecutor(1) as pool:
+        pool_of_one(monkeypatch, pool)
+        assert K._map_blocks(fn, np.zeros((6, 4))) == list(range(6))
+
+
+@pytest.mark.parametrize("raiser", ["caller", "helper"])
+def test_block_error_waits_for_every_helper(monkeypatch, raiser):
+    """A block's exception reaches the caller only once no thread is still
+    working a block, and the blocks not yet started are dropped."""
+    monkeypatch.setattr(K, "_BLOCK_BYTES", 1)  # one block per entry
+    caller = threading.current_thread()
+    working = threading.Event()
+    lock = threading.Lock()
+    active, done = [0], []
+
+    def fn(s):
+        if (threading.current_thread() is caller) == (raiser == "caller"):
+            assert working.wait(timeout=30)
+            raise ValueError("block failed")
+        with lock:
+            active[0] += 1
+        working.set()
+        time.sleep(0.05)  # still writing when the other block raises
+        with lock:
+            active[0] -= 1
+            done.append(s.start)
+
+    with ThreadPoolExecutor(1) as pool:
+        pool_of_one(monkeypatch, pool)
+        with pytest.raises(ValueError, match="block failed"):
+            K._map_blocks(fn, np.zeros((8, 4)))
+        assert active[0] == 0
+        finished = list(done)
+        time.sleep(0.2)
+    # the working thread finishes its block and takes no other (one or two
+    # more only if the raising thread was slow to start)
+    assert done == finished and 1 <= len(done) <= 3

@@ -423,6 +423,22 @@ class TestTrainRun:
                 train_run(cfg, train_ds=tr, val_ds=va)
         assert ei.value.record is not None
 
+    def test_nonfinite_loss_message_is_one_line(self, tiny_sets):
+        # the record's per-sample arrays stay on the exception, out of
+        # the message
+        tr, va = tiny_sets
+        images = va.images.copy()
+        images[:, 0, 0, 0] = np.nan
+        nan_va = data.Dataset(images, va.labels, va.name, va.split)
+        with pytest.raises(train.NonFiniteLossError) as ei:
+            train_run(tiny_cfg(epochs=1, batch_size=48), train_ds=tr,
+                      val_ds=nan_va)
+        msg = str(ei.value)
+        assert "\n" not in msg
+        assert msg == ("non-finite loss nan at val epoch 0 batch 0; "
+                       "variance in [nan, nan], weight in [1, 1]")
+        assert len(ei.value.record.raw) == 48
+
     @pytest.mark.parametrize("prefetch", [False, True])
     def test_normalize_channel_mismatch_is_format_error(self, tiny_sets,
                                                         prefetch):
