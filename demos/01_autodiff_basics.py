@@ -44,9 +44,10 @@ fd = (up - down) / (2 * eps)
 print(f"finite difference for w[1]: {fd:.8f} (analytic {grads[w][1]:.8f})")
 
 # ---------------------------------------------------------------------------
-# detach() freezes a subgraph: same value, zero gradient upstream.
+# A constant built from a node's current value freezes it: same value, no
+# gradient upstream. bias_loss freezes its per-sample weights this way.
 
-frozen = ad.sum_(ad.mul(ad.detach(x), x))
+frozen = ad.sum_(ad.mul(ad.constant(x.value), x))
 ad.forward(frozen)
 g = ad.backward(frozen)
-print("grad with one factor detached:", g[x], "(equals the values of x)")
+print("grad with one factor frozen:", g[x], "(equals the values of x)")

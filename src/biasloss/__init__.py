@@ -9,7 +9,7 @@ narrative walkthroughs.
 """
 
 from . import autodiff, data, diagnostics, layers, losses, train
-from .autodiff import GradStore, Node, backward, forward, tensor, unfold
+from .autodiff import GradStore, Node, backward, forward, unfold
 from .layers import MicroNetSpec, SkipblockNetMicro
 from .losses import (BiasLossConfig, LossBatch, VarianceRecord,
                      batch_variances, bias_loss, bias_weight, cross_entropy,
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "autodiff", "data", "diagnostics", "layers", "losses", "train",
-    "GradStore", "Node", "backward", "forward", "tensor", "unfold",
+    "GradStore", "Node", "backward", "forward", "unfold",
     "MicroNetSpec", "SkipblockNetMicro",
     "BiasLossConfig", "LossBatch", "VarianceRecord",
     "batch_variances", "bias_loss", "bias_weight", "cross_entropy",

@@ -7,6 +7,10 @@ topological order, and ``backward`` walks it in reverse accumulating
 gradients, freeing each node's once it is consumed, and returns the
 leaves' in a fresh :class:`GradStore`.
 
+The registered ops are exactly those that the network and its three
+losses run; layers adds the conv, batchnorm, pooling and dropout ops. A
+value that must take no gradient enters the graph as a constant.
+
 A graph instance is single-threaded. Distinct graphs are independent and
 parameters (leaf nodes) may be shared between graphs, e.g. one graph per
 batch size over the same model weights.
@@ -30,10 +34,6 @@ class GraphError(RuntimeError):
 class UninitializedValueError(GraphError):
     """Raised when forward reaches a leaf whose value was never set."""
 
-
-# When True, every op asserts its output is finite. Debug aid only; the hot
-# path stays branch-free by default.
-validate_finiteness = False
 
 _ids = itertools.count()
 
@@ -100,9 +100,6 @@ class Node:
     def __add__(self, other):
         return add(self, _lift(other, self))
 
-    def __radd__(self, other):
-        return add(_lift(other, self), self)
-
     def __sub__(self, other):
         return sub(self, _lift(other, self))
 
@@ -112,39 +109,8 @@ class Node:
     def __mul__(self, other):
         return mul(self, _lift(other, self))
 
-    def __rmul__(self, other):
-        return mul(_lift(other, self), self)
-
     def __truediv__(self, other):
         return div(self, _lift(other, self))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def tensor(shape, fill=None, data=None, dtype=np.float32):
-    """Create a dense array with the given shape, from a fill value or data.
-
-    Row-major contiguous. Exactly one of fill/data must be provided.
-    """
-    shape = tuple(int(s) for s in shape)
-    if any(s < 0 for s in shape):
-        raise ShapeError(f"negative extent in shape {shape}")
-    n = int(np.prod(shape)) if shape else 1
-    if (fill is None) == (data is None):
-        raise ShapeError("provide exactly one of fill or data")
-    if fill is not None:
-        return np.full(shape, fill, dtype=dtype)
-    data = np.asarray(data, dtype=dtype).ravel()
-    if data.size != n:
-        raise ShapeError(f"shape {shape} needs {n} values, got {data.size}")
-    return data.reshape(shape).copy()
 
 
 def leaf(value=None, requires_grad=False, name=None):
@@ -209,8 +175,8 @@ class ForwardPass:
     extend the graph without re-evaluating the prefix.
     """
 
-    def __init__(self, validate=None):
-        self.validate = validate_finiteness if validate is None else validate
+    def __init__(self, validate=False):
+        self.validate = validate
         self._done = set()
 
     def run(self, root):
@@ -231,7 +197,7 @@ class ForwardPass:
         return root.value
 
 
-def forward(root, validate=None):
+def forward(root, validate=False):
     """Evaluate the graph below root and return root's value."""
     return ForwardPass(validate).run(root)
 
@@ -374,9 +340,6 @@ def _unary(name, f, df):
 
 neg = _unary("neg", lambda x: -x, lambda g, x, o: -g)
 exp = _unary("exp", np.exp, lambda g, x, o: g * o)
-log = _unary("log", np.log, lambda g, x, o: g / x)
-relu = _unary("relu", lambda x: np.maximum(x, 0),
-              lambda g, x, o: g * (x > 0))
 
 
 def _power_fwd(node, xs):
@@ -415,20 +378,6 @@ def clamp(x, lo, hi):
     if lo > hi:
         raise ValueError(f"clamp bounds out of order: {lo} > {hi}")
     return _node("clamp", [x], {"lo": float(lo), "hi": float(hi)})
-
-
-def _detach_fwd(node, xs):
-    return xs[0]
-
-
-register_op("detach", _detach_fwd, lambda node, g: [None])
-
-
-def detach(x):
-    """Same value as x, but no gradient flows to x's ancestry."""
-    node = _node("detach", [x])
-    node.requires_grad = False
-    return node
 
 
 # ---------------------------------------------------------------------------
@@ -485,40 +434,6 @@ def unfold(x):
     return _node("unfold", [x])
 
 
-def _transpose_fwd(node, xs):
-    return np.transpose(xs[0], node.attrs["axes"])
-
-
-def _transpose_bwd(node, g):
-    axes = node.attrs["axes"]
-    if axes is None:
-        return [np.transpose(g)]
-    inv = np.argsort(axes)
-    return [np.transpose(g, inv)]
-
-
-register_op("transpose", _transpose_fwd, _transpose_bwd)
-
-
-def transpose(x, axes=None):
-    return _node("transpose", [x], {"axes": None if axes is None else tuple(axes)})
-
-
-def _broadcast_fwd(node, xs):
-    return np.broadcast_to(xs[0], node.attrs["shape"])
-
-
-def _broadcast_bwd(node, g):
-    return [_unbroadcast(g, node.inputs[0].value.shape)]
-
-
-register_op("broadcast", _broadcast_fwd, _broadcast_bwd)
-
-
-def broadcast_to(x, shape):
-    return _node("broadcast", [x], {"shape": tuple(shape)})
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -559,31 +474,6 @@ register_op("mean", _mean_fwd, _mean_bwd)
 
 def mean(x, axis=None, keepdims=False):
     return _node("mean", [x], {"axis": axis, "keepdims": keepdims})
-
-
-def _extremum(name, npf):
-    def fwd(node, xs):
-        return np.asarray(npf(xs[0], axis=node.attrs["axis"],
-                              keepdims=node.attrs["keepdims"]))
-
-    def bwd(node, g):
-        x = node.inputs[0].value
-        axes = _norm_axes(node.attrs["axis"], x.ndim)
-        ob = _expand_to(node.value, x.shape, axes, node.attrs["keepdims"])
-        gb = _expand_to(g, x.shape, axes, node.attrs["keepdims"])
-        mask = (x == ob)
-        counts = mask.sum(axis=axes, keepdims=True)
-        # ties share the gradient equally
-        return [gb * mask / counts]
-
-    register_op(name, fwd, bwd)
-    def make(x, axis=None, keepdims=False):
-        return _node(name, [x], {"axis": axis, "keepdims": keepdims})
-    return make
-
-
-max_ = _extremum("max", np.max)
-min_ = _extremum("min", np.min)
 
 
 # ---------------------------------------------------------------------------

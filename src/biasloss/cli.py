@@ -10,6 +10,7 @@ built-in default. All outputs land under --out. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextvars
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
@@ -129,7 +130,11 @@ def cmd_sweep(args):
 
     cells = [(a, b) for a in alphas for b in betas]
     with ThreadPoolExecutor(args.jobs) as ex:
-        results = list(ex.map(run_cell, cells))
+        # each cell runs in a copy of the caller's context, so the caller's
+        # np.errstate reaches it
+        futures = [ex.submit(contextvars.copy_context().run, run_cell, ab)
+                   for ab in cells]
+        results = [f.result() for f in futures]
     lines = ["alpha,beta,final_top1,final_loss,status"]
     for a, b, top1, loss, status in results:
         lines.append(f"{a!r},{b!r},{top1!r},{loss!r},{status}")

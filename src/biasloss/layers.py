@@ -13,7 +13,7 @@ enough that OpenBLAS runs it on the calling thread; a multithreaded BLAS
 call would leave OpenBLAS's worker spinning between calls on a core the
 kernel pool needs. Weight gradients sum the per-sample partials in
 float64. A conv whose input needs no gradient (the stem's images) skips
-its dx.
+its dx. Convs have no bias: the BN after each one carries the shift.
 
 Batch normalization and the activation after it (relu or hard-swish) are
 one "batchnorm" op with an act attribute, so a conv -> BN -> act unit adds
@@ -56,8 +56,7 @@ from .autodiff import Node, ShapeError, register_op, _node
 # convolution
 
 def _conv2d_fwd(node, xs):
-    x, w = xs[0], xs[1]
-    bias = xs[2] if len(xs) == 3 else None
+    x, w = xs
     stride = node.attrs["stride"]
     pad = node.attrs["padding"]
     groups = node.attrs["groups"]
@@ -84,12 +83,12 @@ def _conv2d_fwd(node, xs):
                                                            oh * ow)
     bn = node.attrs.get("bn")
     if bn is None or bn.training:
-        return _conv(node, x, w, bias, None)
-    w, shift = _fold(bn, w, bias)
+        return _conv(node, x, w)
+    w, shift = _fold(bn, w)
     return _conv(node, x, w, shift, bn.act)
 
 
-def _conv(node, x, w, shift, act):
+def _conv(node, x, w, shift=None, act=None):
     """act(conv(x, w) + shift) for conv node's geometry, with shift per
     output channel (None adds nothing); the kernels apply shift and act to
     each block of the batch right after its GEMMs. A dense conv reads its
@@ -107,17 +106,14 @@ def _conv(node, x, w, shift, act):
                        K.conv_out_size(wd, kw, stride, pad))
 
 
-def _fold(bn, w, bias):
+def _fold(bn, w):
     """(w * s, t) folding eval-mode BN layer bn into the conv before it:
-    bn(conv(x, w) + bias) = conv(x, w * s) + t per output channel, with
-    s = gamma * invstd and t = beta - (running_mean - bias) * s taken in
-    float64 and cast to w's dtype. Computed on every call from the current
+    bn(conv(x, w)) = conv(x, w * s) + t per output channel, with
+    s = gamma * invstd and t = beta - running_mean * s taken in float64
+    and cast to w's dtype. Computed on every call from the current
     parameters and running statistics, so it cannot go stale."""
-    m = bn.running_mean.astype(np.float64)
-    if bias is not None:
-        m = m - bias
     s = bn.gamma.value * _invstd(bn)
-    t = bn.beta.value - m * s
+    t = bn.beta.value - bn.running_mean.astype(np.float64) * s
     return w * s.astype(w.dtype)[:, None, None, None], t.astype(w.dtype)
 
 
@@ -172,24 +168,20 @@ def _conv2d_bwd(node, g):
             dcol = np.matmul(
                 w.reshape(groups, cout // groups, -1).swapaxes(1, 2), gm)
             dx = _col2im(dcol, x.shape, w.shape[2], w.shape[3], stride, pad)
-    grads = [dx, dw.reshape(w.shape)]
-    if len(node.inputs) == 3:
-        grads.append(g.sum(axis=(0, 2, 3)))
-    return grads
+    return [dx, dw.reshape(w.shape)]
 
 
 register_op("conv2d", _conv2d_fwd, _conv2d_bwd)
 
 
-def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1, bn=None):
+def conv2d(x, weight, stride=1, padding=0, groups=1, bn=None):
     """Cross-correlation of [b,cin,h,w] with [cout,cin/groups,kh,kw].
 
     With bn, the BatchNorm2d applied to this conv's output, the conv
     computes that BN and its activation itself whenever bn is in eval mode;
     the BN's own node then passes the result through.
     """
-    inputs = [x, weight] if bias is None else [x, weight, bias]
-    return _node("conv2d", inputs,
+    return _node("conv2d", [x, weight],
                  {"stride": int(stride), "padding": int(padding),
                   "groups": int(groups), "bn": bn})
 
@@ -241,9 +233,7 @@ def bn_input(node):
     mode, x, m, invstd = node.ctx
     if x is None:
         conv = node.inputs[0]
-        bias = conv.inputs[2].value if len(conv.inputs) == 3 else None
-        x = _conv(conv, conv.inputs[0].value, conv.inputs[1].value, bias,
-                  None)
+        x = _conv(conv, conv.inputs[0].value, conv.inputs[1].value)
     return mode, x, m, invstd
 
 
@@ -423,10 +413,10 @@ def _submodules(values):
 
 
 class Conv2d(Module):
-    """Convolution layer owning weight (and optional bias) parameters."""
+    """Convolution layer owning its weight parameter; it has no bias."""
 
     def __init__(self, cin, cout, kernel, stride=1, padding=0, groups=1,
-                 bias=False, rng=None, dtype=np.float32, name="conv"):
+                 rng=None, dtype=np.float32, name="conv"):
         kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
         if cin % groups or cout % groups:
             raise ShapeError("in/out channels must be divisible by groups")
@@ -434,16 +424,12 @@ class Conv2d(Module):
         fan_in = (cin // groups) * kh * kw
         w = kaiming_uniform(rng, (cout, cin // groups, kh, kw), fan_in, dtype)
         self.weight = ad.parameter(w, name=f"{name}.weight")
-        self.bias = None
-        if bias:
-            self.bias = ad.parameter(np.zeros(cout, dtype=dtype),
-                                     name=f"{name}.bias")
         self.stride, self.padding, self.groups = stride, padding, groups
         self.name = name
 
     def __call__(self, x, bn=None):
-        return conv2d(x, self.weight, self.bias, self.stride, self.padding,
-                      self.groups, bn)
+        return conv2d(x, self.weight, self.stride, self.padding, self.groups,
+                      bn)
 
 
 class BatchNorm2d(Module):
@@ -507,7 +493,7 @@ class ConvBnAct(Module):
     def __init__(self, cin, cout, kernel, stride=1, padding=0, groups=1,
                  act="relu", rng=None, dtype=np.float32, name="cba"):
         self.conv = Conv2d(cin, cout, kernel, stride, padding, groups,
-                           bias=False, rng=rng, dtype=dtype, name=f"{name}.conv")
+                           rng=rng, dtype=dtype, name=f"{name}.conv")
         self.bn = BatchNorm2d(cout, dtype=dtype, name=f"{name}.bn", act=act)
 
     def __call__(self, x):

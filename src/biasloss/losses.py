@@ -21,6 +21,7 @@ from . import autodiff as ad
 from .autodiff import Node
 
 DEGENERATE_SPREAD = 1e-12  # below this, a batch's variances count as equal
+DEGENERATE_SCALED = 1.0  # the scaled variance of every sample of such a batch
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,6 @@ class BiasLossConfig:
     beta: float = 0.3
     clamp_lo: float = 0.5
     clamp_hi: float = 1.5
-    degenerate_scaled: float = 1.0  # scaled variance used when batch max == min
     detach_weight: bool = True
 
     def __post_init__(self):
@@ -89,17 +89,16 @@ def batch_variances(feature_map):
     return np.var(flat, axis=1, ddof=1)
 
 
-def minmax_scale(raw, cfg: BiasLossConfig = None):
+def minmax_scale(raw):
     """Scale a batch's variances into [0, 1] via the batch min and max.
 
     Returns (scaled, batch_min, batch_max). When the spread is below
-    DEGENERATE_SPREAD every sample gets the configured fixed value.
+    DEGENERATE_SPREAD every sample gets DEGENERATE_SCALED.
     """
-    cfg = cfg or BiasLossConfig()
     raw = np.asarray(raw, dtype=np.float64)
     vmin, vmax = float(raw.min()), float(raw.max())
     if vmax - vmin < DEGENERATE_SPREAD:
-        scaled = np.full_like(raw, cfg.degenerate_scaled)
+        scaled = np.full_like(raw, DEGENERATE_SCALED)
     else:
         scaled = (raw - vmin) / (vmax - vmin)
     return scaled, vmin, vmax
@@ -115,7 +114,7 @@ def bias_weight(v_scaled, cfg: BiasLossConfig = None):
 def variance_record(feature_map, cfg: BiasLossConfig = None):
     cfg = cfg or BiasLossConfig()
     raw = batch_variances(feature_map)
-    scaled, vmin, vmax = minmax_scale(raw, cfg)
+    scaled, vmin, vmax = minmax_scale(raw)
     return VarianceRecord(raw, vmin, vmax, scaled, bias_weight(scaled, cfg))
 
 
@@ -189,7 +188,7 @@ def bias_loss(batch: LossBatch, cfg: BiasLossConfig = None):
         spread = record.batch_max - record.batch_min
         if spread < DEGENERATE_SPREAD:
             scaled_n = ad.constant(
-                np.full(feature.value.shape[0], cfg.degenerate_scaled,
+                np.full(feature.value.shape[0], DEGENERATE_SCALED,
                         dtype=dtype))
         else:
             scaled_n = (raw_n - record.batch_min) / spread

@@ -34,8 +34,6 @@ def _kinks(node):
     kernel. For a BN folded into its conv that is the unfolded conv output,
     so the pre-activation differs from the folded one by rounding only.
     """
-    if node.op == "relu":
-        return node.inputs[0].value, (0.0,)
     if node.op == "clamp":
         return node.inputs[0].value, (node.attrs["lo"], node.attrs["hi"])
     _, x, m, invstd = L.bn_input(node)
@@ -56,7 +54,7 @@ def kink_margin(root):
 
 def _kink_nodes(root):
     return [n for n in ad.topo_order(root)
-            if n.op in ("relu", "clamp")
+            if n.op == "clamp"
             or n.op == "batchnorm" and n.attrs["act"] is not None]
 
 

@@ -5,30 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biasloss import autodiff as ad
+from biasloss import layers, train
 from fdcheck import assert_grads_close
-
-
-class TestTensorCreate:
-    def test_zero_fill(self):
-        t = ad.tensor([2, 2], fill=0)
-        assert t.shape == (2, 2) and (t == 0).all()
-
-    def test_data_passthrough(self):
-        t = ad.tensor([3], data=[1, 2, 3])
-        np.testing.assert_array_equal(t, [1, 2, 3])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ad.ShapeError):
-            ad.tensor([2], data=[1, 2, 3])
-
-    def test_negative_extent(self):
-        with pytest.raises(ad.ShapeError):
-            ad.tensor([-1, 2], fill=0)
-
-    def test_row_major(self):
-        t = ad.tensor([2, 2], data=[1, 2, 3, 4])
-        assert t[0, 1] == 2 and t[1, 0] == 3
-        assert t.flags["C_CONTIGUOUS"]
 
 
 class TestUnfold:
@@ -59,10 +37,6 @@ class TestForward:
     def test_add(self):
         a, b = ad.leaf(np.array(2.0)), ad.leaf(np.array(3.0))
         assert ad.forward(a + b) == 5.0
-
-    def test_relu_negative(self):
-        x = ad.leaf(np.array(-1.0))
-        assert ad.forward(ad.relu(x)) == 0.0
 
     def test_unset_leaf(self):
         x = ad.leaf()
@@ -119,12 +93,6 @@ class TestBackward:
         y = ad.mul(x, x)
         ad.forward(y)
         assert ad.backward(y)[x] == 6.0
-
-    def test_relu_subgradient(self):
-        x = ad.parameter(np.array([-1.0, 2.0]))
-        root = ad.sum_(ad.relu(x))
-        ad.forward(root)
-        np.testing.assert_array_equal(ad.backward(root)[x], [0.0, 1.0])
 
     def test_non_scalar_root(self):
         x = ad.parameter(np.array([1.0, 2.0]))
@@ -190,44 +158,24 @@ class TestBackward:
             params += [w, b]
             h = ad.matmul(h, w) + b
             if i < 2:
-                h = ad.relu(h)
+                h = ad.clamp(h, 0.0, 1.0)
         root = ad.mean(ad.exp(h * 0.3))
         assert_grads_close(root, params, eps=1e-4, rtol=1e-4)
-
-    def test_detach_blocks_gradient(self):
-        x = ad.parameter(np.array([1.0, 2.0]))
-        root = ad.sum_(ad.mul(ad.detach(x), x))
-        ad.forward(root)
-        np.testing.assert_array_equal(root.value, np.array(5.0))
-        g = ad.backward(root)
-        # only the non-detached factor contributes: d/dx (c * x) = c = value
-        np.testing.assert_array_equal(g[x], [1.0, 2.0])
-
-    def test_detach_value_equal(self):
-        x = ad.parameter(np.array([3.0, -1.0]))
-        d = ad.detach(x)
-        ad.forward(d)
-        np.testing.assert_array_equal(d.value, x.value)
-        assert not d.requires_grad
-
 
 class TestPrimitiveGradients:
     """Central differences over each primitive on random inputs in [-2, 2]."""
 
     @pytest.mark.parametrize("make", [
         lambda x: ad.exp(x * 0.5),
-        lambda x: ad.log(x + 3.0),
         lambda x: ad.mul(x, x),
         lambda x: ad.div(x, x + 3.0),
         lambda x: ad.neg(x),
         lambda x: ad.power(x + 3.0, 1.7),
         lambda x: ad.reshape(x, (-1,)),
-        lambda x: ad.transpose(x),
-        lambda x: ad.broadcast_to(ad.reshape(x, (3, 4, 1)), (3, 4, 5)),
         lambda x: ad.mean(x, axis=0, keepdims=True),
         lambda x: ad.sum_(x, axis=1),
-    ], ids=["exp", "log", "mul", "div", "neg", "power", "reshape",
-            "transpose", "broadcast", "mean_axis", "sum_axis"])
+    ], ids=["exp", "mul", "div", "neg", "power", "reshape", "mean_axis",
+            "sum_axis"])
     def test_smooth_primitives(self, make):
         rng = np.random.default_rng(11)
         x = ad.parameter(rng.uniform(-2, 2, (3, 4)))
@@ -249,12 +197,6 @@ class TestPrimitiveGradients:
         root = ad.sum_(ad.div(ad.mul(a, b), b + 1.0))
         assert_grads_close(root, [a, b], eps=1e-5, rtol=1e-4)
 
-    def test_max_min_reductions(self):
-        rng = np.random.default_rng(5)
-        x = ad.parameter(rng.uniform(-2, 2, (4, 5)))
-        root = ad.sum_(ad.max_(x, axis=1)) + ad.sum_(ad.min_(x, axis=0))
-        assert_grads_close(root, [x], eps=1e-5, rtol=1e-4)
-
     def test_clamp_interior(self):
         rng = np.random.default_rng(6)
         x = ad.parameter(rng.uniform(-2, 2, (4, 4)))
@@ -272,7 +214,7 @@ class TestPrimitiveGradients:
 
 
 class TestReductionOracles:
-    """sum/mean/max against naive scalar loops (f64)."""
+    """sum/mean against naive scalar loops (f64)."""
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
@@ -281,28 +223,15 @@ class TestReductionOracles:
         node = ad.constant(arr)
         s = ad.forward(ad.sum_(node))
         m = ad.forward(ad.mean(node))
-        mx = ad.forward(ad.max_(node))
         acc = 0.0
         mag = 0.0
         for v in values:
             acc += v
             mag += abs(v)
         loop_mean = acc / len(values)
-        loop_max = values[0]
-        for v in values:
-            if v > loop_max:
-                loop_max = v
         # summation-order roundoff scales with the summand magnitudes
         assert abs(s - acc) <= 1e-12 * max(1.0, mag)
         assert abs(m - loop_mean) <= 1e-12 * max(1.0, mag / len(values))
-        assert mx == loop_max
-
-    def test_max_tie_sharing(self):
-        x = ad.parameter(np.array([2.0, 2.0, 1.0]))
-        root = ad.max_(x)
-        ad.forward(root)
-        g = ad.backward(root)
-        np.testing.assert_allclose(g[x], [0.5, 0.5, 0.0])
 
 
 class TestDtypeDiscipline:
@@ -317,3 +246,21 @@ class TestDtypeDiscipline:
         y = ad.exp(x / 3.0)
         ad.forward(y)
         assert y.value.dtype == np.float64
+
+
+class TestOpRegistry:
+    def test_engine_graphs_reach_every_registered_op(self):
+        # an op that no training graph reaches is dead code
+        model = layers.SkipblockNetMicro(
+            layers.MicroNetSpec(width_multiplier=0.25), seed=0)
+        rng = np.random.default_rng(0)
+        out = layers.GraphCache(model).get(
+            rng.normal(size=(4, 1, 8, 8)).astype(np.float32))
+        labels = np.arange(4)
+        reached = set()
+        for loss, detach in (("ce", True), ("focal", True), ("bias", True),
+                             ("bias", False)):
+            cfg = train.TrainConfig(loss=loss, detach_weight=detach)
+            root, _ = train._compute_loss(cfg, cfg.bias_config(), out, labels)
+            reached |= {n.op for n in ad.topo_order(root)}
+        assert reached - {"leaf"} == set(ad._FORWARD) - {"leaf"}

@@ -437,3 +437,16 @@ class TestSweep:
         rows = list(csv.reader(io.StringIO(text)))
         assert text.count("\n") == 2 and len(rows) == 2
         assert rows[1] == ["0.3", "0.3", "nan", "nan", "nonfinite"]
+
+    def test_caller_errstate_reaches_cells(self, synth_dir, tmp_path):
+        # no filterwarnings marker: the overflow in the cell stays silent
+        # only if the caller's np.errstate reaches the cell's thread
+        out = tmp_path / "sweep"
+        with np.errstate(all="ignore"):
+            code = main(["--quiet", "sweep", "--data_dir", str(synth_dir),
+                         "--alphas", "0.3", "--betas", "0.3", "--out",
+                         str(out)] + TRAIN_ARGS
+                        + ["--lr0", "1e10", "--weight_decay", "1e10"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO((out / "sweep.csv").read_text())))
+        assert rows[1] == ["0.3", "0.3", "nan", "nan", "nonfinite"]

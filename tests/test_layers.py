@@ -13,7 +13,7 @@ def run(node):
     return ad.forward(node)
 
 
-def naive_conv(x, w, bias, stride, pad, groups):
+def naive_conv(x, w, stride, pad, groups):
     """Scalar-loop cross-correlation oracle."""
     b, cin, h, wd = x.shape
     cout, cin_g, kh, kw = w.shape
@@ -34,7 +34,7 @@ def naive_conv(x, w, bias, stride, pad, groups):
                                 acc += (xp[n, gi * cin_g + ci,
                                            i * stride + ki, j * stride + kj]
                                         * w[o, ci, ki, kj])
-                    out[n, o, i, j] = acc + (bias[o] if bias is not None else 0.0)
+                    out[n, o, i, j] = acc
     return out
 
 
@@ -111,12 +111,11 @@ class TestConv2d:
         rng = np.random.default_rng(cin * 100 + cout)
         x = rng.normal(size=(2, cin, 6, 6))
         w = rng.normal(size=(cout, cin // groups, k, k))
-        bias = rng.normal(size=cout)
-        y = L.conv2d(ad.constant(x), ad.constant(w), ad.constant(bias),
-                     stride=stride, padding=pad, groups=groups)
+        y = L.conv2d(ad.constant(x), ad.constant(w), stride=stride,
+                     padding=pad, groups=groups)
         run(y)
         np.testing.assert_allclose(
-            y.value, naive_conv(x, w, bias, stride, pad, groups),
+            y.value, naive_conv(x, w, stride, pad, groups),
             rtol=1e-10, atol=1e-12)
 
     # pointwise (stride 1 and 2, grouped), grouped and the stem's dense 3x3
@@ -170,11 +169,10 @@ class TestConv2d:
         rng = np.random.default_rng(1)
         x = ad.parameter(rng.normal(size=(2, 4, 5, 5)))
         w = ad.parameter(rng.normal(size=(4, 1, 3, 3)) * 0.5)
-        bias = ad.parameter(rng.normal(size=4))
         weight = ad.constant(rng.normal(size=(2, 4, 3, 3)))
         root = ad.sum_(ad.mul(
-            L.conv2d(x, w, bias, stride=2, padding=1, groups=4), weight))
-        assert_grads_close(root, [x, w, bias], eps=1e-5, rtol=1e-4)
+            L.conv2d(x, w, stride=2, padding=1, groups=4), weight))
+        assert_grads_close(root, [x, w], eps=1e-5, rtol=1e-4)
 
 
     @pytest.mark.parametrize("k,pad", [(3, 1), (1, 0)], ids=["stem", "1x1"])

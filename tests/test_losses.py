@@ -81,11 +81,6 @@ class TestMinmaxScale:
         scaled, _, _ = minmax_scale([3.0, 3.0, 3.0])
         np.testing.assert_array_equal(scaled, [1.0, 1.0, 1.0])
 
-    def test_degenerate_policy_configurable(self):
-        cfg = BiasLossConfig(degenerate_scaled=0.25)
-        scaled, _, _ = minmax_scale([3.0, 3.0], cfg)
-        np.testing.assert_array_equal(scaled, [0.25, 0.25])
-
     @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=32))
     @settings(max_examples=100, deadline=None)
     def test_endpoints_and_range(self, raw):
