@@ -33,10 +33,11 @@ class BiasLossConfig:
     detach_weight: bool = True
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
-        if self.clamp_lo > self.clamp_hi:
-            raise ValueError("clamp_lo must not exceed clamp_hi")
+        if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
+            raise ValueError("alpha and beta must be finite and non-negative")
+        if not -np.inf < self.clamp_lo <= self.clamp_hi < np.inf:
+            raise ValueError("clamp bounds must be finite, with clamp_lo "
+                             "not above clamp_hi")
 
 
 @dataclass
@@ -46,7 +47,9 @@ class VarianceRecord:
     batch_min: float
     batch_max: float
     scaled: np.ndarray       # min-max scaled into [0, 1]
-    weight: np.ndarray       # clamped per-sample loss weights
+    weight: np.ndarray       # applied per-sample loss weights
+    clamped_lo: np.ndarray   # whether the clamp set each weight to clamp_lo
+    clamped_hi: np.ndarray   # ... and to clamp_hi
 
 
 @dataclass
@@ -112,10 +115,17 @@ def bias_weight(v_scaled, cfg: BiasLossConfig = None):
 
 
 def variance_record(feature_map, cfg: BiasLossConfig = None):
-    cfg = cfg or BiasLossConfig()
+    """The batch's variances with cfg's clamped weights; with cfg None,
+    the unit weights of an unweighted loss, which nothing clamps."""
     raw = batch_variances(feature_map)
     scaled, vmin, vmax = minmax_scale(raw)
-    return VarianceRecord(raw, vmin, vmax, scaled, bias_weight(scaled, cfg))
+    if cfg is None:
+        none = np.zeros(scaled.shape, dtype=bool)
+        return VarianceRecord(raw, vmin, vmax, scaled, np.ones_like(scaled),
+                              none, none)
+    weight = bias_weight(scaled, cfg)
+    return VarianceRecord(raw, vmin, vmax, scaled, weight,
+                          weight == cfg.clamp_lo, weight == cfg.clamp_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +154,8 @@ def cross_entropy(batch: LossBatch) -> Node:
 
 def focal_loss(batch: LossBatch, gamma=2.0) -> Node:
     """Cross-entropy scaled per sample by (1 - p_target)^gamma."""
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    if not 0 <= gamma < np.inf:
+        raise ValueError("gamma must be finite and non-negative")
     return _weighted_ce(batch, ad.ForwardPass(),
                         lambda logp_t: ad.power(1.0 - ad.exp(logp_t), gamma))
 
@@ -197,5 +207,10 @@ def bias_loss(batch: LossBatch, cfg: BiasLossConfig = None):
 
     loss = _weighted_ce(batch, fp, lambda _: w_node)
     if not cfg.detach_weight:
-        record.weight = np.asarray(w_node.value, dtype=np.float64)
+        # the graph clamped in dtype, so compare there: a bound such as 0.9
+        # is not a float32 number and no float64 weight would equal it
+        w = w_node.value
+        record.weight = np.asarray(w, dtype=np.float64)
+        record.clamped_lo, record.clamped_hi = (w == cfg.clamp_lo,
+                                                w == cfg.clamp_hi)
     return loss, record

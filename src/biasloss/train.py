@@ -61,9 +61,9 @@ _RANGES = (
     ("val_limit", ">= 1", lambda v: v is None or v >= 1),
     ("width_multiplier", "> 0", lambda v: v > 0.0),
     ("dropout", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
-    ("alpha", ">= 0", lambda v: v >= 0.0),
-    ("beta", ">= 0", lambda v: v >= 0.0),
-    ("gamma", ">= 0", lambda v: v >= 0.0),
+    ("alpha", "finite and >= 0", lambda v: 0.0 <= v < np.inf),
+    ("beta", "finite and >= 0", lambda v: 0.0 <= v < np.inf),
+    ("gamma", "finite and >= 0", lambda v: 0.0 <= v < np.inf),
     ("lr0", "finite and > 0", lambda v: 0.0 < v < np.inf),
     ("momentum", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
     ("weight_decay", "finite and >= 0", lambda v: 0.0 <= v < np.inf),
@@ -405,15 +405,15 @@ def _epoch_stats():
             "weight": 0.0, "clamp_lo": 0.0, "clamp_hi": 0.0}
 
 
-def _accumulate(stats, n, loss_value, logits, labels, record, cfg):
+def _accumulate(stats, n, loss_value, logits, labels, record):
     stats["n"] += n
     stats["loss"] += loss_value * n
     stats["correct"] += int((np.argmax(logits, axis=1) == labels).sum())
     stats["raw"] += float(record.raw.sum())
     stats["scaled"] += float(record.scaled.sum())
     stats["weight"] += float(record.weight.sum())
-    stats["clamp_lo"] += int((record.weight == cfg.clamp_lo).sum())
-    stats["clamp_hi"] += int((record.weight == cfg.clamp_hi).sum())
+    stats["clamp_lo"] += int(record.clamped_lo.sum())
+    stats["clamp_hi"] += int(record.clamped_hi.sum())
 
 
 def _row(epoch, split, stats, lr, wall):
@@ -431,9 +431,7 @@ def _compute_loss(cfg, bias_cfg, out, labels):
     loss = (focal_loss(batch, cfg.gamma) if cfg.loss == "focal"
             else cross_entropy(batch))
     # unweighted losses log the variance columns with unit applied weights
-    record = variance_record(out.feature_map.value, bias_cfg)
-    record.weight = np.ones_like(record.weight)
-    return loss, record
+    return loss, variance_record(out.feature_map.value)
 
 
 def _finite_loss(loss, record, where):
@@ -465,7 +463,7 @@ def _eval_epoch(model, cache, dataset, cfg, bias_cfg, eval_spec, where="eval"):
             loss, record = _compute_loss(cfg, bias_cfg, out, b.labels)
             lval = _finite_loss(loss, record, f"{where} batch {i}")
             _accumulate(stats, len(b.labels), lval, out.logits.value,
-                        b.labels, record, bias_cfg)
+                        b.labels, record)
     finally:
         if was_training:
             model.train()
@@ -527,7 +525,7 @@ def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
             sgd_step(params, grads, opt_state, lr, cfg.momentum,
                      cfg.weight_decay)
             _accumulate(stats, len(b.labels), lval, out.logits.value,
-                        b.labels, record, bias_cfg)
+                        b.labels, record)
         log.rows.append(_row(epoch, "train", stats, lr,
                              time.perf_counter() - t0))
 

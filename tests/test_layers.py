@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 
 import numpy as np
 import pytest
@@ -441,6 +442,20 @@ class TestSkipBlock:
         np.testing.assert_allclose(y2.value, 3.0 * y1.value, rtol=1e-10)
 
 
+    def test_equal_channels_add_no_residual(self):
+        # at width 0.1 the default skip block is SkipBlock(4, 8, 4); its
+        # output feeds the destination's add, never a residual of its own
+        model = L.SkipblockNetMicro(L.MicroNetSpec(width_multiplier=0.1))
+        _, _, blk = model.skips[0]
+        assert [c.conv.weight.value.shape[:2] for c in
+                (blk.expand, blk.depthwise, blk.project)] == [
+                    (8, 4), (8, 1), (4, 8)]
+        blk.target_spatial = (7, 7)
+        y = blk(ad.constant(np.zeros((2, 4, 28, 28), dtype=np.float32)))
+        ops = [n.op for n in ad.topo_order(y) if n.op != "leaf"]
+        assert ops == ["adaptive_avg_pool"] + ["conv2d", "batchnorm"] * 3
+
+
 class TestInvertedResidual:
     def test_residual_passthrough(self):
         blk = L.InvertedResidual(4, 8, 4, stride=1,
@@ -780,6 +795,18 @@ class TestModuleTree:
         bns = self.bn_layers(model)
         assert [id(a) for _, a in model.buffers()] == [
             id(a) for bn in bns for a in (bn.running_mean, bn.running_var)]
+
+    def test_initial_values_pinned(self):
+        # the bytes of every parameter, then every buffer: a restructure
+        # that changes the order of the init draws changes this digest
+        model = L.SkipblockNetMicro(seed=0)
+        h = hashlib.sha256()
+        for p in model.parameters():
+            h.update(p.node.value.tobytes())
+        for _, buf in model.buffers():
+            h.update(buf.tobytes())
+        assert h.hexdigest() == ("8dd9be23ad218cda89ab38401bad2bc6"
+                                 "d99f4f90d80e54262c316baeff82ac79")
 
     def test_only_bn_affine_parameters_skip_weight_decay(self):
         model = L.SkipblockNetMicro(L.MicroNetSpec(), seed=0)

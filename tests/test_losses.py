@@ -307,6 +307,12 @@ class TestFocalLoss:
         with pytest.raises(ValueError):
             focal_loss(LossBatch(np.zeros((1, 2)), np.array([0])), gamma=-1)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_nonfinite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            focal_loss(LossBatch(np.zeros((1, 2)), np.array([0])),
+                       gamma=gamma)
+
 
 class TestConfigValidation:
     def test_defaults(self):
@@ -322,3 +328,39 @@ class TestConfigValidation:
     def test_negative_alpha(self):
         with pytest.raises(ValueError):
             BiasLossConfig(alpha=-0.1)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "clamp_lo",
+                                       "clamp_hi"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            BiasLossConfig(**{field: value})
+
+
+class TestClampedSamples:
+    """The record marks the samples whose weight the clamp bounded."""
+
+    @staticmethod
+    def batch():
+        # per-sample variances spread evenly, so scaled v = 0, 1/7, ..., 1
+        scale = np.sqrt(np.linspace(1.0, 8.0, 8))
+        fm = np.random.default_rng(0).normal(size=(8, 2, 4, 4))
+        fm = fm / fm.std(axis=(1, 2, 3), ddof=1, keepdims=True)
+        return LossBatch(np.zeros((8, 3), np.float32), np.zeros(8, int),
+                         (fm * scale[:, None, None, None]).astype(np.float32))
+
+    @pytest.mark.parametrize("detach", [True, False])
+    def test_bounds_that_are_not_float32_numbers(self, detach):
+        # z = exp(2v) - 0.3 is 0.7, 1.03, 1.47, ... 7.1: clamp 0.9/1.1
+        # bounds the sample at v = 0 below and those at v >= 2/7 above. The
+        # graph clamps in float32, where 0.9 and 1.1 are inexact.
+        cfg = BiasLossConfig(alpha=2.0, clamp_lo=0.9, clamp_hi=1.1,
+                             detach_weight=detach)
+        _, record = bias_loss(self.batch(), cfg)
+        np.testing.assert_array_equal(record.clamped_lo, [1] + [0] * 7)
+        np.testing.assert_array_equal(record.clamped_hi, [0, 0] + [1] * 6)
+
+    def test_unweighted_record_has_no_clamp(self):
+        record = losses.variance_record(self.batch().feature_map)
+        np.testing.assert_array_equal(record.weight, np.ones(8))
+        assert not record.clamped_lo.any() and not record.clamped_hi.any()

@@ -384,6 +384,31 @@ class TestTrainRun:
                                       dropout=0.2), train_ds=tr, val_ds=va)
         assert strip_wall(log_ce.to_csv()) == strip_wall(log_b.to_csv())
 
+    def test_clamp_fractions_with_attached_weights(self, tiny_sets):
+        # one step on 32 images: both train rows come from the same forward.
+        # Attached weights are the graph's float32 values, and 0.9 and 1.1
+        # are not float32 numbers; such a run used to log 0.0 for both.
+        tr, va = tiny_sets
+        rows = []
+        for detach in (True, False):
+            cfg = tiny_cfg(loss="bias", alpha=2.0, clamp_lo=0.9, clamp_hi=1.1,
+                           detach_weight=detach, epochs=1, batch_size=32)
+            log, _ = train_run(cfg, train_ds=tr.take(32), val_ds=va)
+            row = log.last("train")
+            rows.append((row.frac_clamped_lo, row.frac_clamped_hi))
+        assert rows[0] == rows[1]
+        assert rows[0][0] > 0 and rows[0][1] > 0
+
+    @pytest.mark.parametrize("loss", ["ce", "focal"])
+    def test_unweighted_losses_clamp_nothing(self, tiny_sets, loss):
+        # their unit weights equal clamp_lo = 1.0 yet no clamp made them so
+        tr, va = tiny_sets
+        log, _ = train_run(tiny_cfg(loss=loss, clamp_lo=1.0, epochs=1),
+                           train_ds=tr, val_ds=va)
+        for row in log.rows:
+            assert row.mean_weight == 1.0
+            assert (row.frac_clamped_lo, row.frac_clamped_hi) == (0.0, 0.0)
+
     def test_determinism_across_runs_and_prefetch(self, tmp_path, tiny_sets):
         tr, va = tiny_sets
         logs = []
