@@ -4,7 +4,8 @@ The config flags of train, eval, profile and sweep are built from
 TrainConfig's fields (name, type and help text), so they mirror the
 config-file keys one-to-one; precedence is CLI flag over config file over
 built-in default. All outputs land under --out. Exit codes: 0 success,
-2 usage/config problems and unreadable paths, 3 a non-finite loss.
+2 usage/config problems and unreadable paths, 3 a non-finite loss or
+profiled variance.
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ def main(argv=None):
             diagnostics.ProbeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except NonFiniteLossError as e:
+    except (NonFiniteLossError, diagnostics.NonFiniteVarianceError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

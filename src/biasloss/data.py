@@ -4,7 +4,14 @@ Readers parse the MNIST IDX and CIFAR-10 binary formats bit-exactly;
 matching writers exist so fixtures round-trip. All augmentation randomness
 comes from counter-based streams keyed by (seed, epoch, sample index), so
 an epoch's pixel stream is identical no matter which thread produces it or
-whether prefetching is on.
+whether prefetching is on. A sample's stream is built only when its spec
+draws from it (a random flip or a rotation range), so evaluation batches
+build none.
+
+A batch is assembled in two steps: each image is flipped and rotated on
+its own, only when the spec flips or rotates at all, and the stacked batch
+is then normalized once. Normalization is elementwise, so the batch holds
+the bytes of stacking per-image ``augment`` outputs.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import gzip
 import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -232,30 +239,35 @@ def _rng_for(seed, domain, *key):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _normalize(image, normalize):
+def _normalize(images, normalize):
+    """(images - mean) / std per channel, for one [c,h,w] image or a
+    [n,c,h,w] batch."""
     if normalize is None:
-        return image
+        return images
     mean, std = normalize
-    if not len(mean) == len(std) == image.shape[0]:
+    channels = images.shape[-3]
+    if not len(mean) == len(std) == channels:
         raise FormatError(
             f"normalize has {len(mean)} means and {len(std)} stds for an "
-            f"image of {image.shape[0]} channels")
-    mean = np.asarray(mean, dtype=image.dtype).reshape(-1, 1, 1)
-    std = np.asarray(std, dtype=image.dtype).reshape(-1, 1, 1)
-    return (image - mean) / std
+            f"image of {channels} channels")
+    mean = np.asarray(mean, dtype=images.dtype).reshape(-1, 1, 1)
+    std = np.asarray(std, dtype=images.dtype).reshape(-1, 1, 1)
+    return (images - mean) / std
 
 
 def augment(image, spec: AugmentSpec, rng_key, seed=0):
     """Randomly flip/rotate one [c,h,w] image, then normalize.
 
     rng_key is (epoch, sample index); together with the global seed it
-    fully determines the output, independent of scheduling.
+    fully determines the output, independent of scheduling. The generator
+    is built only when spec draws from it.
     """
-    rng = _rng_for(seed, _DOMAIN_AUGMENT, *rng_key)
+    lo, hi = spec.rotate_deg
+    rng = (_rng_for(seed, _DOMAIN_AUGMENT, *rng_key)
+           if spec.hflip or hi > lo else None)
     out = image
     if spec.hflip and rng.random() < 0.5:
         out = out[:, :, ::-1]
-    lo, hi = spec.rotate_deg
     angle = float(rng.uniform(lo, hi)) if hi > lo else float(lo)
     if angle != 0.0:
         out = ndimage.rotate(out, angle, axes=(2, 1), reshape=False, order=1,
@@ -272,12 +284,18 @@ class Batch:
 
 
 def _assemble(ds, idx, spec, epoch, seed):
+    """The batch of dataset positions idx: where spec flips or rotates any
+    image, each image goes through augment on its own; the stack is then
+    normalized at once."""
     if spec is None:
-        images = ds.images[idx]
+        return Batch(ds.images[idx], ds.labels[idx], idx)
+    if spec.hflip or any(spec.rotate_deg):
+        geometric = replace(spec, normalize=None)
+        images = np.stack([augment(ds.images[i], geometric, (epoch, int(i)),
+                                   seed) for i in idx])
     else:
-        images = np.stack([augment(ds.images[i], spec, (epoch, int(i)), seed)
-                           for i in idx])
-    return Batch(images, ds.labels[idx], idx)
+        images = ds.images[idx]
+    return Batch(_normalize(images, spec.normalize), ds.labels[idx], idx)
 
 
 def batches(ds: Dataset, batch_size, seed=0, epoch=0, augment_spec=None,

@@ -3,7 +3,8 @@
 The profiler runs an eval-mode pass and, at each probed layer, records the
 unbiased variance of every sample's unfolded activation, aggregating
 average/max/min per layer. Probes are addressed by name so layer-counting
-conventions never enter the picture.
+conventions never enter the picture. A non-finite variance stops the
+profile with NonFiniteVarianceError, naming the probe and the batch.
 """
 
 from __future__ import annotations
@@ -25,9 +26,14 @@ class ProbeError(ValueError):
     """Raised when a requested probe layer does not exist in the model."""
 
 
+class NonFiniteVarianceError(ArithmeticError):
+    """Raised when a probed layer's activation variance is not finite."""
+
+
 @dataclass
 class LayerProbe:
-    """Streaming accumulator for one layer's per-sample variances."""
+    """Streaming accumulator for one layer's per-sample variances; a NaN
+    in any batch makes the average and both extrema NaN."""
     name: str
     count: int = 0
     total: float = 0.0
@@ -38,8 +44,8 @@ class LayerProbe:
         variances = np.asarray(variances, dtype=np.float64)
         self.count += variances.size
         self.total += float(variances.sum())
-        self.max = max(self.max, float(variances.max()))
-        self.min = min(self.min, float(variances.min()))
+        self.max = float(np.maximum(self.max, variances.max()))
+        self.min = float(np.minimum(self.min, variances.min()))
 
     def merge(self, other):
         """Combine two probes: count-weighted sum, global extrema."""
@@ -47,7 +53,8 @@ class LayerProbe:
             raise ProbeError(f"cannot merge {self.name} with {other.name}")
         out = LayerProbe(self.name, self.count + other.count,
                          self.total + other.total,
-                         max(self.max, other.max), min(self.min, other.min))
+                         float(np.maximum(self.max, other.max)),
+                         float(np.minimum(self.min, other.min)))
         return out
 
     @property
@@ -81,6 +88,8 @@ def profile(model, dataset, layer_names=None, batch_size=256,
 
     Probes read post-activation outputs (the same convention the loss's
     feature map uses). Layer order in the result follows network depth.
+    NonFiniteVarianceError names the first probe and batch (counted from 0)
+    with a non-finite variance.
     """
     available = model.probe_names()
     if layer_names is None:
@@ -95,13 +104,20 @@ def profile(model, dataset, layer_names=None, batch_size=256,
         spec = datamod.normalize_only(datamod.AugmentSpec(normalize=normalize))
         probes = {name: LayerProbe(name) for name in layer_names}
         cache = GraphCache(model)
-        for b in datamod.batches(dataset, batch_size, shuffle=False,
-                                 augment_spec=spec):
+        for i, b in enumerate(datamod.batches(dataset, batch_size,
+                                              shuffle=False,
+                                              augment_spec=spec)):
             out = cache.get(b.images)
             fp = ad.ForwardPass()
             for name in layer_names:
                 fp.run(out.probes[name])
-                probes[name].update(batch_variances(out.probes[name].value))
+                v = batch_variances(out.probes[name].value)
+                bad = np.count_nonzero(~np.isfinite(v))
+                if bad:
+                    raise NonFiniteVarianceError(
+                        f"non-finite variance at probe {name} batch {i} "
+                        f"({bad} of {len(v)} samples)")
+                probes[name].update(v)
     finally:
         if was_training:
             model.train()

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from . import autodiff as ad
 from .autodiff import Node
 
@@ -82,14 +83,28 @@ def sample_variance(row):
 
 
 def batch_variances(feature_map):
-    """Per-sample unbiased variance over each sample's unfolded activation."""
+    """Per-sample unbiased variance over each sample's unfolded activation.
+
+    The samples are walked in blocks on the kernel pool
+    (``_kernels._map_blocks``), each block writing ``np.var(rows, axis=1,
+    ddof=1)`` into its own slice of the result. np.var reduces each row on
+    its own, so the result is byte-identical to np.var over the whole batch
+    for any number of workers.
+    """
     fm = np.asarray(feature_map)
     if fm.ndim != 4:
         raise ValueError("feature map must be [N, c, h, w]")
     flat = fm.reshape(fm.shape[0], -1)
     if flat.shape[1] < 2:
         raise ValueError("need at least 2 scalars per sample")
-    return np.var(flat, axis=1, ddof=1)
+    # np.var of no rows gives the result dtype (f64 for integer input)
+    out = np.empty(len(flat), np.var(flat[:0], axis=1, ddof=1).dtype)
+
+    def block(s):
+        out[s] = np.var(flat[s], axis=1, ddof=1)
+
+    _kernels._map_blocks(block, flat)
+    return out
 
 
 def minmax_scale(raw):

@@ -380,6 +380,24 @@ class TestTrainEvalProfile:
         assert err.startswith("numerical failure: non-finite loss nan at "
                               "test split batch 0;")
 
+    def test_profile_nonfinite_variance_exits_three(self, synth_dir, tmp_path,
+                                                    capsys):
+        model = layers.SkipblockNetMicro(train.TrainConfig().model_spec(),
+                                         seed=0)
+        model.blocks[1].depthwise.conv.weight.value[0, 0, 0, 0] = np.inf
+        train.save_checkpoint(tmp_path / "inf.ckpt", model)
+        out = tmp_path / "prof"
+        with np.errstate(all="ignore"):  # inf - inf in the forward
+            code = main(["profile", "--ckpt", str(tmp_path / "inf.ckpt"),
+                         "--data_dir", str(synth_dir), "--dataset", "mnist",
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == ("numerical failure: non-finite variance at "
+                                "probe block2 batch 0 (48 of 48 samples)\n")
+        assert not (out / "profile.csv").exists()
+
     def test_numerical_failure_exits_three(self, synth_dir, tmp_path):
         # lr * weight_decay >> 1 makes the weights themselves overflow f32
         with np.errstate(all="ignore"):

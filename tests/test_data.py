@@ -274,6 +274,71 @@ class TestBatches:
             list(batches(ds, 0))
 
 
+ASSEMBLY_SPECS = {
+    "none": ("mnist", None),
+    "normalize_mnist": ("mnist", data.normalize_only(
+        data.default_augment("mnist"))),
+    "normalize_cifar": ("cifar10", data.normalize_only(
+        data.default_augment("cifar10"))),
+    "flip_only": ("cifar10", AugmentSpec(hflip=True, rotate_deg=(0.0, 0.0),
+                                         normalize=None)),
+    "default_rotate_mnist": ("mnist", data.default_augment("mnist")),
+    "default_rotate_cifar": ("cifar10", data.default_augment("cifar10")),
+}
+
+
+class TestAssembly:
+    """A batch is normalized once as a whole, yet holds the bytes of
+    stacking each image's own augment output."""
+
+    @pytest.mark.parametrize("prefetch", [False, True])
+    @pytest.mark.parametrize("name", list(ASSEMBLY_SPECS))
+    def test_batches_equal_stacked_augment(self, name, prefetch):
+        kind, spec = ASSEMBLY_SPECS[name]
+        ds = data.make_synthetic(kind, 21, seed=2)
+        got = list(batches(ds, 8, seed=5, epoch=3, augment_spec=spec,
+                           prefetch=prefetch))
+        assert [len(b.labels) for b in got] == [8, 8, 5]
+        for b in got:
+            if spec is None:
+                want = np.stack([ds.images[i] for i in b.indices])
+            else:
+                want = np.stack([augment(ds.images[i], spec, (3, int(i)),
+                                         seed=5) for i in b.indices])
+            assert b.images.dtype == want.dtype == np.float32
+            assert b.images.shape == want.shape
+            assert b.images.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(b.labels, ds.labels[b.indices])
+
+    @pytest.mark.parametrize("kind", ["mnist", "cifar10"])
+    def test_normalize_only_builds_no_generator(self, kind, monkeypatch):
+        ds = data.make_synthetic(kind, 12, seed=0)
+        rng_for, domains = data._rng_for, []
+
+        def counting(seed, domain, *key):
+            domains.append(domain)
+            return rng_for(seed, domain, *key)
+
+        monkeypatch.setattr(data, "_rng_for", counting)
+        spec = data.normalize_only(data.default_augment(kind))
+        list(batches(ds, 5, seed=1, augment_spec=spec))
+        assert domains == [data._DOMAIN_SHUFFLE]
+        domains.clear()
+        list(batches(ds, 5, seed=1, augment_spec=data.default_augment(kind)))
+        assert domains.count(data._DOMAIN_AUGMENT) == len(ds)
+
+    @pytest.mark.parametrize("spec", [
+        AugmentSpec(hflip=False, rotate_deg=(0.0, 0.0),
+                    normalize=((0.1, 0.2), (0.3, 0.4))),
+        AugmentSpec(hflip=False, normalize=((0.1, 0.2), (0.3, 0.4))),
+    ], ids=["normalize_only", "rotate"])
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_channel_mismatch_rejected(self, spec, prefetch):
+        ds = data.make_synthetic("mnist", 6, seed=0)
+        with pytest.raises(FormatError, match="channels"):
+            list(batches(ds, 4, augment_spec=spec, prefetch=prefetch))
+
+
 class TestChannelStats:
     def test_oracle_on_known_stack(self):
         imgs = np.stack([np.full((2, 2, 2), 0.25), np.full((2, 2, 2), 0.75)])

@@ -46,6 +46,16 @@ class TestLayerProbe:
         p.update([3.0, 1.0, 2.0])
         assert p.max >= p.avg >= p.min
 
+    def test_nan_batch_reaches_every_statistic(self):
+        p = LayerProbe("x")
+        p.update([1.0, 2.0])
+        p.update([np.nan, 3.0])
+        assert math.isnan(p.avg) and math.isnan(p.max) and math.isnan(p.min)
+        q = LayerProbe("x")
+        q.update([1.0, 2.0])
+        merged = q.merge(p)
+        assert math.isnan(merged.max) and math.isnan(merged.min)
+
 
 class TestProfile:
     def test_constant_layer_reports_zero(self, model, dataset):
@@ -96,6 +106,28 @@ class TestProfile:
     def test_csv_header(self, model, dataset):
         prof = profile(model, dataset, ["stem"])
         assert prof.to_csv().splitlines()[0] == "layer,avg,max,min"
+
+    def test_nonfinite_variance_names_probe_and_batch(self, model, dataset):
+        # a NaN depthwise weight in the second block reaches every later
+        # probe but not block1 or the skip path
+        model.blocks[1].depthwise.conv.weight.value[0, 0, 0, 0] = np.nan
+        prof = profile(model, dataset, ["stem", "block1", "skip0_5"],
+                       batch_size=16)
+        assert all(math.isfinite(v) for row in prof.rows for v in row[1:])
+        with pytest.raises(diagnostics.NonFiniteVarianceError,
+                           match=r"^non-finite variance at probe block2 "
+                                 r"batch 0 \(16 of 16 samples\)$"):
+            profile(model, dataset, batch_size=16)
+
+    def test_nonfinite_variance_in_a_later_batch(self, model, dataset):
+        images = dataset.images.copy()
+        images[40, 0, 3, 3] = np.nan
+        bad = data.Dataset(images, dataset.labels, dataset.name,
+                           dataset.split)
+        with pytest.raises(diagnostics.NonFiniteVarianceError,
+                           match=r"^non-finite variance at probe stem batch 2 "
+                                 r"\(1 of 16 samples\)$"):
+            profile(model, bad, batch_size=16)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_error_restores_mode(self, model, dataset, training):

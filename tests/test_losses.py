@@ -1,10 +1,12 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from biasloss import _kernels
 from biasloss import autodiff as ad
 from biasloss import losses
 from biasloss.losses import (BiasLossConfig, LossBatch, batch_variances,
@@ -69,6 +71,30 @@ class TestBatchVariances:
         for i in range(fm.shape[0]):
             expect = two_pass_variance(fm[i].ravel())
             assert abs(got[i] - expect) <= 1e-12 * max(1.0, abs(expect))
+
+    @pytest.mark.parametrize("helpers", [0, 1])
+    @pytest.mark.parametrize("n", [1, 19, 128, 257])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_match_whole_batch_var(self, dtype, n, helpers,
+                                          monkeypatch):
+        """Walked in blocks on 0 or 1 helper threads, the variances are
+        the bytes of np.var over the whole batch, NaN and Inf rows too."""
+        rng = np.random.default_rng(n)
+        fm = rng.normal(3.0, 2.0, size=(n, 8, 14, 14)).astype(dtype)
+        fm[n // 2, 3, 4, 5] = np.nan
+        fm[n - 1, 0, 0, 0] = np.inf
+        flat = fm.reshape(n, -1)
+        rows_per_block = _kernels._block_len(flat)
+        if n >= 128:  # several blocks, the last one ragged
+            assert 1 < n / rows_per_block and n % rows_per_block
+        with ThreadPoolExecutor(1) as pool, np.errstate(invalid="ignore"):
+            monkeypatch.setattr(_kernels, "_HELPERS", helpers)
+            monkeypatch.setattr(_kernels, "_POOL", pool if helpers else None)
+            got = batch_variances(fm)
+            want = np.var(flat, axis=1, ddof=1)
+        assert got.dtype == want.dtype == dtype and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[n // 2]) and np.isnan(got[n - 1])
 
 
 class TestMinmaxScale:
