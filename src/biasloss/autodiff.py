@@ -7,6 +7,12 @@ topological order, and ``backward`` walks it in reverse accumulating
 gradients, freeing each node's once it is consumed, and returns the
 leaves' in a fresh :class:`GradStore`.
 
+A forward pass either retains every node's value and ctx, which a backward
+reads, or is an inference pass: the caller names up front the nodes it
+will read, and the pass frees every other non-leaf value once its last
+consumer has run and every ctx right after its node's forward, so the live
+activations are the frontier of the walk plus the named nodes'.
+
 The registered ops are exactly those that the network and its three
 losses run; layers adds the conv, batchnorm, pooling and dropout ops. A
 value that must take no gradient enters the graph as a constant.
@@ -141,11 +147,12 @@ def _node(op, inputs, attrs=None):
     return Node(op, inputs, None, rg, attrs=attrs)
 
 
-def topo_order(root):
-    """Topological order of root's ancestry; raises GraphError on cycles."""
+def topo_order(*roots):
+    """Topological order of the roots' joint ancestry, each node once;
+    raises GraphError on cycles."""
     order = []
     state = {}  # id -> 1 visiting, 2 done
-    stack = [(root, False)]
+    stack = [(root, False) for root in reversed(roots)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -173,13 +180,32 @@ class ForwardPass:
     Running multiple roots within the same pass shares already computed
     subgraphs, which lets a caller inspect an intermediate value and then
     extend the graph without re-evaluating the prefix.
+
+    By default the pass retains every node's value and ctx for a backward.
+    Given keep, the nodes the caller will read, it is an inference pass and
+    no backward may follow: only the kept nodes may be run, and consumers
+    are counted over the union of their ancestry, so the roots can be run
+    one by one without freeing a shared ancestor early or computing it
+    twice. A non-leaf value that is not kept is freed once its last
+    consumer has run, and each node's ctx right after its own forward;
+    kept values and leaves stay.
     """
 
-    def __init__(self, validate=False):
+    def __init__(self, validate=False, keep=None):
         self.validate = validate
         self._done = set()
+        self._keep = self._uses = None
+        if keep is not None:
+            self._keep = {n.id for n in keep}
+            self._uses = {}  # node id -> consumers in the pass not yet run
+            for node in topo_order(*keep):
+                for inp in node.inputs:
+                    self._uses[inp.id] = self._uses.get(inp.id, 0) + 1
 
     def run(self, root):
+        if self._keep is not None and root.id not in self._keep:
+            raise GraphError(f"{root!r} was not named when the inference "
+                             "pass began")
         for node in topo_order(root):
             if node.id in self._done:
                 continue
@@ -188,13 +214,24 @@ class ForwardPass:
                     raise UninitializedValueError(
                         f"leaf {node.name or node.id} has no value")
             else:
-                xs = [inp.value for inp in node.inputs]
-                node.value = _FORWARD[node.op](node, xs)
+                node.value = _FORWARD[node.op](
+                    node, [inp.value for inp in node.inputs])
                 if self.validate and not np.all(np.isfinite(node.value)):
                     raise FloatingPointError(
                         f"non-finite value produced by op {node.op!r}")
+                if self._keep is not None:
+                    self._release(node)
             self._done.add(node.id)
         return root.value
+
+    def _release(self, node):
+        """Drop what an inference pass no longer needs once node ran."""
+        node.ctx = None
+        for inp in node.inputs:
+            self._uses[inp.id] -= 1
+            if (not self._uses[inp.id] and inp.op != "leaf"
+                    and inp.id not in self._keep):
+                inp.value = None
 
 
 def forward(root, validate=False):

@@ -267,7 +267,10 @@ def main(argv=None):
         # argparse exits 0 for --help, 2 for usage errors
         return int(e.code or 0)
     try:
-        return args.fn(args)
+        # numpy's warnings off: the engine's own checks report a non-finite
+        # result as one exit-3 line, which a warning would precede
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (ConfigError, CheckpointError, datamod.FormatError, OSError,
             diagnostics.ProbeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Per-layer activation-variance profiling and weight-curve emission.
 
-The profiler runs an eval-mode pass and, at each probed layer, records the
-unbiased variance of every sample's unfolded activation, aggregating
+The profiler runs an eval-mode inference pass (one that keeps only the
+probed activations) and, at each probed layer, records the unbiased
+variance of every sample's unfolded activation, aggregating
 average/max/min per layer. Probes are addressed by name so layer-counting
 conventions never enter the picture. A non-finite variance stops the
 profile with NonFiniteVarianceError, naming the probe and the batch.
@@ -108,10 +109,9 @@ def profile(model, dataset, layer_names=None, batch_size=256,
                                               shuffle=False,
                                               augment_spec=spec)):
             out = cache.get(b.images)
-            fp = ad.ForwardPass()
+            fp = ad.ForwardPass(keep=[out.probes[n] for n in layer_names])
             for name in layer_names:
-                fp.run(out.probes[name])
-                v = batch_variances(out.probes[name].value)
+                v = batch_variances(fp.run(out.probes[name]))
                 bad = np.count_nonzero(~np.isfinite(v))
                 if bad:
                     raise NonFiniteVarianceError(

@@ -602,6 +602,18 @@ class GraphCache:
     plus 256 val images, 2 vCPUs) raised minor page faults from about 35k
     to 215k and cut train throughput from 520-547 to 471-521 samples/s
     and val throughput from 2337-2861 to 1754-2040.
+
+    train_run's cache runs retaining passes, which a backward needs, and
+    its val pass runs on that warm graph the same way: as an inference
+    pass there, the val batch (CIFAR geometry, batch 128) went from
+    58-63 to 65-72 ms median, with 4-8 ms more system time, as the freed
+    memory went back to the OS. evaluate and profile build a new cache
+    per call, where a retaining pass faults in a whole graph of values
+    (about 65 MB traced at batch 128) on every call, so they run
+    inference passes: with the two alternating as the benchmark calls
+    them, a steady profile call (batch 256) took 2.4-2.8k minor faults
+    instead of 13.2-14.3k, and an evaluate call (batch 128) 1.5-3.8k
+    instead of 13.0-13.5k.
     """
 
     def __init__(self, model):

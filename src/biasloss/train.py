@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import data as datamod
-from .layers import GraphCache, MicroNetSpec, SkipblockNetMicro
+from .layers import BuildOutput, GraphCache, MicroNetSpec, SkipblockNetMicro
 from .losses import (BiasLossConfig, LossBatch, bias_loss, cross_entropy,
                      focal_loss, variance_record)
 
@@ -449,9 +449,20 @@ def _finite_loss(loss, record, where):
     return lval
 
 
-def _eval_epoch(model, cache, dataset, cfg, bias_cfg, eval_spec, where="eval"):
+def _inferred(out):
+    """out with its logits and feature map computed in an inference pass
+    and entered as constants, so the loss graph holds no model node."""
+    fp = ad.ForwardPass(keep=(out.logits, out.feature_map))
+    logits, feature_map = fp.run(out.logits), fp.run(out.feature_map)
+    return BuildOutput(out.input, ad.constant(logits),
+                       ad.constant(feature_map))
+
+
+def _eval_epoch(model, cache, dataset, cfg, bias_cfg, eval_spec, where="eval",
+                inference=False):
     """Loss and accuracy stats over dataset in eval mode; the model's mode
-    is restored afterwards, also on error."""
+    is restored afterwards, also on error. With inference the model's
+    forward keeps only the logits and feature map (see GraphCache)."""
     was_training = model.training
     model.eval()
     stats = _epoch_stats()
@@ -460,6 +471,8 @@ def _eval_epoch(model, cache, dataset, cfg, bias_cfg, eval_spec, where="eval"):
                 dataset, cfg.batch_size, shuffle=False,
                 augment_spec=eval_spec, prefetch=cfg.prefetch)):
             out = cache.get(b.images)
+            if inference:
+                out = _inferred(out)
             loss, record = _compute_loss(cfg, bias_cfg, out, b.labels)
             lval = _finite_loss(loss, record, f"{where} batch {i}")
             _accumulate(stats, len(b.labels), lval, out.logits.value,
@@ -566,5 +579,6 @@ def evaluate(checkpoint_path, dataset, cfg: TrainConfig):
     model = model_from_checkpoint(checkpoint_path, cfg)
     eval_spec = datamod.normalize_only(datamod.default_augment(cfg.dataset))
     stats = _eval_epoch(model, GraphCache(model), dataset, cfg,
-                        cfg.bias_config(), eval_spec, f"{dataset.split} split")
+                        cfg.bias_config(), eval_spec, f"{dataset.split} split",
+                        inference=True)
     return stats["loss"] / stats["n"], stats["correct"] / stats["n"]

@@ -87,6 +87,102 @@ class TestForward:
                 ad.forward(ad.exp(y), validate=True)
 
 
+class TestInferencePass:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        """The default model in eval mode, wired on one batch, and the
+        values a retaining pass gives its logits, feature map and probes."""
+        model = layers.SkipblockNetMicro(seed=0)
+        model.eval()
+        images = np.random.default_rng(0).normal(
+            size=(16, 1, 28, 28)).astype(np.float32)
+        out = layers.GraphCache(model).get(images)
+        ad.forward(out.logits)
+        reads = {"logits": out.logits, "feature_map": out.feature_map,
+                 **out.probes}
+        return model, out, {k: n.value.copy() for k, n in reads.items()}
+
+    def test_kept_values_match_a_retaining_pass(self, graph):
+        _, out, want = graph
+        fp = ad.ForwardPass(keep=(out.logits, out.feature_map))
+        assert np.array_equal(fp.run(out.logits), want["logits"])
+        assert np.array_equal(fp.run(out.feature_map), want["feature_map"])
+        fp = ad.ForwardPass(keep=list(out.probes.values()))
+        for name, node in out.probes.items():
+            assert np.array_equal(fp.run(node), want[name]), name
+
+    def test_probes_run_one_by_one(self, graph):
+        # a later root reads ancestors that an earlier one shared
+        _, out, want = graph
+        names = ["head", "block2", "skip0_5", "stem"]
+        fp = ad.ForwardPass(keep=[out.probes[n] for n in names])
+        for name in names:
+            assert np.array_equal(fp.run(out.probes[name]), want[name]), name
+
+    def test_frees_all_but_kept_values_and_leaves(self, graph):
+        model, out, _ = graph
+        nodes = ad.topo_order(out.logits)
+        leaves = {n.id: n.value for n in nodes if n.op == "leaf"}
+        params = {id(p.node): p.node.value.copy() for p in model.parameters()}
+        ad.ForwardPass(keep=(out.logits, out.feature_map)).run(out.logits)
+        kept = {out.logits.id, out.feature_map.id}
+        for node in nodes:
+            assert node.ctx is None, node
+            if node.op == "leaf":
+                assert node.value is leaves[node.id], node
+            else:
+                assert (node.value is None) == (node.id not in kept), node
+        for p in model.parameters():
+            assert np.array_equal(p.node.value, params[id(p.node)])
+
+    def test_shared_ancestor_computed_once(self, monkeypatch):
+        calls = []
+        orig = ad._FORWARD["exp"]
+
+        def counting(node, xs):
+            calls.append(node.id)
+            return orig(node, xs)
+
+        monkeypatch.setitem(ad._FORWARD, "exp", counting)
+        x = ad.leaf(np.array([1.0, 2.0]))
+        e = ad.exp(x)
+        a, b = e * 2.0, e + 1.0
+        fp = ad.ForwardPass(keep=(a, b))
+        np.testing.assert_array_equal(fp.run(a), 2 * np.exp([1.0, 2.0]))
+        np.testing.assert_array_equal(fp.run(b), np.exp([1.0, 2.0]) + 1)
+        assert calls == [e.id]
+        assert e.value is None and x.value is not None
+
+    def test_unnamed_root_rejected(self):
+        x = ad.leaf(np.array(1.0))
+        e = ad.exp(x)
+        fp = ad.ForwardPass(keep=(e,))
+        with pytest.raises(ad.GraphError, match="not named"):
+            fp.run(ad.neg(e))
+
+    @staticmethod
+    def _inference_peak(depth, n=1 << 18):
+        """Peak bytes traced during an inference pass over a depth-long
+        elementwise chain on 1 MiB arrays."""
+        y = ad.leaf(np.full(n, 0.5, np.float32))
+        for _ in range(depth):
+            y = ad.exp(ad.neg(y))
+        tracemalloc.start()
+        try:
+            assert ad.ForwardPass(keep=(y,)).run(y).nbytes == 4 * n
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_inference_memory_is_the_frontier(self):
+        # each value is freed once its consumer ran: the peak is a few
+        # arrays, whatever the depth (a retaining pass holds 2 * depth)
+        mib = 1 << 20
+        shallow, deep = self._inference_peak(4), self._inference_peak(32)
+        assert deep <= 4 * mib
+        assert deep - shallow < mib // 2
+
+
 class TestBackward:
     def test_square(self):
         x = ad.parameter(np.array(3.0))

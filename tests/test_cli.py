@@ -2,7 +2,11 @@ import argparse
 import csv
 import dataclasses
 import io
+import os
+import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +16,8 @@ from biasloss import cli, data, layers, train
 from biasloss.cli import main
 from test_train import (MALFORMED_CHECKPOINTS, write_empty_test_split,
                         write_nan_checkpoint)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -397,6 +403,32 @@ class TestTrainEvalProfile:
         assert captured.err == ("numerical failure: non-finite variance at "
                                 "probe block2 batch 0 (48 of 48 samples)\n")
         assert not (out / "profile.csv").exists()
+
+    @pytest.mark.parametrize("verb,message", [
+        ("eval", r"non-finite loss nan at test split batch 0; variance in "
+                 r"\[\S+, \S+\], weight in \[\S+, \S+\]"),
+        ("profile", r"non-finite variance at probe block2 batch 0 "
+                    r"\(32 of 32 samples\)")])
+    def test_numerical_failure_is_one_line(self, tmp_path, verb, message):
+        # a fresh process, outside any np.errstate of the test run: numpy's
+        # own warnings must not precede the one-line message
+        assert main(["--quiet", "fixtures", "--out", str(tmp_path),
+                     "--synthetic_mnist", "64"]) == 0
+        model = layers.SkipblockNetMicro(train.TrainConfig().model_spec(),
+                                         seed=0)
+        model.blocks[1].depthwise.conv.weight.value[0, 0, 0, 0] = np.inf
+        train.save_checkpoint(tmp_path / "inf.ckpt", model)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        out = ["--out", str(tmp_path / "prof")] if verb == "profile" else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "biasloss.cli", verb, "--ckpt",
+             str(tmp_path / "inf.ckpt"), "--data_dir",
+             str(tmp_path / "synthetic-mnist")] + out,
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 3
+        assert re.fullmatch(f"numerical failure: {message}\n", proc.stderr)
 
     def test_numerical_failure_exits_three(self, synth_dir, tmp_path):
         # lr * weight_decay >> 1 makes the weights themselves overflow f32

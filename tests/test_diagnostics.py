@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from biasloss import data, diagnostics
+from biasloss import autodiff as ad, data, diagnostics
 from biasloss.diagnostics import (LayerProbe, ProbeError, VarianceProfile,
                                   bias_curve, curve_csv, depth_trend, profile)
-from biasloss.layers import BatchNorm2d, MicroNetSpec, SkipblockNetMicro
+from biasloss.layers import (BatchNorm2d, GraphCache, MicroNetSpec,
+                             SkipblockNetMicro)
+from biasloss.losses import batch_variances
 
 
 @pytest.fixture()
@@ -70,6 +72,23 @@ class TestProfile:
     def test_rows_follow_depth_order(self, model, dataset):
         prof = profile(model, dataset, ["head", "stem", "block3"])
         assert [r[0] for r in prof.rows] == ["stem", "block3", "head"]
+
+    @pytest.mark.parametrize("names", [None, ["block4", "stem", "skip0_5"]],
+                             ids=["all", "subset"])
+    def test_matches_a_retaining_pass(self, model, dataset, names):
+        # profile frees what it does not read; the bytes it reads are those
+        # of a pass that keeps every value
+        prof = profile(model, dataset, names, batch_size=20)
+        model.eval()
+        cache, want = GraphCache(model), {}
+        spec = data.normalize_only(data.AugmentSpec())
+        for b in data.batches(dataset, 20, shuffle=False, augment_spec=spec):
+            out = cache.get(b.images)
+            for name in names or model.probe_names():
+                want.setdefault(name, LayerProbe(name)).update(
+                    batch_variances(ad.forward(out.probes[name])))
+        assert prof.rows == [(n, want[n].avg, want[n].max, want[n].min)
+                             for n in model.probe_names() if n in want]
 
     def test_unknown_layer(self, model, dataset):
         with pytest.raises(ProbeError):

@@ -431,6 +431,19 @@ class TestTrainRun:
         last = log.last("val")
         assert loss == last.loss and top1 == last.top1
 
+    @pytest.mark.parametrize("loss,detach", [
+        ("bias", False), ("ce", True), ("focal", True)])
+    def test_evaluate_matches_val_row_for_every_loss(self, tmp_path,
+                                                     tiny_sets, loss, detach):
+        # evaluate's loss reads constants from an inference pass, the val
+        # row's the nodes of train_run's retaining graph
+        tr, va = tiny_sets
+        cfg = tiny_cfg(loss=loss, detach_weight=detach, epochs=1)
+        log, _ = train_run(cfg, out_dir=tmp_path, train_ds=tr, val_ds=va)
+        loss, top1 = train.evaluate(tmp_path / "final.ckpt", va, cfg)
+        last = log.last("val")
+        assert loss == last.loss and top1 == last.top1
+
     def test_random_init_chance_level(self, tmp_path):
         # ~10% top-1 from an untrained model on balanced 10-class data
         cfg = tiny_cfg()
