@@ -48,6 +48,15 @@ exception reaches the caller only after every helper has stopped, so no
 thread still writes into the output. Threads start on the first call
 with more than one block, not at import.
 
+The sample walk (map_samples) hands out larger work on the same drain: a
+forward pass in eval mode couples no samples, so evaluate and profile cut
+each batch into one contiguous slice of samples per thread
+(sample_slices) and run the whole network on each slice. Inside a slice
+the kernels run their blocks inline (a context variable that the drain
+reads, set for the slice only), so each thread pays one hand-off per
+batch instead of one per op and keeps its own samples in its cache from
+op to op.
+
 Numeric contract: reductions add partials of at most one row (one sample
 and channel, or one GEMM product) in the array dtype, and accumulate those
 in float64 whatever the array dtype; batch-norm variance and backward use centred terms, never
@@ -87,33 +96,35 @@ def _block_len(a):
     return max(1, _BLOCK_BYTES // max(1, per_entry))
 
 
-def _map_blocks(fn, a):
-    """[fn(block) for each block of a's first axis], in block order.
+# set inside a slice of the sample walk: the kernels it calls run inline
+_INLINE = contextvars.ContextVar("biasloss_kernels_inline", default=False)
 
-    fn gets a slice and must write only that slice of any shared output.
-    The caller and up to _HELPERS pool threads drain the blocks; helpers
-    run in a copy of the caller's context, so np.errstate applies in them
-    as it does inline. If a block raises, the blocks not yet started are
-    dropped and the exception is raised once every helper has stopped.
+
+def _drain(fn, parts):
+    """[fn(part) for part in parts], in order.
+
+    The caller and up to _HELPERS pool threads drain the parts; inside a
+    slice of the sample walk the caller drains them alone. Helpers run in
+    a copy of the caller's context, so np.errstate applies in them as it
+    does inline. If a part raises, the parts not yet started are dropped
+    and the exception is raised once every helper has stopped.
     """
-    n = _block_len(a)
-    blocks = [np.s_[s:s + n] for s in range(0, len(a), n)]
-    helpers = min(_HELPERS, len(blocks) - 1)
+    helpers = 0 if _INLINE.get() else min(_HELPERS, len(parts) - 1)
     if helpers < 1:
-        return [fn(s) for s in blocks]
-    results = [None] * len(blocks)
-    todo = collections.deque(range(len(blocks)))  # thread-safe popleft
+        return [fn(p) for p in parts]
+    results = [None] * len(parts)
+    todo = collections.deque(range(len(parts)))  # thread-safe popleft
 
     def drain():
         try:
             while True:
                 try:
                     i = todo.popleft()
-                except IndexError:  # no block left
+                except IndexError:  # no part left
                     return
-                results[i] = fn(blocks[i])
+                results[i] = fn(parts[i])
         except BaseException:
-            todo.clear()  # no thread starts another block
+            todo.clear()  # no thread starts another part
             raise
 
     futures = [_POOL.submit(contextvars.copy_context().run, drain)
@@ -126,6 +137,39 @@ def _map_blocks(fn, a):
     for f in started:
         f.result()  # raises a helper's exception
     return results
+
+
+def _map_blocks(fn, a):
+    """[fn(block) for each block of a's first axis], in block order.
+
+    fn gets a slice and must write only that slice of any shared output.
+    """
+    n = _block_len(a)
+    return _drain(fn, [np.s_[s:s + n] for s in range(0, len(a), n)])
+
+
+def sample_slices(n):
+    """One contiguous slice of range(n) per thread of the sample walk (the
+    caller and _HELPERS), in order; fewer when n is smaller, none empty."""
+    k = min(n, _HELPERS + 1)
+    return [np.s_[n * i // k:n * (i + 1) // k] for i in range(k)]
+
+
+def map_samples(fn, parts):
+    """[fn(part) for part in parts], in order, with each part's kernels
+    run inline: the sample walk, one part (a slice of samples) per thread.
+
+    fn must write nothing another part reads or writes; the caller joins
+    the results. Errors and np.errstate behave as in _drain.
+    """
+    def run(part):
+        token = _INLINE.set(True)
+        try:
+            return fn(part)
+        finally:
+            _INLINE.reset(token)
+
+    return _drain(run, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,11 @@ The registered ops are exactly those that the network and its three
 losses run; layers adds the conv, batchnorm, pooling and dropout ops. A
 value that must take no gradient enters the graph as a constant.
 
-A graph instance is single-threaded. Distinct graphs are independent and
-parameters (leaf nodes) may be shared between graphs, e.g. one graph per
-batch size over the same model weights.
+A graph instance is single-threaded: a pass writes its nodes' values and
+ctx. Distinct graphs are independent and parameters (leaf nodes) may be
+shared between graphs, e.g. one graph per batch size over the same model
+weights, so threads that run passes at once each need a graph of their
+own, as the sample walk's slices have (layers.GraphCache.slices).
 """
 
 from __future__ import annotations
@@ -206,6 +208,8 @@ class ForwardPass:
         if self._keep is not None and root.id not in self._keep:
             raise GraphError(f"{root!r} was not named when the inference "
                              "pass began")
+        if root.id in self._done:  # its ancestry ran with an earlier root
+            return root.value
         for node in topo_order(root):
             if node.id in self._done:
                 continue

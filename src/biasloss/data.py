@@ -47,6 +47,10 @@ class TruncatedFileError(FormatError, EOFError):
     """Raised when a dataset file ends before its declared payload."""
 
 
+class EmptyDatasetError(FormatError):
+    """Raised when a dataset to be read holds no samples."""
+
+
 @dataclass
 class Dataset:
     images: np.ndarray  # [N, c, h, w] float32 in [0, 1]
@@ -71,6 +75,14 @@ class Dataset:
             return self
         return Dataset(self.images[:n], self.labels[:n], self.name,
                        self.split, self.num_classes)
+
+
+def require_samples(ds):
+    """ds; EmptyDatasetError, naming its dataset and split, if it is empty."""
+    if not len(ds):
+        raise EmptyDatasetError(f"{ds.name} {ds.split} dataset has no "
+                                "samples")
+    return ds
 
 
 @dataclass

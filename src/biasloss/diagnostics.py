@@ -1,11 +1,15 @@
 """Per-layer activation-variance profiling and weight-curve emission.
 
-The profiler runs an eval-mode inference pass (one that keeps only the
-probed activations) and, at each probed layer, records the unbiased
-variance of every sample's unfolded activation, aggregating
-average/max/min per layer. Probes are addressed by name so layer-counting
-conventions never enter the picture. A non-finite variance stops the
-profile with NonFiniteVarianceError, naming the probe and the batch.
+The profiler runs the model in eval mode on the sample walk
+(_kernels.map_samples): each batch is cut into one slice of samples per
+thread, and each slice runs an inference pass on a graph of its own that
+keeps only the probed activations. At each probed layer the slice takes
+the unbiased variance of every sample's unfolded activation, and the
+variances, not the activations, are joined in slice order and aggregated
+into average/max/min per layer. Probes are addressed by name so
+layer-counting conventions never enter the picture. A non-finite variance
+stops the profile with NonFiniteVarianceError, naming the first such
+probe in probe order, the batch, and the count over the whole batch.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from . import autodiff as ad
 from . import data as datamod
 from .layers import GraphCache
@@ -98,6 +103,16 @@ def profile(model, dataset, layer_names=None, batch_size=256,
     unknown = [n for n in layer_names if n not in available]
     if unknown:
         raise ProbeError(f"unknown layers {unknown}; available: {available}")
+    datamod.require_samples(dataset)
+
+    ordered = [n for n in available if n in layer_names]
+
+    def variances(out):
+        # the deepest probe first: one topological walk then computes every
+        # probe it reaches, and those are done when their turn comes
+        fp = ad.ForwardPass(keep=[out.probes[n] for n in layer_names])
+        values = {n: fp.run(out.probes[n]) for n in reversed(ordered)}
+        return [batch_variances(values[n]) for n in layer_names]
 
     was_training = model.training
     model.eval()
@@ -108,10 +123,9 @@ def profile(model, dataset, layer_names=None, batch_size=256,
         for i, b in enumerate(datamod.batches(dataset, batch_size,
                                               shuffle=False,
                                               augment_spec=spec)):
-            out = cache.get(b.images)
-            fp = ad.ForwardPass(keep=[out.probes[n] for n in layer_names])
-            for name in layer_names:
-                v = batch_variances(fp.run(out.probes[name]))
+            parts = _kernels.map_samples(variances, cache.slices(b.images))
+            for name, *slices in zip(layer_names, *parts):
+                v = np.concatenate(slices)
                 bad = np.count_nonzero(~np.isfinite(v))
                 if bad:
                     raise NonFiniteVarianceError(
@@ -122,7 +136,6 @@ def profile(model, dataset, layer_names=None, batch_size=256,
         if was_training:
             model.train()
 
-    ordered = [n for n in available if n in layer_names]
     rows = [(n, probes[n].avg, probes[n].max, probes[n].min) for n in ordered]
     model_id = f"{type(model).__name__}/{model.num_parameters()}p"
     return VarianceProfile(rows, model_id=model_id, dataset_id=dataset.name,

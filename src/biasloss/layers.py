@@ -33,7 +33,8 @@ backward. A BatchNorm2d used on its own still normalizes.
 
 Layer objects own their parameter nodes; calling a layer on an input node
 extends the graph, so one set of weights can back several graphs (e.g.
-different batch sizes). GraphCache keeps one such graph per batch size.
+different batch sizes). GraphCache keeps one such graph per batch size,
+and one per slice of the sample walk.
 Every layer, block and the network derive from Module, which walks the
 attribute tree once for all of them: parameters, BN buffers, train/eval
 mode, loading a checkpoint's state and counting parameters.
@@ -593,7 +594,8 @@ class BuildOutput:
 
 
 class GraphCache:
-    """One built graph per batch size, sharing the model's parameters.
+    """One built graph per batch size, sharing the model's parameters, and
+    one per slice for the sample walk.
 
     The cache is not there for build time (about 0.17 ms for the default
     model's 113 nodes at batch 128). A kept graph's forward replaces the
@@ -614,22 +616,37 @@ class GraphCache:
     them, a steady profile call (batch 256) took 2.4-2.8k minor faults
     instead of 13.2-14.3k, and an evaluate call (batch 128) 1.5-3.8k
     instead of 13.0-13.5k.
+
+    evaluate and profile run those passes on the sample walk
+    (_kernels.map_samples): slices() gives each slice of the batch a graph
+    of its own, keyed by the slice's position and size, since a graph
+    instance is single-threaded. The graphs are built here, on the calling
+    thread, because the network's build writes the skip blocks' pooling
+    targets.
     """
 
     def __init__(self, model):
         self.model = model
         self._built = {}
 
-    def get(self, images):
-        b = images.shape[0]
-        out = self._built.get(b)
+    def get(self, images, slot=0):
+        """The graph for images' batch size (and slot), holding images."""
+        key = (images.shape[0], slot)
+        out = self._built.get(key)
         if out is None:
-            x = ad.leaf(np.ascontiguousarray(images), name=f"input[{b}]")
+            x = ad.leaf(np.ascontiguousarray(images),
+                        name=f"input[{images.shape[0]}]")
             out = self.model.build(x)
-            self._built[b] = out
+            self._built[key] = out
         else:
             out.input.set(np.ascontiguousarray(images))
         return out
+
+    def slices(self, images):
+        """One graph per slice of _kernels.sample_slices, in order, each
+        holding its slice of images."""
+        return [self.get(images[s], slot)
+                for slot, s in enumerate(K.sample_slices(len(images)))]
 
 
 class SkipblockNetMicro(Module):

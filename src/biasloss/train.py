@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels as K
 from . import autodiff as ad
 from . import data as datamod
 from .layers import BuildOutput, GraphCache, MicroNetSpec, SkipblockNetMicro
@@ -449,20 +450,20 @@ def _finite_loss(loss, record, where):
     return lval
 
 
-def _inferred(out):
-    """out with its logits and feature map computed in an inference pass
-    and entered as constants, so the loss graph holds no model node."""
-    fp = ad.ForwardPass(keep=(out.logits, out.feature_map))
-    logits, feature_map = fp.run(out.logits), fp.run(out.feature_map)
-    return BuildOutput(out.input, ad.constant(logits),
-                       ad.constant(feature_map))
-
-
 def _eval_epoch(model, cache, dataset, cfg, bias_cfg, eval_spec, where="eval",
                 inference=False):
     """Loss and accuracy stats over dataset in eval mode; the model's mode
-    is restored afterwards, also on error. With inference the model's
-    forward keeps only the logits and feature map (see GraphCache)."""
+    is restored afterwards, also on error.
+
+    With inference the model's forward runs as inference passes on the
+    sample walk, each keeping only its slice's logits and feature map (see
+    GraphCache); the loss is built on constants of the joined batch, so it
+    holds no model node.
+    """
+    def infer(out):
+        fp = ad.ForwardPass(keep=(out.logits, out.feature_map))
+        return fp.run(out.logits), fp.run(out.feature_map)
+
     was_training = model.training
     model.eval()
     stats = _epoch_stats()
@@ -470,9 +471,13 @@ def _eval_epoch(model, cache, dataset, cfg, bias_cfg, eval_spec, where="eval",
         for i, b in enumerate(datamod.batches(
                 dataset, cfg.batch_size, shuffle=False,
                 augment_spec=eval_spec, prefetch=cfg.prefetch)):
-            out = cache.get(b.images)
             if inference:
-                out = _inferred(out)
+                logits, fmaps = zip(*K.map_samples(infer,
+                                                   cache.slices(b.images)))
+                out = BuildOutput(None, ad.constant(np.concatenate(logits)),
+                                  ad.constant(np.concatenate(fmaps)))
+            else:
+                out = cache.get(b.images)
             loss, record = _compute_loss(cfg, bias_cfg, out, b.labels)
             lval = _finite_loss(loss, record, f"{where} batch {i}")
             _accumulate(stats, len(b.labels), lval, out.logits.value,
@@ -507,8 +512,8 @@ def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
     if train_ds is None or val_ds is None:
         train_ds = load_split(cfg, "train")
         val_ds = load_split(cfg, "test")
-    train_ds = train_ds.take(cfg.train_limit)
-    val_ds = val_ds.take(cfg.val_limit)
+    train_ds = datamod.require_samples(train_ds.take(cfg.train_limit))
+    val_ds = datamod.require_samples(val_ds.take(cfg.val_limit))
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -576,6 +581,7 @@ def evaluate(checkpoint_path, dataset, cfg: TrainConfig):
 
     Returns (loss, top1). No augmentation, no dropout.
     """
+    datamod.require_samples(dataset)
     model = model_from_checkpoint(checkpoint_path, cfg)
     eval_spec = datamod.normalize_only(datamod.default_augment(cfg.dataset))
     stats = _eval_epoch(model, GraphCache(model), dataset, cfg,

@@ -1,5 +1,7 @@
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,18 @@ def require_dataset(name):
             f"standard binary files there (or set DATA_DIR) to run this "
             f"criterion")
     return root
+
+
+@pytest.fixture(params=[0, 1, 3], ids=lambda h: f"helpers{h}")
+def kernel_helpers(request, monkeypatch):
+    """The kernel pool with 0, 1 or 3 helpers, whatever this machine's core
+    count; the sample walk then cuts a batch into 1, 2 or 4 slices."""
+    from biasloss import _kernels
+    helpers = request.param
+    with (ThreadPoolExecutor(helpers) if helpers else nullcontext()) as pool:
+        monkeypatch.setattr(_kernels, "_HELPERS", helpers)
+        monkeypatch.setattr(_kernels, "_POOL", pool)
+        yield helpers
 
 
 def pytest_runtest_logreport(report):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from biasloss import autodiff as ad, data, diagnostics
+from biasloss import _kernels, autodiff as ad, data, diagnostics
 from biasloss.diagnostics import (LayerProbe, ProbeError, VarianceProfile,
                                   bias_curve, curve_csv, depth_trend, profile)
 from biasloss.layers import (BatchNorm2d, GraphCache, MicroNetSpec,
@@ -19,6 +19,21 @@ def model():
 @pytest.fixture()
 def dataset():
     return data.make_synthetic("mnist", 48, seed=0, split="test")
+
+
+def retaining_rows(model, dataset, names, batch_size):
+    """profile's rows from retaining passes over whole batches."""
+    model.eval()
+    cache, want = GraphCache(model), {}
+    spec = data.normalize_only(data.AugmentSpec())
+    for b in data.batches(dataset, batch_size, shuffle=False,
+                          augment_spec=spec):
+        out = cache.get(b.images)
+        for name in names or model.probe_names():
+            want.setdefault(name, LayerProbe(name)).update(
+                batch_variances(ad.forward(out.probes[name])))
+    return [(n, want[n].avg, want[n].max, want[n].min)
+            for n in model.probe_names() if n in want]
 
 
 class TestLayerProbe:
@@ -79,16 +94,16 @@ class TestProfile:
         # profile frees what it does not read; the bytes it reads are those
         # of a pass that keeps every value
         prof = profile(model, dataset, names, batch_size=20)
-        model.eval()
-        cache, want = GraphCache(model), {}
-        spec = data.normalize_only(data.AugmentSpec())
-        for b in data.batches(dataset, 20, shuffle=False, augment_spec=spec):
-            out = cache.get(b.images)
-            for name in names or model.probe_names():
-                want.setdefault(name, LayerProbe(name)).update(
-                    batch_variances(ad.forward(out.probes[name])))
-        assert prof.rows == [(n, want[n].avg, want[n].max, want[n].min)
-                             for n in model.probe_names() if n in want]
+        assert prof.rows == retaining_rows(model, dataset, names, 20)
+
+    @pytest.mark.parametrize("n", [48, 41], ids=["ragged", "last_batch_of_1"])
+    def test_sample_walk_matches_a_retaining_pass(self, model, dataset,
+                                                  kernel_helpers, n):
+        # each slice of a batch runs on its own graph; the joined variances
+        # are those of one whole-batch pass
+        ds = dataset.take(n)
+        prof = profile(model, ds, batch_size=20)
+        assert prof.rows == retaining_rows(model, ds, None, 20)
 
     def test_unknown_layer(self, model, dataset):
         with pytest.raises(ProbeError):
@@ -147,6 +162,25 @@ class TestProfile:
                            match=r"^non-finite variance at probe stem batch 2 "
                                  r"\(1 of 16 samples\)$"):
             profile(model, bad, batch_size=16)
+
+    def test_nonfinite_variance_in_a_later_slice(self, model, dataset,
+                                                 kernel_helpers):
+        # the first sample of the batch's last slice (its second with one
+        # helper) is counted over the whole batch
+        images = dataset.images.copy()
+        images[32 + _kernels.sample_slices(16)[-1].start, 0, 3, 3] = np.nan
+        bad = data.Dataset(images, dataset.labels, dataset.name,
+                           dataset.split)
+        with pytest.raises(diagnostics.NonFiniteVarianceError,
+                           match=r"^non-finite variance at probe stem batch 2 "
+                                 r"\(1 of 16 samples\)$"):
+            profile(model, bad, batch_size=16)
+
+    def test_empty_dataset_is_rejected(self, model, dataset):
+        with pytest.raises(data.EmptyDatasetError,
+                           match="^synthetic-mnist test dataset has no "
+                                 "samples$"):
+            profile(model, dataset.take(0))
 
     @pytest.mark.parametrize("training", [True, False])
     def test_error_restores_mode(self, model, dataset, training):

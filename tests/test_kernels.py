@@ -441,3 +441,125 @@ def test_block_error_waits_for_every_helper(monkeypatch, raiser):
     # the working thread finishes its block and takes no other (one or two
     # more only if the raising thread was slow to start)
     assert done == finished and 1 <= len(done) <= 3
+
+
+# ---------------------------------------------------------------------------
+# the sample walk
+
+class CountingPool:
+    """A pool that counts the work submitted to it."""
+
+    def __init__(self, pool):
+        self.pool, self.submitted = pool, 0
+
+    def submit(self, *args):
+        self.submitted += 1
+        return self.pool.submit(*args)
+
+
+def test_slices_come_back_in_order(monkeypatch):
+    caller = threading.current_thread()
+    helper_done = threading.Event()
+    finished = []
+
+    def fn(s):
+        if threading.current_thread() is caller:
+            assert helper_done.wait(timeout=30)
+        else:
+            time.sleep(0.01)  # the caller takes a slice meanwhile
+        finished.append(threading.current_thread() is caller)
+        helper_done.set()
+        return s.start
+
+    with ThreadPoolExecutor(1) as pool:
+        pool_of_one(monkeypatch, pool)
+        slices = K.sample_slices(10)
+        assert K.map_samples(fn, slices) == [0, 5]
+    assert finished == [False, True]  # the helper's slice finished first
+
+
+@pytest.mark.parametrize("raiser", ["caller", "helper"])
+def test_slice_error_waits_for_every_slice(monkeypatch, raiser):
+    """A slice's exception reaches the caller only once the other slice has
+    stopped."""
+    caller = threading.current_thread()
+    started, working = threading.Event(), threading.Event()
+    done = []
+
+    def fn(s):
+        # each thread holds one slice until the other has taken its own
+        if (threading.current_thread() is caller) == (raiser == "caller"):
+            started.set()
+            assert working.wait(timeout=30)
+            raise ValueError("slice failed")
+        assert started.wait(timeout=30)
+        working.set()
+        time.sleep(0.05)  # still working when the other slice raises
+        done.append(s.start)
+
+    with ThreadPoolExecutor(1) as pool:
+        pool_of_one(monkeypatch, pool)
+        with pytest.raises(ValueError, match="slice failed"):
+            K.map_samples(fn, K.sample_slices(8))
+        assert len(done) == 1
+
+
+def test_kernels_in_a_slice_run_inline(monkeypatch):
+    """Kernels called inside a slice submit nothing to the pool and give the
+    bytes of a whole-batch call."""
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(37, 12, 28, 28)).astype(np.float32)
+    w = rng.normal(size=(12, 3, 3)).astype(np.float32)
+    w1 = rng.normal(size=(1, 24, 12)).astype(np.float32)
+    shift = rng.normal(size=24).astype(np.float32)
+    assert ragged(x[:18]) and ragged(x[18:])
+
+    def run(xs):
+        return [K.dw_conv_fwd(xs, w, 2, 1, shift[:12], "hswish"),
+                K.gemm_conv_fwd(w1, xs.reshape(len(xs), 1, 12, -1), shift,
+                                "relu"),
+                K.bn_normalize(xs, *identity_bn(12), "relu")]
+
+    with ThreadPoolExecutor(1) as serial:
+        counting = CountingPool(serial)
+        pool_of_one(monkeypatch, counting)
+        whole = run(x)
+        assert counting.submitted > 0  # outside a slice, kernels hand off
+        counting.submitted = 0
+        slices = K.sample_slices(len(x))
+        parts = K.map_samples(lambda s: run(x[s]), slices)
+    assert counting.submitted == 1  # the helper's slice, nothing inside it
+    for i, a in enumerate(whole):
+        assert np.concatenate([p[i] for p in parts]).tobytes() == a.tobytes()
+
+
+def test_caller_errstate_holds_in_every_slice(monkeypatch):
+    both = threading.Barrier(2, timeout=30)  # caller and helper, one each
+
+    def fn(s):
+        both.wait()
+        return np.geterr()["invalid"]
+
+    with ThreadPoolExecutor(1) as pool:
+        pool_of_one(monkeypatch, pool)
+        with np.errstate(invalid="raise"):
+            assert K.map_samples(fn, K.sample_slices(2)) == ["raise", "raise"]
+
+
+def test_one_slice_without_helpers(monkeypatch):
+    monkeypatch.setattr(K, "_HELPERS", 0)
+    monkeypatch.setattr(K, "_POOL", None)
+    assert K.sample_slices(5) == [slice(0, 5)]
+    caller = threading.current_thread()
+    assert K.map_samples(lambda s: threading.current_thread() is caller,
+                         K.sample_slices(5)) == [True]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_slices_cover_the_batch_none_empty(monkeypatch, n):
+    monkeypatch.setattr(K, "_HELPERS", 3)
+    slices = K.sample_slices(n)
+    assert len(slices) == min(n, 4)
+    assert all(s.stop > s.start for s in slices)
+    assert [i for s in slices for i in range(s.start, s.stop)] == list(
+        range(n))

@@ -1,12 +1,16 @@
 import dataclasses
 import struct
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from biasloss import _kernels as K
 from biasloss import autodiff as ad
-from biasloss import data, losses, train
+from biasloss import data, diagnostics, losses, train
 from biasloss.layers import (GraphCache, MicroNetSpec, ParamInfo,
                              SkipblockNetMicro)
 from biasloss.train import (CheckpointError, ConfigError, RUNLOG_HEADER,
@@ -444,6 +448,58 @@ class TestTrainRun:
         last = log.last("val")
         assert loss == last.loss and top1 == last.top1
 
+    @pytest.mark.parametrize("n", [48, 41], ids=["ragged", "last_batch_of_1"])
+    def test_evaluate_matches_a_retaining_pass(self, tmp_path, kernel_helpers,
+                                               n):
+        # evaluate runs each slice of a batch on its own graph; its stats
+        # are those of one retaining pass over each whole batch
+        cfg = tiny_cfg(loss="bias", batch_size=20)
+        model = SkipblockNetMicro(cfg.model_spec(), seed=3)
+        save_checkpoint(tmp_path / "m.ckpt", model)
+        va = data.make_synthetic("mnist", n, seed=4, split="test")
+        spec = data.normalize_only(data.default_augment("mnist"))
+        stats = [train._eval_epoch(model, GraphCache(model), va, cfg,
+                                   cfg.bias_config(), spec, inference=inf)
+                 for inf in (False, True)]
+        assert stats[0] == stats[1]
+        assert train.evaluate(tmp_path / "m.ckpt", va, cfg) == (
+            stats[0]["loss"] / n, stats[0]["correct"] / n)
+
+    def test_concurrent_callers_match_serial(self, tmp_path, monkeypatch):
+        """evaluate and profile called from four threads at once on a
+        one-helper pool all finish, with the results of serial calls."""
+        cfg = tiny_cfg()
+        save_checkpoint(tmp_path / "m.ckpt",
+                        SkipblockNetMicro(cfg.model_spec(), seed=5))
+        va = data.make_synthetic("mnist", 40, seed=6, split="test")
+
+        def call():
+            model = train.model_from_checkpoint(tmp_path / "m.ckpt", cfg)
+            return (train.evaluate(tmp_path / "m.ckpt", va, cfg),
+                    diagnostics.profile(model, va, batch_size=16).rows)
+
+        with ThreadPoolExecutor(1) as pool:
+            monkeypatch.setattr(K, "_HELPERS", 1)
+            monkeypatch.setattr(K, "_POOL", pool)
+            expected = call()
+            results = []
+
+            def caller():
+                results.extend(call() == expected for _ in range(2))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=caller) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [True] * 8
+
     def test_random_init_chance_level(self, tmp_path):
         # ~10% top-1 from an untrained model on balanced 10-class data
         cfg = tiny_cfg()
@@ -520,6 +576,26 @@ class TestTrainRun:
         assert len(train.load_split(cfg, "train")) == 16
         with pytest.raises(ConfigError, match="mnist test split .* is empty"):
             train.load_split(cfg, "test")
+
+    def test_empty_dataset_rejected_by_evaluate(self, tmp_path, tiny_sets):
+        _, va = tiny_sets
+        save_checkpoint(tmp_path / "m.ckpt",
+                        SkipblockNetMicro(tiny_cfg().model_spec(), seed=0))
+        with pytest.raises(data.EmptyDatasetError,
+                           match="^synthetic-mnist test dataset has no "
+                                 "samples$"):
+            train.evaluate(tmp_path / "m.ckpt", va.take(0), tiny_cfg())
+
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_empty_dataset_rejected_by_train_run(self, tiny_sets, empty):
+        tr, va = tiny_sets
+        sets = {"train": tr, "test": va}
+        sets[empty] = sets[empty].take(0)
+        with pytest.raises(data.EmptyDatasetError,
+                           match=f"^synthetic-mnist {empty} dataset has no "
+                                 "samples$"):
+            train_run(tiny_cfg(), train_ds=sets["train"],
+                      val_ds=sets["test"])
 
     def test_missing_dataset_config_error(self, monkeypatch):
         monkeypatch.delenv("DATA_DIR", raising=False)
