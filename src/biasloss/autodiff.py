@@ -21,7 +21,7 @@ A graph instance is single-threaded: a pass writes its nodes' values and
 ctx. Distinct graphs are independent and parameters (leaf nodes) may be
 shared between graphs, e.g. one graph per batch size over the same model
 weights, so threads that run passes at once each need a graph of their
-own, as the sample walk's slices have (layers.GraphCache.slices).
+own, as the sample walk's slices have (layers.GraphCache.walk).
 """
 
 from __future__ import annotations

@@ -168,7 +168,7 @@ def cmd_curve(args):
 
 
 def cmd_fixtures(args):
-    for name in ("synthetic_mnist", "synthetic_cifar"):
+    for name in ("synthetic_mnist", "synthetic_cifar", "seed"):
         if getattr(args, name) < 0:
             raise ConfigError(f"{name} must be >= 0, got "
                               f"{getattr(args, name)}")
@@ -187,13 +187,13 @@ def cmd_fixtures(args):
         datamod.write_synthetic_mnist(out / "synthetic-mnist",
                                       args.synthetic_mnist,
                                       max(args.synthetic_mnist // 2, 16),
-                                      seed=args.seed or 0)
+                                      seed=args.seed)
         msg.append(f"synthetic MNIST-format dataset: {out / 'synthetic-mnist'}")
     if args.synthetic_cifar:
         datamod.write_synthetic_cifar10(out / "synthetic-cifar10",
                                         args.synthetic_cifar,
                                         max(args.synthetic_cifar // 2, 16),
-                                        seed=args.seed or 0)
+                                        seed=args.seed)
         msg.append(f"synthetic CIFAR-format dataset: {out / 'synthetic-cifar10'}")
     if not args.quiet:
         print("\n".join(msg))

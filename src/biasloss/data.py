@@ -61,10 +61,14 @@ class Dataset:
 
     def __post_init__(self):
         if self.images.ndim != 4 or self.images.shape[0] != self.labels.shape[0]:
-            raise ValueError("images must be [N,c,h,w] aligned with labels")
+            raise FormatError(f"{self.name} {self.split}: images must be "
+                              f"[N,c,h,w] aligned with labels, got "
+                              f"{self.images.shape} and "
+                              f"{self.labels.shape[0]} labels")
         if self.labels.size and (self.labels.min() < 0
                                  or self.labels.max() >= self.num_classes):
-            raise ValueError(f"labels must lie in [0, {self.num_classes})")
+            raise FormatError(f"{self.name} {self.split}: labels must lie "
+                              f"in [0, {self.num_classes})")
 
     def __len__(self):
         return self.images.shape[0]

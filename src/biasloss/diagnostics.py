@@ -1,7 +1,7 @@
 """Per-layer activation-variance profiling and weight-curve emission.
 
 The profiler runs the model in eval mode on the sample walk
-(_kernels.map_samples): each batch is cut into one slice of samples per
+(layers.GraphCache.walk): each batch is cut into one slice of samples per
 thread, and each slice runs an inference pass on a graph of its own that
 keeps only the probed activations. At each probed layer the slice takes
 the unbiased variance of every sample's unfolded activation, and the
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from . import autodiff as ad
 from . import data as datamod
 from .layers import GraphCache
@@ -123,9 +122,8 @@ def profile(model, dataset, layer_names=None, batch_size=256,
         for i, b in enumerate(datamod.batches(dataset, batch_size,
                                               shuffle=False,
                                               augment_spec=spec)):
-            parts = _kernels.map_samples(variances, cache.slices(b.images))
-            for name, *slices in zip(layer_names, *parts):
-                v = np.concatenate(slices)
+            for name, v in zip(layer_names,
+                               cache.walk(b.images, variances)):
                 bad = np.count_nonzero(~np.isfinite(v))
                 if bad:
                     raise NonFiniteVarianceError(

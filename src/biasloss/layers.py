@@ -605,24 +605,20 @@ class GraphCache:
     to 215k and cut train throughput from 520-547 to 471-521 samples/s
     and val throughput from 2337-2861 to 1754-2040.
 
-    train_run's cache runs retaining passes, which a backward needs, and
-    its val pass runs on that warm graph the same way: as an inference
-    pass there, the val batch (CIFAR geometry, batch 128) went from
-    58-63 to 65-72 ms median, with 4-8 ms more system time, as the freed
-    memory went back to the OS. evaluate and profile build a new cache
-    per call, where a retaining pass faults in a whole graph of values
-    (about 65 MB traced at batch 128) on every call, so they run
-    inference passes: with the two alternating as the benchmark calls
-    them, a steady profile call (batch 256) took 2.4-2.8k minor faults
-    instead of 13.2-14.3k, and an evaluate call (batch 128) 1.5-3.8k
-    instead of 13.0-13.5k.
+    train_run's steps run retaining passes on get()'s graph, which a
+    backward needs. Every eval-mode read (train_run's val pass, evaluate
+    and profile) builds a cache of its own per call and runs inference
+    passes on the sample walk through walk(); a retaining pass there would
+    fault in a whole graph of values (about 65 MB traced at batch 128) on
+    every call: with evaluate and profile alternating as the benchmark
+    calls them, a steady profile call (batch 256) took 2.4-2.8k minor
+    faults instead of 13.2-14.3k, and an evaluate call (batch 128)
+    1.5-3.8k instead of 13.0-13.5k.
 
-    evaluate and profile run those passes on the sample walk
-    (_kernels.map_samples): slices() gives each slice of the batch a graph
-    of its own, keyed by the slice's position and size, since a graph
-    instance is single-threaded. The graphs are built here, on the calling
-    thread, because the network's build writes the skip blocks' pooling
-    targets.
+    walk() gives each slice of the batch a graph of its own, keyed by the
+    slice's position and size, since a graph instance is single-threaded.
+    The graphs are built here, on the calling thread, because the
+    network's build writes the skip blocks' pooling targets.
     """
 
     def __init__(self, model):
@@ -642,11 +638,14 @@ class GraphCache:
             out.input.set(np.ascontiguousarray(images))
         return out
 
-    def slices(self, images):
-        """One graph per slice of _kernels.sample_slices, in order, each
-        holding its slice of images."""
-        return [self.get(images[s], slot)
+    def walk(self, images, fn):
+        """fn(out) on the sample walk (_kernels.map_samples), out being the
+        graph of one slice of images; fn returns a sequence of arrays, and
+        each is joined over the slices in slice order."""
+        outs = [self.get(images[s], slot)
                 for slot, s in enumerate(K.sample_slices(len(images)))]
+        return [np.concatenate(parts)
+                for parts in zip(*K.map_samples(fn, outs))]
 
 
 class SkipblockNetMicro(Module):

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels as K
 from . import autodiff as ad
 from . import data as datamod
 from .layers import BuildOutput, GraphCache, MicroNetSpec, SkipblockNetMicro
@@ -58,6 +57,7 @@ def _opt(default, help, identity=True):
 _RANGES = (
     ("batch_size", ">= 1", lambda v: v >= 1),
     ("epochs", ">= 0", lambda v: v >= 0),
+    ("seed", ">= 0", lambda v: v >= 0),
     ("train_limit", ">= 1", lambda v: v is None or v >= 1),
     ("val_limit", ">= 1", lambda v: v is None or v >= 1),
     ("width_multiplier", "> 0", lambda v: v > 0.0),
@@ -450,14 +450,13 @@ def _finite_loss(loss, record, where):
     return lval
 
 
-def _eval_epoch(model, cache, dataset, cfg, bias_cfg, eval_spec, where="eval",
-                inference=False):
+def _eval_epoch(model, dataset, cfg, bias_cfg, eval_spec, where="eval"):
     """Loss and accuracy stats over dataset in eval mode; the model's mode
     is restored afterwards, also on error.
 
-    With inference the model's forward runs as inference passes on the
-    sample walk, each keeping only its slice's logits and feature map (see
-    GraphCache); the loss is built on constants of the joined batch, so it
+    The model's forward runs as inference passes on the sample walk of a
+    GraphCache of its own, each keeping only its slice's logits and
+    feature map; the loss is built on constants of the joined batch, so it
     holds no model node.
     """
     def infer(out):
@@ -466,22 +465,17 @@ def _eval_epoch(model, cache, dataset, cfg, bias_cfg, eval_spec, where="eval",
 
     was_training = model.training
     model.eval()
+    cache = GraphCache(model)
     stats = _epoch_stats()
     try:
         for i, b in enumerate(datamod.batches(
                 dataset, cfg.batch_size, shuffle=False,
                 augment_spec=eval_spec, prefetch=cfg.prefetch)):
-            if inference:
-                logits, fmaps = zip(*K.map_samples(infer,
-                                                   cache.slices(b.images)))
-                out = BuildOutput(None, ad.constant(np.concatenate(logits)),
-                                  ad.constant(np.concatenate(fmaps)))
-            else:
-                out = cache.get(b.images)
+            logits, fmap = cache.walk(b.images, infer)
+            out = BuildOutput(None, ad.constant(logits), ad.constant(fmap))
             loss, record = _compute_loss(cfg, bias_cfg, out, b.labels)
             lval = _finite_loss(loss, record, f"{where} batch {i}")
-            _accumulate(stats, len(b.labels), lval, out.logits.value,
-                        b.labels, record)
+            _accumulate(stats, len(b.labels), lval, logits, b.labels, record)
     finally:
         if was_training:
             model.train()
@@ -548,7 +542,7 @@ def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
                              time.perf_counter() - t0))
 
         t0 = time.perf_counter()
-        vstats = _eval_epoch(model, cache, val_ds, cfg, bias_cfg, eval_spec,
+        vstats = _eval_epoch(model, val_ds, cfg, bias_cfg, eval_spec,
                              f"val epoch {epoch}")
         vrow = _row(epoch, "val", vstats, lr, time.perf_counter() - t0)
         log.rows.append(vrow)
@@ -584,7 +578,6 @@ def evaluate(checkpoint_path, dataset, cfg: TrainConfig):
     datamod.require_samples(dataset)
     model = model_from_checkpoint(checkpoint_path, cfg)
     eval_spec = datamod.normalize_only(datamod.default_augment(cfg.dataset))
-    stats = _eval_epoch(model, GraphCache(model), dataset, cfg,
-                        cfg.bias_config(), eval_spec, f"{dataset.split} split",
-                        inference=True)
+    stats = _eval_epoch(model, dataset, cfg, cfg.bias_config(), eval_spec,
+                        f"{dataset.split} split")
     return stats["loss"] / stats["n"], stats["correct"] / stats["n"]

@@ -84,6 +84,8 @@ class TestUsage:
         ["--loss", "bias", "--alpha", "inf"],
         ["--loss", "bias", "--beta", "inf"],
         ["--loss", "focal", "--gamma", "inf"],
+        # numpy's SeedSequence refused it in the model build, in a traceback
+        ["--seed", "-1"],
     ])
     def test_out_of_range_field_exits_two_without_traceback(
             self, tmp_path, synth_dir, flags, capsys):
@@ -160,6 +162,37 @@ class TestBadPaths:
                  else ["--ckpt", str(tmp_path / "none.ckpt")])
         code = main([verb, "--data_dir", str(root)] + extra)
         assert "test split" in assert_config_error(code, capsys)
+
+    @pytest.mark.parametrize("verb", ["train", "eval", "profile"])
+    @pytest.mark.parametrize("n_images,labels,msg", [
+        (3, [1, 2], "aligned with labels"), (2, [1, 12], "must lie in")],
+        ids=["count_mismatch", "label_out_of_range"])
+    def test_malformed_idx_pair(self, tmp_path, verb, n_images, labels, msg,
+                                capsys):
+        # both files parse; together they make no dataset
+        root = tmp_path / "data"
+        root.mkdir()
+        for prefix in ("train", "t10k"):
+            data.write_idx_images(root / f"{prefix}-images-idx3-ubyte",
+                                  np.zeros((n_images, 1, 28, 28), np.uint8))
+            data.write_idx_labels(root / f"{prefix}-labels-idx1-ubyte",
+                                  np.array(labels, np.uint8))
+        extra = {"train": ["--out", str(tmp_path / "run")],
+                 "eval": ["--ckpt", str(tmp_path / "none.ckpt")],
+                 "profile": ["--ckpt", str(tmp_path / "none.ckpt"),
+                             "--out", str(tmp_path / "prof")]}[verb]
+        code = main([verb, "--data_dir", str(root)] + extra)
+        assert msg in assert_config_error(code, capsys)
+
+    def test_cifar_label_out_of_range(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        data.write_synthetic_cifar10(root, n_train=5, n_test=2)
+        data.write_cifar10(root / "cifar-10-batches-bin" / "test_batch.bin",
+                           np.zeros((1, 3, 32, 32), np.uint8), [200])
+        code = main(["eval", "--dataset", "cifar10", "--data_dir", str(root),
+                     "--ckpt", str(tmp_path / "none.ckpt")])
+        err = assert_config_error(code, capsys)
+        assert "cifar10 test: labels must lie in [0, 10)" in err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_sweep_nonpositive_jobs(self, tmp_path, synth_dir, jobs, capsys):
@@ -286,6 +319,13 @@ class TestFixtures:
         assert main(["fixtures", "--out", str(tmp_path / "f"),
                      flag, "-5"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag[2:]} must")
+        assert not (tmp_path / "f").exists()
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        code = main(["fixtures", "--out", str(tmp_path / "f"),
+                     "--synthetic_mnist", "16", "--seed", "-1"])
+        assert "seed must be >= 0, got -1" in assert_config_error(code,
+                                                                  capsys)
         assert not (tmp_path / "f").exists()
 
 

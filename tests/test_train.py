@@ -64,6 +64,27 @@ def write_nan_checkpoint(path):
     save_checkpoint(path, model)
 
 
+def retaining_stats(model, dataset, cfg):
+    """_eval_epoch's stats from retaining passes over whole batches, the
+    loss built on the graph's nodes."""
+    model.eval()
+    cache, stats = GraphCache(model), train._epoch_stats()
+    spec = data.normalize_only(data.default_augment(cfg.dataset))
+    for b in data.batches(dataset, cfg.batch_size, shuffle=False,
+                          augment_spec=spec):
+        out = cache.get(b.images)
+        loss, record = train._compute_loss(cfg, cfg.bias_config(), out,
+                                           b.labels)
+        train._accumulate(stats, len(b.labels), loss.item(),
+                          out.logits.value, b.labels, record)
+    return stats
+
+
+# (loss, detach_weight) of every loss path the val pass can take
+EVAL_LOSSES = (("bias", True), ("bias", False), ("ce", True),
+               ("focal", True))
+
+
 @pytest.fixture(scope="module")
 def tiny_sets():
     return (data.make_synthetic("mnist", 96, seed=0),
@@ -333,6 +354,30 @@ class TestCheckpoint:
             train.evaluate(p, val, tiny_cfg())
 
 
+BIAS_RUN_CFG = tiny_cfg(loss="bias", detach_weight=False, augment=True,
+                        dropout=0.2, batch_size=20)
+
+
+def run_files(out_dir):
+    """A run's runlog without wall_seconds and both checkpoints."""
+    return (strip_wall((out_dir / "runlog.csv").read_text()),
+            (out_dir / "best.ckpt").read_bytes(),
+            (out_dir / "final.ckpt").read_bytes())
+
+
+@pytest.fixture(scope="module")
+def serial_bias_run(tmp_path_factory, tiny_sets):
+    """run_files of a BIAS_RUN_CFG run on tiny_sets with a ragged val set,
+    its kernels walked without a pool."""
+    tr, va = tiny_sets
+    out = tmp_path_factory.mktemp("serial")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(K, "_HELPERS", 0)
+        mp.setattr(K, "_POOL", None)
+        train_run(BIAS_RUN_CFG, out_dir=out, train_ds=tr, val_ds=va.take(41))
+    return run_files(out)
+
+
 class TestTrainRun:
     def test_loss_decreases_within_first_epoch(self):
         # manual step loop over a 64-sample slice for per-batch granularity
@@ -439,8 +484,7 @@ class TestTrainRun:
         ("bias", False), ("ce", True), ("focal", True)])
     def test_evaluate_matches_val_row_for_every_loss(self, tmp_path,
                                                      tiny_sets, loss, detach):
-        # evaluate's loss reads constants from an inference pass, the val
-        # row's the nodes of train_run's retaining graph
+        # the final model through a checkpoint round trip reads the same
         tr, va = tiny_sets
         cfg = tiny_cfg(loss=loss, detach_weight=detach, epochs=1)
         log, _ = train_run(cfg, out_dir=tmp_path, train_ds=tr, val_ds=va)
@@ -451,19 +495,49 @@ class TestTrainRun:
     @pytest.mark.parametrize("n", [48, 41], ids=["ragged", "last_batch_of_1"])
     def test_evaluate_matches_a_retaining_pass(self, tmp_path, kernel_helpers,
                                                n):
-        # evaluate runs each slice of a batch on its own graph; its stats
-        # are those of one retaining pass over each whole batch
-        cfg = tiny_cfg(loss="bias", batch_size=20)
-        model = SkipblockNetMicro(cfg.model_spec(), seed=3)
+        # _eval_epoch runs each slice of a batch on its own graph; its
+        # stats are those of one retaining pass over each whole batch, for
+        # every loss, and evaluate reads them from a checkpoint
+        model = SkipblockNetMicro(tiny_cfg().model_spec(), seed=3)
         save_checkpoint(tmp_path / "m.ckpt", model)
         va = data.make_synthetic("mnist", n, seed=4, split="test")
         spec = data.normalize_only(data.default_augment("mnist"))
-        stats = [train._eval_epoch(model, GraphCache(model), va, cfg,
-                                   cfg.bias_config(), spec, inference=inf)
-                 for inf in (False, True)]
-        assert stats[0] == stats[1]
-        assert train.evaluate(tmp_path / "m.ckpt", va, cfg) == (
-            stats[0]["loss"] / n, stats[0]["correct"] / n)
+        for loss, detach in EVAL_LOSSES:
+            cfg = tiny_cfg(loss=loss, detach_weight=detach, batch_size=20)
+            model.train()
+            stats = train._eval_epoch(model, va, cfg, cfg.bias_config(),
+                                      spec)
+            assert model.training
+            assert stats == retaining_stats(model, va, cfg)
+            assert train.evaluate(tmp_path / "m.ckpt", va, cfg) == (
+                stats["loss"] / n, stats["correct"] / n)
+
+    @pytest.mark.parametrize("n", [48, 41], ids=["ragged", "last_batch_of_1"])
+    def test_val_row_matches_a_retaining_pass(self, tiny_sets, kernel_helpers,
+                                              n):
+        # the val row of a one-epoch run is a retaining pass's over the
+        # final model, for every loss
+        tr, _ = tiny_sets
+        va = data.make_synthetic("mnist", n, seed=4, split="test")
+        for loss, detach in EVAL_LOSSES:
+            cfg = tiny_cfg(loss=loss, detach_weight=detach, epochs=1,
+                           batch_size=20)
+            log, model = train_run(cfg, train_ds=tr.take(20), val_ds=va)
+            row = log.last("val")
+            want = train._row(0, "val", retaining_stats(model, va, cfg),
+                              row.lr, row.wall_seconds)
+            assert row == want
+
+    def test_train_run_across_kernel_helpers(self, tmp_path, tiny_sets,
+                                             kernel_helpers,
+                                             serial_bias_run):
+        # the val pass cuts each batch into 1, 2 or 4 slices and the steps
+        # walk their blocks on 0, 1 or 3 helpers; the files are the bytes
+        # of a run without a pool
+        tr, va = tiny_sets
+        train_run(BIAS_RUN_CFG, out_dir=tmp_path, train_ds=tr,
+                  val_ds=va.take(41))
+        assert run_files(tmp_path) == serial_bias_run
 
     def test_concurrent_callers_match_serial(self, tmp_path, monkeypatch):
         """evaluate and profile called from four threads at once on a
@@ -550,8 +624,7 @@ class TestTrainRun:
         spec = data.AugmentSpec(hflip=False, rotate_deg=(0.0, 0.0),
                                 normalize=((0.1, 0.2), (0.3, 0.4)))
         with pytest.raises(data.FormatError):
-            train._eval_epoch(model, GraphCache(model), va, cfg,
-                              cfg.bias_config(), spec)
+            train._eval_epoch(model, va, cfg, cfg.bias_config(), spec)
         assert all(m.training for m in model.modules())
 
     def test_nan_parameter_fails_evaluate(self, tmp_path, tiny_sets):
