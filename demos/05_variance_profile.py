@@ -21,9 +21,11 @@ cfg = train.TrainConfig(loss="ce", epochs=2, batch_size=64, lr0=0.1,
 _, model = train.train_run(cfg, train_ds=train_ds, val_ds=val_ds)
 
 # ---------------------------------------------------------------------------
-# Probe every stage; rows come back ordered by depth.
+# Probe every stage; rows come back ordered by depth. The images are
+# normalized as in training, as the CLI's profile verb does.
 
-prof = diagnostics.profile(model, val_ds, loss_id="ce")
+prof = diagnostics.profile(model, val_ds, loss_id="ce",
+                           normalize=data.default_augment("mnist").normalize)
 print("layer        avg        max        min")
 for name, avg, mx, mn in prof.rows:
     print(f"{name:10s} {avg:9.4f} {mx:10.4f} {mn:10.4f}")

@@ -19,9 +19,9 @@ value that must take no gradient enters the graph as a constant.
 
 A graph instance is single-threaded: a pass writes its nodes' values and
 ctx. Distinct graphs are independent and parameters (leaf nodes) may be
-shared between graphs, e.g. one graph per batch size over the same model
-weights, so threads that run passes at once each need a graph of their
-own, as the sample walk's slices have (layers.GraphCache.walk).
+shared between graphs over the same model weights, so threads that run
+passes at once each need a graph of their own, as the sample walk's
+slices have (layers.GraphCache.walk).
 """
 
 from __future__ import annotations
@@ -185,10 +185,10 @@ class ForwardPass:
 
     By default the pass retains every node's value and ctx for a backward.
     Given keep, the nodes the caller will read, it is an inference pass and
-    no backward may follow: only the kept nodes may be run, and consumers
-    are counted over the union of their ancestry, so the roots can be run
-    one by one without freeing a shared ancestor early or computing it
-    twice. A non-leaf value that is not kept is freed once its last
+    no backward may follow: only the kept nodes may be run, and the first
+    run computes the whole ancestry of every kept node, in the topological
+    order that also counts each node's consumers, so later runs just read
+    their value. A non-leaf value that is not kept is freed once its last
     consumer has run, and each node's ctx right after its own forward;
     kept values and leaves stay.
     """
@@ -196,21 +196,28 @@ class ForwardPass:
     def __init__(self, validate=False, keep=None):
         self.validate = validate
         self._done = set()
-        self._keep = self._uses = None
+        self._keep = self._order = None
         if keep is not None:
             self._keep = {n.id for n in keep}
+            self._order = topo_order(*keep)
             self._uses = {}  # node id -> consumers in the pass not yet run
-            for node in topo_order(*keep):
+            for node in self._order:
                 for inp in node.inputs:
                     self._uses[inp.id] = self._uses.get(inp.id, 0) + 1
 
     def run(self, root):
-        if self._keep is not None and root.id not in self._keep:
+        if self._keep is None:
+            self._compute(topo_order(root))
+        elif root.id not in self._keep:
             raise GraphError(f"{root!r} was not named when the inference "
                              "pass began")
-        if root.id in self._done:  # its ancestry ran with an earlier root
-            return root.value
-        for node in topo_order(root):
+        else:
+            self._compute(self._order)
+            self._order = ()
+        return root.value
+
+    def _compute(self, order):
+        for node in order:
             if node.id in self._done:
                 continue
             if node.op == "leaf":
@@ -226,7 +233,6 @@ class ForwardPass:
                 if self._keep is not None:
                     self._release(node)
             self._done.add(node.id)
-        return root.value
 
     def _release(self, node):
         """Drop what an inference pass no longer needs once node ran."""

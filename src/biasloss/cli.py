@@ -172,6 +172,10 @@ def cmd_fixtures(args):
         if getattr(args, name) < 0:
             raise ConfigError(f"{name} must be >= 0, got "
                               f"{getattr(args, name)}")
+    if 0 < args.synthetic_cifar < 5:
+        # each of the five data_batch files needs an image
+        raise ConfigError(f"synthetic_cifar must be 0 or >= 5, got "
+                          f"{args.synthetic_cifar}")
     out = _out_dir(args)
     # handcrafted format fixtures: a 2-image 2x2 IDX pair and a 1-record
     # CIFAR batch with known contents

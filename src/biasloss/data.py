@@ -409,16 +409,22 @@ def write_synthetic_mnist(root, n_train=512, n_test=256, seed=0):
 
 
 def write_synthetic_cifar10(root, n_train=512, n_test=256, seed=0):
-    """Materialize a synthetic dataset in genuine CIFAR-10 binary batches."""
+    """Materialize a synthetic dataset in genuine CIFAR-10 binary batches.
+
+    The n_train images are split in order over the five data_batch files,
+    none of them empty (read_cifar10 rejects an empty file), so n_train
+    must be at least 5.
+    """
+    if n_train < 5:
+        raise ValueError(f"n_train must be >= 5, one image per data_batch "
+                         f"file, got {n_train}")
     root = Path(root)
     sub = root / "cifar-10-batches-bin"
     sub.mkdir(parents=True, exist_ok=True)
     train = make_synthetic("cifar10", n_train, seed=seed, split="train")
-    per = -(-n_train // 5)
-    for i in range(5):
-        sl = slice(i * per, min((i + 1) * per, n_train))
-        write_cifar10(sub / f"data_batch_{i + 1}.bin", train.images[sl],
-                      train.labels[sl])
+    for i, (images, labels) in enumerate(zip(
+            np.array_split(train.images, 5), np.array_split(train.labels, 5))):
+        write_cifar10(sub / f"data_batch_{i + 1}.bin", images, labels)
     test = make_synthetic("cifar10", n_test, seed=seed, split="test")
     write_cifar10(sub / "test_batch.bin", test.images, test.labels)
     return root

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from . import data as datamod
 from .layers import GraphCache
 from .losses import BiasLossConfig, batch_variances, bias_weight
@@ -70,8 +69,6 @@ class LayerProbe:
 @dataclass
 class VarianceProfile:
     rows: list = field(default_factory=list)  # (layer, avg, max, min)
-    model_id: str = ""
-    dataset_id: str = ""
     loss_id: str = ""
 
     def row(self, layer):
@@ -104,40 +101,27 @@ def profile(model, dataset, layer_names=None, batch_size=256,
         raise ProbeError(f"unknown layers {unknown}; available: {available}")
     datamod.require_samples(dataset)
 
-    ordered = [n for n in available if n in layer_names]
-
-    def variances(out):
-        # the deepest probe first: one topological walk then computes every
-        # probe it reaches, and those are done when their turn comes
-        fp = ad.ForwardPass(keep=[out.probes[n] for n in layer_names])
-        values = {n: fp.run(out.probes[n]) for n in reversed(ordered)}
-        return [batch_variances(values[n]) for n in layer_names]
-
-    was_training = model.training
-    model.eval()
-    try:
-        spec = datamod.normalize_only(datamod.AugmentSpec(normalize=normalize))
-        probes = {name: LayerProbe(name) for name in layer_names}
-        cache = GraphCache(model)
+    spec = datamod.normalize_only(datamod.AugmentSpec(normalize=normalize))
+    probes = {name: LayerProbe(name) for name in layer_names}
+    cache = GraphCache(model)
+    with model.evaluating():
         for i, b in enumerate(datamod.batches(dataset, batch_size,
                                               shuffle=False,
                                               augment_spec=spec)):
-            for name, v in zip(layer_names,
-                               cache.walk(b.images, variances)):
+            variances = cache.walk(
+                b.images, lambda out: [out.probes[n] for n in layer_names],
+                batch_variances)
+            for name, v in zip(layer_names, variances):
                 bad = np.count_nonzero(~np.isfinite(v))
                 if bad:
                     raise NonFiniteVarianceError(
                         f"non-finite variance at probe {name} batch {i} "
                         f"({bad} of {len(v)} samples)")
                 probes[name].update(v)
-    finally:
-        if was_training:
-            model.train()
 
-    rows = [(n, probes[n].avg, probes[n].max, probes[n].min) for n in ordered]
-    model_id = f"{type(model).__name__}/{model.num_parameters()}p"
-    return VarianceProfile(rows, model_id=model_id, dataset_id=dataset.name,
-                           loss_id=loss_id)
+    rows = [(n, probes[n].avg, probes[n].max, probes[n].min)
+            for n in available if n in probes]
+    return VarianceProfile(rows, loss_id=loss_id)
 
 
 def depth_trend(prof: VarianceProfile, early_layer, last_layer):

@@ -32,16 +32,16 @@ output and runs the BN's eval backward on it, then the conv's own
 backward. A BatchNorm2d used on its own still normalizes.
 
 Layer objects own their parameter nodes; calling a layer on an input node
-extends the graph, so one set of weights can back several graphs (e.g.
-different batch sizes). GraphCache keeps one such graph per batch size,
-and one per slice of the sample walk.
-Every layer, block and the network derive from Module, which walks the
-attribute tree once for all of them: parameters, BN buffers, train/eval
-mode, loading a checkpoint's state and counting parameters.
+extends the graph, so one set of weights can back several graphs.
+GraphCache keeps one such graph per input geometry and slot of the sample
+walk. Every layer, block and the network derive from Module, which walks
+the attribute tree once for all of them: parameters, BN buffers,
+train/eval mode, loading a checkpoint's state and counting parameters.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass, field
 
@@ -381,6 +381,18 @@ class Module:
             m.training = False
         return self
 
+    @contextlib.contextmanager
+    def evaluating(self):
+        """Eval mode inside the with block; every module's earlier mode is
+        restored after it, also on error."""
+        modes = [(m, m.training) for m in self.modules()]
+        self.eval()
+        try:
+            yield self
+        finally:
+            for m, training in modes:
+                m.training = training
+
     def num_parameters(self):
         return int(sum(p.node.value.size for p in self.parameters()))
 
@@ -594,31 +606,15 @@ class BuildOutput:
 
 
 class GraphCache:
-    """One built graph per batch size, sharing the model's parameters, and
-    one per slice for the sample walk.
+    """Built graphs of the model, kept so that each forward replaces the
+    previous batch's values in place, keyed by (images.shape[1:], slot).
 
-    The cache is not there for build time (about 0.17 ms for the default
-    model's 113 nodes at batch 128). A kept graph's forward replaces the
-    previous batch's node values one at a time, so the memory they free
-    is reused at once. Building a graph per batch (1024-image train epoch
-    plus 256 val images, 2 vCPUs) raised minor page faults from about 35k
-    to 215k and cut train throughput from 520-547 to 471-521 samples/s
-    and val throughput from 2337-2861 to 1754-2040.
-
-    train_run's steps run retaining passes on get()'s graph, which a
-    backward needs. Every eval-mode read (train_run's val pass, evaluate
-    and profile) builds a cache of its own per call and runs inference
-    passes on the sample walk through walk(); a retaining pass there would
-    fault in a whole graph of values (about 65 MB traced at batch 128) on
-    every call: with evaluate and profile alternating as the benchmark
-    calls them, a steady profile call (batch 256) took 2.4-2.8k minor
-    faults instead of 13.2-14.3k, and an evaluate call (batch 128)
-    1.5-3.8k instead of 13.0-13.5k.
-
-    walk() gives each slice of the batch a graph of its own, keyed by the
-    slice's position and size, since a graph instance is single-threaded.
-    The graphs are built here, on the calling thread, because the
-    network's build writes the skip blocks' pooling targets.
+    The key leaves out the batch size because no graph depends on it: only
+    the skip blocks' pooling targets depend on the input, and only on its
+    spatial size. A ragged last batch thus reuses its slot's graph. Slots
+    are the sample walk's: each slice of a batch runs on a graph of its
+    own, since a graph instance is single-threaded. Graphs are built on the
+    calling thread, because the network's build writes the pooling targets.
     """
 
     def __init__(self, model):
@@ -626,26 +622,33 @@ class GraphCache:
         self._built = {}
 
     def get(self, images, slot=0):
-        """The graph for images' batch size (and slot), holding images."""
-        key = (images.shape[0], slot)
+        """The graph for images' geometry (and slot), holding images."""
+        key = (images.shape[1:], slot)
         out = self._built.get(key)
         if out is None:
-            x = ad.leaf(np.ascontiguousarray(images),
-                        name=f"input[{images.shape[0]}]")
-            out = self.model.build(x)
+            out = self.model.build(ad.leaf(np.ascontiguousarray(images),
+                                           name="input"))
             self._built[key] = out
         else:
             out.input.set(np.ascontiguousarray(images))
         return out
 
-    def walk(self, images, fn):
-        """fn(out) on the sample walk (_kernels.map_samples), out being the
-        graph of one slice of images; fn returns a sequence of arrays, and
-        each is joined over the slices in slice order."""
+    def walk(self, images, select, reduce=None):
+        """The inference pass of images on the sample walk
+        (_kernels.map_samples): each slice's graph out runs
+        ForwardPass(keep=select(out)) and returns the kept values, each
+        mapped through reduce when given; each is joined over the slices in
+        slice order."""
+        def infer(out):
+            keep = select(out)
+            fp = ad.ForwardPass(keep=keep)
+            return [fp.run(n) if reduce is None else reduce(fp.run(n))
+                    for n in keep]
+
         outs = [self.get(images[s], slot)
                 for slot, s in enumerate(K.sample_slices(len(images)))]
         return [np.concatenate(parts)
-                for parts in zip(*K.map_samples(fn, outs))]
+                for parts in zip(*K.map_samples(infer, outs))]
 
 
 class SkipblockNetMicro(Module):

@@ -14,13 +14,14 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from . import data as datamod
-from .layers import BuildOutput, GraphCache, MicroNetSpec, SkipblockNetMicro
+from .layers import GraphCache, MicroNetSpec, SkipblockNetMicro
 from .losses import (BiasLossConfig, LossBatch, bias_loss, cross_entropy,
                      focal_loss, variance_record)
 
@@ -406,17 +407,6 @@ def _epoch_stats():
             "weight": 0.0, "clamp_lo": 0.0, "clamp_hi": 0.0}
 
 
-def _accumulate(stats, n, loss_value, logits, labels, record):
-    stats["n"] += n
-    stats["loss"] += loss_value * n
-    stats["correct"] += int((np.argmax(logits, axis=1) == labels).sum())
-    stats["raw"] += float(record.raw.sum())
-    stats["scaled"] += float(record.scaled.sum())
-    stats["weight"] += float(record.weight.sum())
-    stats["clamp_lo"] += int(record.clamped_lo.sum())
-    stats["clamp_hi"] += int(record.clamped_hi.sum())
-
-
 def _row(epoch, split, stats, lr, wall):
     n = stats["n"]
     return RunRow(epoch, split, stats["loss"] / n, stats["correct"] / n, lr,
@@ -424,61 +414,55 @@ def _row(epoch, split, stats, lr, wall):
                   stats["clamp_lo"] / n, stats["clamp_hi"] / n, wall)
 
 
-def _compute_loss(cfg, bias_cfg, out, labels):
-    """Returns (loss node, applied-weight variance record)."""
-    batch = LossBatch(out.logits, labels, out.feature_map)
-    if cfg.loss == "bias":
-        return bias_loss(batch, bias_cfg)
-    loss = (focal_loss(batch, cfg.gamma) if cfg.loss == "focal"
-            else cross_entropy(batch))
-    # unweighted losses log the variance columns with unit applied weights
-    return loss, variance_record(out.feature_map.value)
+def _batch_loss(cfg, logits, feature_map, labels, stats, where):
+    """The loss node of one batch, accumulated into stats.
 
-
-def _finite_loss(loss, record, where):
-    """loss's value; NonFiniteLossError, naming where, if it is not finite.
-
-    The one-line message gives the range of the batch's variances and
-    weights; the whole record rides on the exception.
+    A non-finite loss raises NonFiniteLossError naming where; its one-line
+    message gives the range of the batch's variances and weights, and the
+    whole variance record rides on the exception. Unweighted losses log
+    the variance columns with unit applied weights.
     """
+    batch = LossBatch(logits, labels, feature_map)
+    if cfg.loss == "bias":
+        loss, record = bias_loss(batch, cfg.bias_config())
+    else:
+        loss = (focal_loss(batch, cfg.gamma) if cfg.loss == "focal"
+                else cross_entropy(batch))
+        record = variance_record(feature_map.value)
     lval = loss.item()
     if not np.isfinite(lval):
         raise NonFiniteLossError(
             f"non-finite loss {lval} at {where}; variance in "
             f"[{record.raw.min():.4g}, {record.raw.max():.4g}], weight in "
             f"[{record.weight.min():.4g}, {record.weight.max():.4g}]", record)
-    return lval
+    n = len(labels)
+    stats["n"] += n
+    stats["loss"] += lval * n
+    stats["correct"] += int((np.argmax(logits.value, axis=1) == labels).sum())
+    stats["raw"] += float(record.raw.sum())
+    stats["scaled"] += float(record.scaled.sum())
+    stats["weight"] += float(record.weight.sum())
+    stats["clamp_lo"] += int(record.clamped_lo.sum())
+    stats["clamp_hi"] += int(record.clamped_hi.sum())
+    return loss
 
 
-def _eval_epoch(model, dataset, cfg, bias_cfg, eval_spec, where="eval"):
-    """Loss and accuracy stats over dataset in eval mode; the model's mode
-    is restored afterwards, also on error.
-
-    The model's forward runs as inference passes on the sample walk of a
-    GraphCache of its own, each keeping only its slice's logits and
-    feature map; the loss is built on constants of the joined batch, so it
-    holds no model node.
-    """
-    def infer(out):
-        fp = ad.ForwardPass(keep=(out.logits, out.feature_map))
-        return fp.run(out.logits), fp.run(out.feature_map)
-
-    was_training = model.training
-    model.eval()
+def _eval_epoch(model, dataset, cfg, where="eval"):
+    """Loss and accuracy stats over dataset in eval mode, on the sample
+    walk of a GraphCache of its own; the loss is built on constants of
+    each batch's joined logits and feature map, so it holds no model
+    node."""
+    spec = datamod.normalize_only(datamod.default_augment(cfg.dataset))
     cache = GraphCache(model)
     stats = _epoch_stats()
-    try:
+    with model.evaluating():
         for i, b in enumerate(datamod.batches(
-                dataset, cfg.batch_size, shuffle=False,
-                augment_spec=eval_spec, prefetch=cfg.prefetch)):
-            logits, fmap = cache.walk(b.images, infer)
-            out = BuildOutput(None, ad.constant(logits), ad.constant(fmap))
-            loss, record = _compute_loss(cfg, bias_cfg, out, b.labels)
-            lval = _finite_loss(loss, record, f"{where} batch {i}")
-            _accumulate(stats, len(b.labels), lval, logits, b.labels, record)
-    finally:
-        if was_training:
-            model.train()
+                dataset, cfg.batch_size, shuffle=False, augment_spec=spec,
+                prefetch=cfg.prefetch)):
+            logits, fmap = cache.walk(b.images,
+                                      attrgetter("logits", "feature_map"))
+            _batch_loss(cfg, ad.constant(logits), ad.constant(fmap),
+                        b.labels, stats, f"{where} batch {i}")
     return stats
 
 
@@ -493,7 +477,7 @@ def load_split(cfg: TrainConfig, split):
     ds = datamod.load_dataset(cfg.dataset, root, split)
     if not len(ds):
         raise ConfigError(f"{cfg.dataset} {split} split under {root} is empty")
-    return ds
+    return ds.take(cfg.train_limit if split == "train" else cfg.val_limit)
 
 
 def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
@@ -515,9 +499,9 @@ def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
     model = SkipblockNetMicro(cfg.model_spec(), seed=cfg.seed)
     params = model.parameters()
     cache = GraphCache(model)
-    bias_cfg = cfg.bias_config()
-    eval_spec = datamod.normalize_only(datamod.default_augment(cfg.dataset))
-    aug = datamod.default_augment(cfg.dataset) if cfg.augment else eval_spec
+    aug = datamod.default_augment(cfg.dataset)
+    if not cfg.augment:
+        aug = datamod.normalize_only(aug)
     opt_state = {}
     log = RunLog()
     best = None
@@ -530,20 +514,15 @@ def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
                 train_ds, cfg.batch_size, seed=cfg.seed, epoch=epoch,
                 augment_spec=aug, prefetch=cfg.prefetch)):
             out = cache.get(b.images)
-            loss, record = _compute_loss(cfg, bias_cfg, out, b.labels)
-            lval = _finite_loss(loss, record,
-                                f"train epoch {epoch} step {step}")
-            grads = ad.backward(loss)
-            sgd_step(params, grads, opt_state, lr, cfg.momentum,
+            loss = _batch_loss(cfg, out.logits, out.feature_map, b.labels,
+                               stats, f"train epoch {epoch} step {step}")
+            sgd_step(params, ad.backward(loss), opt_state, lr, cfg.momentum,
                      cfg.weight_decay)
-            _accumulate(stats, len(b.labels), lval, out.logits.value,
-                        b.labels, record)
         log.rows.append(_row(epoch, "train", stats, lr,
                              time.perf_counter() - t0))
 
         t0 = time.perf_counter()
-        vstats = _eval_epoch(model, val_ds, cfg, bias_cfg, eval_spec,
-                             f"val epoch {epoch}")
+        vstats = _eval_epoch(model, val_ds, cfg, f"val epoch {epoch}")
         vrow = _row(epoch, "val", vstats, lr, time.perf_counter() - t0)
         log.rows.append(vrow)
         if progress:
@@ -577,7 +556,5 @@ def evaluate(checkpoint_path, dataset, cfg: TrainConfig):
     """
     datamod.require_samples(dataset)
     model = model_from_checkpoint(checkpoint_path, cfg)
-    eval_spec = datamod.normalize_only(datamod.default_augment(cfg.dataset))
-    stats = _eval_epoch(model, dataset, cfg, cfg.bias_config(), eval_spec,
-                        f"{dataset.split} split")
+    stats = _eval_epoch(model, dataset, cfg, f"{dataset.split} split")
     return stats["loss"] / stats["n"], stats["correct"] / stats["n"]

@@ -153,6 +153,32 @@ class TestInferencePass:
         assert calls == [e.id]
         assert e.value is None and x.value is not None
 
+    @pytest.mark.parametrize("order", ["depth", "reversed", "shuffled"])
+    def test_each_node_computed_once_in_any_root_order(self, graph,
+                                                       monkeypatch, order):
+        # the first run computes every kept root's ancestry; later runs
+        # only read, whatever order the roots come in
+        _, out, want = graph
+        names = list(out.probes)
+        if order == "reversed":
+            names.reverse()
+        elif order == "shuffled":
+            np.random.default_rng(0).shuffle(names)
+        calls = []
+        for op, fwd in list(ad._FORWARD.items()):
+            def counting(node, xs, fwd=fwd):
+                calls.append(node.id)
+                return fwd(node, xs)
+            monkeypatch.setitem(ad._FORWARD, op, counting)
+        keep = [out.probes[n] for n in names]
+        ancestry = {n.id for n in ad.topo_order(*keep) if n.op != "leaf"}
+        fp = ad.ForwardPass(keep=keep)
+        for i, name in enumerate(names):
+            assert np.array_equal(fp.run(out.probes[name]), want[name]), name
+            if not i:
+                assert sorted(calls) == sorted(ancestry)
+        assert sorted(calls) == sorted(ancestry)
+
     def test_unnamed_root_rejected(self):
         x = ad.leaf(np.array(1.0))
         e = ad.exp(x)
@@ -357,6 +383,7 @@ class TestOpRegistry:
         for loss, detach in (("ce", True), ("focal", True), ("bias", True),
                              ("bias", False)):
             cfg = train.TrainConfig(loss=loss, detach_weight=detach)
-            root, _ = train._compute_loss(cfg, cfg.bias_config(), out, labels)
+            root = train._batch_loss(cfg, out.logits, out.feature_map,
+                                     labels, train._epoch_stats(), loss)
             reached |= {n.op for n in ad.topo_order(root)}
         assert reached - {"leaf"} == set(ad._FORWARD) - {"leaf"}

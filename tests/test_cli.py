@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biasloss import cli, data, layers, train
+from biasloss import cli, data, diagnostics, layers, train
 from biasloss.cli import main
 from test_train import (MALFORMED_CHECKPOINTS, write_empty_test_split,
                         write_nan_checkpoint)
@@ -321,6 +321,32 @@ class TestFixtures:
         assert capsys.readouterr().err.startswith(f"error: {flag[2:]} must")
         assert not (tmp_path / "f").exists()
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 11, 12, 16])
+    def test_synthetic_cifar_fills_five_batches(self, tmp_path, n):
+        # every data_batch file holds an image, and the loaded train split
+        # is the generated one
+        assert main(["--quiet", "fixtures", "--out", str(tmp_path),
+                     "--synthetic_cifar", str(n)]) == 0
+        root = tmp_path / "synthetic-cifar10"
+        sizes = [len(data.read_cifar10(
+            root / "cifar-10-batches-bin" / f"data_batch_{i}.bin")[1])
+            for i in range(1, 6)]
+        assert min(sizes) >= 1 and sum(sizes) == n
+        got = data.load_cifar10(root, "train")
+        want = data.make_synthetic("cifar10", n, seed=0, split="train")
+        assert np.array_equal(got.images, want.images)
+        assert np.array_equal(got.labels, want.labels)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_synthetic_cifar_below_five_exits_two(self, tmp_path, capsys, n):
+        code = main(["fixtures", "--out", str(tmp_path / "f"),
+                     "--synthetic_cifar", str(n)])
+        assert (f"synthetic_cifar must be 0 or >= 5, got {n}"
+                in assert_config_error(code, capsys))
+        assert not (tmp_path / "f").exists()
+        with pytest.raises(ValueError, match="n_train must be >= 5"):
+            data.write_synthetic_cifar10(tmp_path / "g", n_train=n)
+
     def test_negative_seed_exits_two(self, tmp_path, capsys):
         code = main(["fixtures", "--out", str(tmp_path / "f"),
                      "--synthetic_mnist", "16", "--seed", "-1"])
@@ -373,6 +399,22 @@ class TestTrainEvalProfile:
                     if l.split(",")[1] == "val"][-1].split(",")
         assert printed == f"loss={last_val[2]} top1={last_val[3]}"
 
+    def test_eval_honours_val_limit(self, synth_dir, tmp_path, capsys):
+        # the val row of a run on the first 20 test images is what eval
+        # prints for them
+        out = tmp_path / "run"
+        limits = ["--train_limit", "64", "--val_limit", "20"]
+        main(["--quiet", "train", "--data_dir", str(synth_dir),
+              "--out", str(out)] + TRAIN_ARGS + limits)
+        capsys.readouterr()
+        code = main(["eval", "--ckpt", str(out / "final.ckpt"),
+                     "--data_dir", str(synth_dir)] + TRAIN_ARGS + limits)
+        assert code == 0
+        printed = capsys.readouterr().out.strip()
+        last_val = [l for l in (out / "runlog.csv").read_text().splitlines()
+                    if l.split(",")[1] == "val"][-1].split(",")
+        assert printed == f"loss={last_val[2]} top1={last_val[3]}"
+
     def test_profile_two_rows(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run"
         main(["--quiet", "train", "--data_dir", str(synth_dir),
@@ -385,6 +427,27 @@ class TestTrainEvalProfile:
         assert lines[0] == "layer,avg,max,min"
         assert len(lines) == 3
         assert lines[1].startswith("stem,") and lines[2].startswith("head,")
+
+    @pytest.mark.parametrize("split,flag", [("test", "--val_limit"),
+                                            ("train", "--train_limit")])
+    def test_eval_and_profile_honour_their_split_limit(
+            self, synth_dir, tmp_path, capsys, split, flag):
+        ckpt = tmp_path / "m.ckpt"
+        cfg = train.TrainConfig(data_dir=str(synth_dir))
+        train.save_checkpoint(ckpt, layers.SkipblockNetMicro(
+            cfg.model_spec(), seed=0))
+        ds = data.load_mnist(synth_dir, split).take(20)
+        args = ["--ckpt", str(ckpt), "--data_dir", str(synth_dir),
+                "--split", split, flag, "20"]
+        assert main(["eval"] + args) == 0
+        loss, top1 = train.evaluate(ckpt, ds, cfg)
+        assert capsys.readouterr().out == f"loss={loss!r} top1={top1!r}\n"
+        assert main(["--quiet", "profile", "--out", str(tmp_path)]
+                    + args) == 0
+        want = diagnostics.profile(
+            train.model_from_checkpoint(ckpt, cfg), ds,
+            normalize=data.default_augment("mnist").normalize)
+        assert (tmp_path / "profile.csv").read_text() == want.to_csv()
 
     @pytest.mark.parametrize("spec", [
         layers.MicroNetSpec(width_multiplier=0.5),  # wrong shapes

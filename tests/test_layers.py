@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -834,3 +835,78 @@ class TestModuleTree:
         flipped = [bn for bn in self.bn_layers(model) if not bn.training]
         assert flipped == [blk.expand.bn, blk.depthwise.bn, blk.project.bn]
         assert model.training and model.head_dropout.training
+
+    def test_evaluating_restores_train_mode_after_an_error(self):
+        model = L.SkipblockNetMicro(L.MicroNetSpec(), seed=0)
+        with pytest.raises(RuntimeError, match="inside"):
+            with model.evaluating() as m:
+                assert m is model
+                assert not any(x.training for x in model.modules())
+                raise RuntimeError("inside")
+        assert all(m.training for m in model.modules())
+
+    def test_evaluating_keeps_each_modules_earlier_mode(self):
+        model = L.SkipblockNetMicro(L.MicroNetSpec(), seed=0)
+        model.eval()
+        with model.evaluating():
+            pass
+        assert not any(m.training for m in model.modules())
+        # a model with one block in eval mode gets that mix back
+        model.train()
+        model.blocks[2].eval()
+        before = [m.training for m in model.modules()]
+        with model.evaluating():
+            assert not any(m.training for m in model.modules())
+        assert [m.training for m in model.modules()] == before
+
+
+class TestGraphCache:
+    @staticmethod
+    def counted_cache(monkeypatch):
+        """A cache of a small eval-mode model, and the list of batch sizes
+        its network was built for."""
+        model = L.SkipblockNetMicro(L.MicroNetSpec(width_multiplier=0.25),
+                                    seed=0).eval()
+        builds = []
+        build = model.build
+
+        def counting(x):
+            builds.append(len(x.value))
+            return build(x)
+
+        monkeypatch.setattr(model, "build", counting)
+        return model, L.GraphCache(model), builds
+
+    def test_ragged_batch_reuses_the_graph(self, monkeypatch):
+        # only the spatial size enters a graph, not the batch size
+        model, cache, builds = self.counted_cache(monkeypatch)
+        rng = np.random.default_rng(0)
+        images = rng.normal(size=(128, 1, 8, 8)).astype(np.float32)
+        out = cache.get(images)
+        ad.forward(out.logits)
+        assert cache.get(images[:96]) is out
+        assert np.array_equal(ad.forward(out.logits),
+                              ad.forward(model.build(ad.leaf(images[:96]))
+                                         .logits))
+        assert cache.get(images[:96], slot=1) is not out
+        assert cache.get(np.zeros((96, 1, 12, 12), np.float32)) is not out
+        assert builds == [128, 96, 96, 96]
+
+    def test_ragged_walk_reuses_each_slots_graph(self, monkeypatch,
+                                                 kernel_helpers):
+        # a batch of 40 then one of 21 and one of 2: the later walks run
+        # on graphs the first built, and join what a fresh cache would
+        model, cache, builds = self.counted_cache(monkeypatch)
+        images = np.random.default_rng(1).normal(
+            size=(40, 1, 8, 8)).astype(np.float32)
+        select = attrgetter("logits", "feature_map")
+        cache.walk(images, select)
+        slots = kernel_helpers + 1
+        assert len(builds) == slots
+        for n in (21, 2):
+            got = cache.walk(images[:n], select)
+            assert len(builds) == slots
+            want = L.GraphCache(model).walk(images[:n], select)
+            del builds[slots:]
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert [len(g) for g in got] == [n, n]

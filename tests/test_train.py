@@ -70,13 +70,11 @@ def retaining_stats(model, dataset, cfg):
     model.eval()
     cache, stats = GraphCache(model), train._epoch_stats()
     spec = data.normalize_only(data.default_augment(cfg.dataset))
-    for b in data.batches(dataset, cfg.batch_size, shuffle=False,
-                          augment_spec=spec):
+    for i, b in enumerate(data.batches(dataset, cfg.batch_size,
+                                       shuffle=False, augment_spec=spec)):
         out = cache.get(b.images)
-        loss, record = train._compute_loss(cfg, cfg.bias_config(), out,
-                                           b.labels)
-        train._accumulate(stats, len(b.labels), loss.item(),
-                          out.logits.value, b.labels, record)
+        train._batch_loss(cfg, out.logits, out.feature_map, b.labels, stats,
+                          f"retaining batch {i}")
     return stats
 
 
@@ -501,12 +499,10 @@ class TestTrainRun:
         model = SkipblockNetMicro(tiny_cfg().model_spec(), seed=3)
         save_checkpoint(tmp_path / "m.ckpt", model)
         va = data.make_synthetic("mnist", n, seed=4, split="test")
-        spec = data.normalize_only(data.default_augment("mnist"))
         for loss, detach in EVAL_LOSSES:
             cfg = tiny_cfg(loss=loss, detach_weight=detach, batch_size=20)
             model.train()
-            stats = train._eval_epoch(model, va, cfg, cfg.bias_config(),
-                                      spec)
+            stats = train._eval_epoch(model, va, cfg)
             assert model.training
             assert stats == retaining_stats(model, va, cfg)
             assert train.evaluate(tmp_path / "m.ckpt", va, cfg) == (
@@ -618,13 +614,10 @@ class TestTrainRun:
 
     def test_eval_epoch_error_restores_train_mode(self, tiny_sets):
         _, va = tiny_sets
-        cfg = tiny_cfg()
-        model = SkipblockNetMicro(cfg.model_spec(), seed=0)
-        # two-channel normalization on one-channel images
-        spec = data.AugmentSpec(hflip=False, rotate_deg=(0.0, 0.0),
-                                normalize=((0.1, 0.2), (0.3, 0.4)))
+        model = SkipblockNetMicro(tiny_cfg().model_spec(), seed=0)
+        # three-channel CIFAR-10 normalization on one-channel images
         with pytest.raises(data.FormatError):
-            train._eval_epoch(model, va, cfg, cfg.bias_config(), spec)
+            train._eval_epoch(model, va, tiny_cfg(dataset="cifar10"))
         assert all(m.training for m in model.modules())
 
     def test_nan_parameter_fails_evaluate(self, tmp_path, tiny_sets):
