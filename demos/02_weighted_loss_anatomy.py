@@ -12,7 +12,7 @@ exp(alpha) - beta, clamped into [0.5, 1.5].
 import numpy as np
 
 from biasloss import losses
-from biasloss.losses import BiasLossConfig, LossBatch
+from biasloss.losses import BiasLossConfig
 
 rng = np.random.default_rng(0)
 
@@ -39,11 +39,13 @@ print("weights z(v):   ", np.round(weights, 4))
 
 # ---------------------------------------------------------------------------
 # The full loss bundles those steps and returns the bookkeeping record.
+# Every loss takes the batch's logits and labels; the weighted one also
+# takes the feature maps its weights come from.
 
-batch = LossBatch(logits, labels, feature_maps)
-loss, record = losses.bias_loss(batch, BiasLossConfig(alpha=0.3, beta=0.3))
-ce = losses.cross_entropy(batch)
-focal = losses.focal_loss(batch, gamma=2.0)
+loss, record = losses.bias_loss(logits, labels, feature_maps,
+                                BiasLossConfig(alpha=0.3, beta=0.3))
+ce = losses.cross_entropy(logits, labels)
+focal = losses.focal_loss(logits, labels, gamma=2.0)
 print(f"\nweighted loss {loss.item():.4f} vs cross-entropy {ce.item():.4f} "
       f"vs focal {focal.item():.4f}")
 print(f"batch min/max variance: {record.batch_min:.4f} / {record.batch_max:.4f}")
@@ -52,7 +54,8 @@ print(f"batch min/max variance: {record.batch_min:.4f} / {record.batch_max:.4f}"
 # With alpha = beta = 0 the weights collapse to 1 and the loss IS the
 # cross-entropy, bit for bit.
 
-collapsed, _ = losses.bias_loss(batch, BiasLossConfig(alpha=0.0, beta=0.0))
+collapsed, _ = losses.bias_loss(logits, labels, feature_maps,
+                                BiasLossConfig(alpha=0.0, beta=0.0))
 print(f"alpha=beta=0 collapse: {collapsed.item() == ce.item()}")
 
 # ---------------------------------------------------------------------------

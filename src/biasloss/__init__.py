@@ -11,9 +11,9 @@ narrative walkthroughs.
 from . import autodiff, data, diagnostics, layers, losses, train
 from .autodiff import GradStore, Node, backward, forward, unfold
 from .layers import MicroNetSpec, SkipblockNetMicro
-from .losses import (BiasLossConfig, LossBatch, VarianceRecord,
-                     batch_variances, bias_loss, bias_weight, cross_entropy,
-                     focal_loss, minmax_scale, sample_variance)
+from .losses import (BiasLossConfig, VarianceRecord, batch_variances,
+                     bias_loss, bias_weight, cross_entropy, focal_loss,
+                     minmax_scale, sample_variance)
 from .train import TrainConfig, evaluate, train_run
 
 __version__ = "0.1.0"
@@ -22,7 +22,7 @@ __all__ = [
     "autodiff", "data", "diagnostics", "layers", "losses", "train",
     "GradStore", "Node", "backward", "forward", "unfold",
     "MicroNetSpec", "SkipblockNetMicro",
-    "BiasLossConfig", "LossBatch", "VarianceRecord",
+    "BiasLossConfig", "VarianceRecord",
     "batch_variances", "bias_loss", "bias_weight", "cross_entropy",
     "focal_loss", "minmax_scale", "sample_variance",
     "TrainConfig", "evaluate", "train_run",

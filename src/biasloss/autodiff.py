@@ -271,15 +271,6 @@ class GradStore:
             return np.zeros_like(node.value)
         raise KeyError(f"no gradient tracked for {node!r}")
 
-    def get(self, node, default=None):
-        try:
-            return self[node]
-        except KeyError:
-            return default
-
-    def __contains__(self, node):
-        return node.id in self._grads
-
 
 def backward(root):
     """Reverse-mode differentiation from a scalar root.

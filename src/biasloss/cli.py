@@ -97,9 +97,6 @@ def _parse_grid(text, what):
         raise ConfigError(f"bad {what} list: {text!r}") from None
     if not values:
         raise ConfigError(f"{what} list must be non-empty")
-    if not all(0.0 <= v < np.inf for v in values):
-        raise ConfigError(f"{what} values must be >= 0 and finite, got "
-                          f"{text!r}")
     return values
 
 
@@ -112,16 +109,28 @@ def cmd_sweep(args):
         raise ConfigError(f"sweep needs epochs >= 1, got {cfg.epochs}")
     if args.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
+    # every cell's config is built, and each cell's directory checked to
+    # be its own, before anything is written
+    cells = {}
+    for a in alphas:
+        for b in betas:
+            name = f"a{a:g}_b{b:g}"
+            if name in cells:
+                a0, b0, _ = cells[name]
+                raise ConfigError(
+                    f"sweep cells alpha={a0!r} beta={b0!r} and alpha={a!r} "
+                    f"beta={b!r} would share the directory "
+                    f"{Path(args.out) / name}")
+            cells[name] = (a, b, _gather_config(args, loss="bias", alpha=a,
+                                                beta=b))
     out = _out_dir(args)
     train_ds = trainmod.load_split(cfg, "train")
     val_ds = trainmod.load_split(cfg, "test")
 
-    def run_cell(ab):
-        a, b = ab
-        cell_cfg = _gather_config(args, loss="bias", alpha=a, beta=b)
-        cell_dir = out / f"a{a:g}_b{b:g}"
+    def run_cell(name):
+        a, b, cell_cfg = cells[name]
         try:
-            log, _ = trainmod.train_run(cell_cfg, out_dir=cell_dir,
+            log, _ = trainmod.train_run(cell_cfg, out_dir=out / name,
                                         train_ds=train_ds, val_ds=val_ds)
             row = log.last("val")
             return (a, b, row.top1, row.loss, "ok")
@@ -129,12 +138,11 @@ def cmd_sweep(args):
             # a one-word status: the error message holds commas
             return (a, b, float("nan"), float("nan"), "nonfinite")
 
-    cells = [(a, b) for a in alphas for b in betas]
     with ThreadPoolExecutor(args.jobs) as ex:
         # each cell runs in a copy of the caller's context, so the caller's
         # np.errstate reaches it
-        futures = [ex.submit(contextvars.copy_context().run, run_cell, ab)
-                   for ab in cells]
+        futures = [ex.submit(contextvars.copy_context().run, run_cell, name)
+                   for name in cells]
         results = [f.result() for f in futures]
     lines = ["alpha,beta,final_top1,final_loss,status"]
     for a, b, top1, loss, status in results:
@@ -150,16 +158,13 @@ def cmd_curve(args):
     betas = _parse_grid(args.beta, "beta")
     if args.samples < 1:
         raise ConfigError(f"samples must be >= 1, got {args.samples}")
-    for name in ("clamp_lo", "clamp_hi"):
-        value = getattr(args, name)
-        if not np.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-    if args.clamp_lo > args.clamp_hi:
-        raise ConfigError(f"clamp_lo {args.clamp_lo} exceeds clamp_hi "
-                          f"{args.clamp_hi}")
-    rows = diagnostics.bias_curve(alphas, betas, samples=args.samples,
-                                  clamp_lo=args.clamp_lo,
-                                  clamp_hi=args.clamp_hi)
+    try:
+        rows = diagnostics.bias_curve(alphas, betas, samples=args.samples,
+                                      clamp_lo=args.clamp_lo,
+                                      clamp_hi=args.clamp_hi)
+    except ValueError as e:
+        # BiasLossConfig states the rules of alpha, beta and the clamp
+        raise ConfigError(str(e)) from None
     out = _out_dir(args) / "curve.csv"
     out.write_text(diagnostics.curve_csv(rows))
     if not args.quiet:

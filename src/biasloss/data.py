@@ -9,18 +9,19 @@ draws from it (a random flip or a rotation range), so evaluation batches
 build none.
 
 A batch is assembled in two steps: each image is flipped and rotated on
-its own, only when the spec flips or rotates at all, and the stacked batch
-is then normalized once. Normalization is elementwise, so the batch holds
-the bytes of stacking per-image ``augment`` outputs.
+its own by ``augment``, only when the spec flips or rotates at all, and
+the stacked batch is then normalized once. The default ``AugmentSpec()``
+does neither, so its batches hold the dataset's images.
 """
 
 from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,9 @@ class Dataset:
                               f"[N,c,h,w] aligned with labels, got "
                               f"{self.images.shape} and "
                               f"{self.labels.shape[0]} labels")
+        if 0 in self.images.shape[1:]:
+            raise FormatError(f"{self.name} {self.split}: images have no "
+                              f"pixels, got shape {self.images.shape}")
         if self.labels.size and (self.labels.min() < 0
                                  or self.labels.max() >= self.num_classes):
             raise FormatError(f"{self.name} {self.split}: labels must lie "
@@ -89,25 +93,35 @@ def require_samples(ds):
     return ds
 
 
-@dataclass
+@dataclass(frozen=True)
 class AugmentSpec:
-    hflip: bool = True
-    rotate_deg: tuple = (-15.0, 15.0)
+    """Per-image random flip and rotation, then per-channel normalization;
+    the default changes nothing."""
+    hflip: bool = False
+    rotate_deg: tuple = (0.0, 0.0)
     normalize: tuple = None  # ((mean per channel), (std per channel))
 
 
-def _open_maybe_gz(path):
+def _read_bytes(path):
+    """The bytes of a dataset file, gunzipped when its name ends in .gz.
+    A cut gzip stream raises TruncatedFileError, a corrupt one or a file
+    that is not gzip at all FormatError, each naming the file."""
     path = Path(path)
-    if path.suffix == ".gz":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+    raw = path.read_bytes()
+    if path.suffix != ".gz":
+        return raw
+    try:
+        return gzip.decompress(raw)
+    except EOFError as e:
+        raise TruncatedFileError(f"{path}: {e}") from None
+    except (zlib.error, gzip.BadGzipFile) as e:
+        raise FormatError(f"{path}: corrupt gzip stream ({e})") from None
 
 
 def read_idx(path):
     """Parse one IDX file: images -> float32 [N,1,h,w] in [0,1],
     labels -> int64 [N]. Big-endian magic selects which."""
-    with _open_maybe_gz(path) as f:
-        raw = f.read()
+    raw = _read_bytes(path)
     if len(raw) < 4:
         raise TruncatedFileError(f"{path}: truncated header")
     magic = struct.unpack(">I", raw[:4])[0]
@@ -160,8 +174,7 @@ def write_idx_labels(path, labels):
 def read_cifar10(path):
     """Parse one CIFAR-10 binary batch: 3073-byte records of one label byte
     plus 3072 pixel bytes (R,G,B planes row-major). Returns (images, labels)."""
-    with _open_maybe_gz(path) as f:
-        raw = f.read()
+    raw = _read_bytes(path)
     if len(raw) == 0 or len(raw) % CIFAR_RECORD != 0:
         raise FormatError(
             f"{path}: size {len(raw)} is not a multiple of {CIFAR_RECORD}")
@@ -237,17 +250,16 @@ def channel_stats(images):
 
 
 def default_augment(dataset_name):
+    """The training recipe's spec: a random rotation in [-15, 15] degrees,
+    a random horizontal flip for CIFAR-10 only, and normalization by the
+    dataset's channel statistics."""
     if dataset_name == "mnist":
-        return AugmentSpec(hflip=False, normalize=(MNIST_MEAN, MNIST_STD))
+        return AugmentSpec(hflip=False, rotate_deg=(-15.0, 15.0),
+                           normalize=(MNIST_MEAN, MNIST_STD))
     if dataset_name == "cifar10":
-        return AugmentSpec(hflip=True, normalize=(CIFAR10_MEAN, CIFAR10_STD))
+        return AugmentSpec(hflip=True, rotate_deg=(-15.0, 15.0),
+                           normalize=(CIFAR10_MEAN, CIFAR10_STD))
     raise ValueError(f"unknown dataset {dataset_name!r}")
-
-
-def normalize_only(spec: AugmentSpec):
-    """Evaluation-time variant: normalization without randomness."""
-    return AugmentSpec(hflip=False, rotate_deg=(0.0, 0.0),
-                       normalize=spec.normalize if spec else None)
 
 
 def _rng_for(seed, domain, *key):
@@ -256,8 +268,7 @@ def _rng_for(seed, domain, *key):
 
 
 def _normalize(images, normalize):
-    """(images - mean) / std per channel, for one [c,h,w] image or a
-    [n,c,h,w] batch."""
+    """(images - mean) / std per channel of a [n,c,h,w] batch."""
     if normalize is None:
         return images
     mean, std = normalize
@@ -272,7 +283,8 @@ def _normalize(images, normalize):
 
 
 def augment(image, spec: AugmentSpec, rng_key, seed=0):
-    """Randomly flip/rotate one [c,h,w] image, then normalize.
+    """Randomly flip/rotate one [c,h,w] image; spec.normalize is not
+    applied here, but once to the assembled batch.
 
     rng_key is (epoch, sample index); together with the global seed it
     fully determines the output, independent of scheduling. The generator
@@ -288,8 +300,7 @@ def augment(image, spec: AugmentSpec, rng_key, seed=0):
     if angle != 0.0:
         out = ndimage.rotate(out, angle, axes=(2, 1), reshape=False, order=1,
                              mode="constant", cval=0.0, prefilter=False)
-    out = np.ascontiguousarray(out, dtype=image.dtype)
-    return _normalize(out, spec.normalize)
+    return np.ascontiguousarray(out, dtype=image.dtype)
 
 
 @dataclass
@@ -303,19 +314,16 @@ def _assemble(ds, idx, spec, epoch, seed):
     """The batch of dataset positions idx: where spec flips or rotates any
     image, each image goes through augment on its own; the stack is then
     normalized at once."""
-    if spec is None:
-        return Batch(ds.images[idx], ds.labels[idx], idx)
     if spec.hflip or any(spec.rotate_deg):
-        geometric = replace(spec, normalize=None)
-        images = np.stack([augment(ds.images[i], geometric, (epoch, int(i)),
-                                   seed) for i in idx])
+        images = np.stack([augment(ds.images[i], spec, (epoch, int(i)), seed)
+                           for i in idx])
     else:
         images = ds.images[idx]
     return Batch(_normalize(images, spec.normalize), ds.labels[idx], idx)
 
 
-def batches(ds: Dataset, batch_size, seed=0, epoch=0, augment_spec=None,
-            shuffle=True, prefetch=False):
+def batches(ds: Dataset, batch_size, seed=0, epoch=0,
+            augment_spec=AugmentSpec(), shuffle=True, prefetch=False):
     """Iterate over the dataset in deterministic epoch-keyed order.
 
     The final partial batch is kept. With prefetch, a one-worker executor

@@ -101,7 +101,7 @@ def profile(model, dataset, layer_names=None, batch_size=256,
         raise ProbeError(f"unknown layers {unknown}; available: {available}")
     datamod.require_samples(dataset)
 
-    spec = datamod.normalize_only(datamod.AugmentSpec(normalize=normalize))
+    spec = datamod.AugmentSpec(normalize=normalize)
     probes = {name: LayerProbe(name) for name in layer_names}
     cache = GraphCache(model)
     with model.evaluating():

@@ -249,9 +249,6 @@ def _batchnorm_bwd(node, g):
 
 register_op("batchnorm", _batchnorm_fwd, _batchnorm_bwd)
 
-# activations the batchnorm op can apply to its output
-ACTIVATIONS = K.ACTIVATIONS
-
 
 # ---------------------------------------------------------------------------
 # pooling
@@ -426,12 +423,12 @@ class Conv2d(Module):
 
     def __init__(self, cin, cout, kernel, stride=1, padding=0, groups=1,
                  rng=None, dtype=np.float32, name="conv"):
-        kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
         if cin % groups or cout % groups:
             raise ShapeError("in/out channels must be divisible by groups")
         rng = rng or np.random.default_rng(0)
-        fan_in = (cin // groups) * kh * kw
-        w = kaiming_uniform(rng, (cout, cin // groups, kh, kw), fan_in, dtype)
+        fan_in = (cin // groups) * kernel * kernel
+        w = kaiming_uniform(rng, (cout, cin // groups, kernel, kernel), fan_in,
+                            dtype)
         self.weight = ad.parameter(w, name=f"{name}.weight")
         self.stride, self.padding, self.groups = stride, padding, groups
         self.name = name
@@ -450,9 +447,9 @@ class BatchNorm2d(Module):
 
     def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float32,
                  name="bn", act=None):
-        if act not in ACTIVATIONS:
+        if act not in K.ACTIVATIONS:
             raise ValueError(f"{name}: activation must be one of "
-                             f"{ACTIVATIONS}, not {act!r}")
+                             f"{K.ACTIVATIONS}, not {act!r}")
         self.gamma = ad.parameter(np.ones(channels, dtype=dtype),
                                   name=f"{name}.gamma")
         self.beta = ad.parameter(np.zeros(channels, dtype=dtype),

@@ -34,11 +34,18 @@ class BiasLossConfig:
     detach_weight: bool = True
 
     def __post_init__(self):
-        if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
-            raise ValueError("alpha and beta must be finite and non-negative")
-        if not -np.inf < self.clamp_lo <= self.clamp_hi < np.inf:
-            raise ValueError("clamp bounds must be finite, with clamp_lo "
-                             "not above clamp_hi")
+        # the comparisons also reject NaN
+        for name in ("alpha", "beta"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got "
+                                 f"{getattr(self, name)}")
+        for name in ("clamp_lo", "clamp_hi"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)}")
+        if self.clamp_lo > self.clamp_hi:
+            raise ValueError(f"clamp_lo {self.clamp_lo} exceeds clamp_hi "
+                             f"{self.clamp_hi}")
 
 
 @dataclass
@@ -51,20 +58,6 @@ class VarianceRecord:
     weight: np.ndarray       # applied per-sample loss weights
     clamped_lo: np.ndarray   # whether the clamp set each weight to clamp_lo
     clamped_hi: np.ndarray   # ... and to clamp_hi
-
-
-@dataclass
-class LossBatch:
-    """Inputs to a loss: logits [N,k], integer labels [N] and, for the
-    variance-weighted loss, the last conv layer's activation [N,c,h,w]."""
-    logits: object
-    labels: np.ndarray
-    feature_map: object = None
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels)
-        if self.labels.ndim != 1:
-            raise ValueError("labels must be a 1-d integer vector")
 
 
 def _as_node(x):
@@ -146,10 +139,12 @@ def variance_record(feature_map, cfg: BiasLossConfig = None):
 # ---------------------------------------------------------------------------
 # losses (graph side; they evaluate eagerly and return scalar nodes)
 
-def _weighted_ce(batch: LossBatch, fp, weight=None) -> Node:
+def _weighted_ce(logits, labels, fp, weight=None) -> Node:
     """mean_i(w_i * CE_i), CE_i = -log p(target_i), evaluated in pass fp;
     weight maps the log p(target) node to w (None: w_i = 1, plain CE)."""
-    logits, labels = _as_node(batch.logits), batch.labels
+    logits, labels = _as_node(logits), np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValueError("labels must be a 1-d integer vector")
     n, k = fp.run(logits).shape
     if labels.shape[0] != n:
         raise ValueError(f"{labels.shape[0]} labels for {n} logit rows")
@@ -162,16 +157,16 @@ def _weighted_ce(batch: LossBatch, fp, weight=None) -> Node:
     return loss
 
 
-def cross_entropy(batch: LossBatch) -> Node:
+def cross_entropy(logits, labels) -> Node:
     """Mean softmax cross-entropy, stabilized by max subtraction."""
-    return _weighted_ce(batch, ad.ForwardPass())
+    return _weighted_ce(logits, labels, ad.ForwardPass())
 
 
-def focal_loss(batch: LossBatch, gamma=2.0) -> Node:
+def focal_loss(logits, labels, gamma=2.0) -> Node:
     """Cross-entropy scaled per sample by (1 - p_target)^gamma."""
     if not 0 <= gamma < np.inf:
         raise ValueError("gamma must be finite and non-negative")
-    return _weighted_ce(batch, ad.ForwardPass(),
+    return _weighted_ce(logits, labels, ad.ForwardPass(),
                         lambda logp_t: ad.power(1.0 - ad.exp(logp_t), gamma))
 
 
@@ -185,8 +180,9 @@ def _variance_nodes(feature: Node) -> Node:
     return ss / float(n - 1)
 
 
-def bias_loss(batch: LossBatch, cfg: BiasLossConfig = None):
-    """Variance-weighted cross-entropy.
+def bias_loss(logits, labels, feature_map, cfg: BiasLossConfig = None):
+    """Variance-weighted cross-entropy of logits [N,k] and integer labels
+    [N], weighted by the last conv layer's activation [N,c,h,w].
 
     Returns (loss_node, VarianceRecord). The loss is the mean over samples
     of z_i * CE_i where z_i is the clamped exponential weight of sample i's
@@ -194,12 +190,12 @@ def bias_loss(batch: LossBatch, cfg: BiasLossConfig = None):
     constants with respect to differentiation.
     """
     cfg = cfg or BiasLossConfig()
-    if batch.feature_map is None:
+    if feature_map is None:
         raise ValueError("feature map required for the variance-weighted loss")
-    feature = _as_node(batch.feature_map)
+    feature = _as_node(feature_map)
     fp = ad.ForwardPass()
     fp.run(feature)
-    if feature.value.shape[0] != batch.labels.shape[0]:
+    if feature.value.shape[:1] != np.shape(labels)[:1]:
         raise ValueError("feature map batch axis must match labels")
 
     record = variance_record(feature.value, cfg)
@@ -220,7 +216,7 @@ def bias_loss(batch: LossBatch, cfg: BiasLossConfig = None):
         w_node = ad.clamp(ad.exp(scaled_n * cfg.alpha) - cfg.beta,
                           cfg.clamp_lo, cfg.clamp_hi)
 
-    loss = _weighted_ce(batch, fp, lambda _: w_node)
+    loss = _weighted_ce(logits, labels, fp, lambda _: w_node)
     if not cfg.detach_weight:
         # the graph clamped in dtype, so compare there: a bound such as 0.9
         # is not a float32 number and no float64 weight would equal it

@@ -10,6 +10,7 @@ and a CLI flag, with its type, help text and hash identity on the field.
 """
 
 import hashlib
+import math
 import os
 import struct
 import time
@@ -22,8 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from . import data as datamod
 from .layers import GraphCache, MicroNetSpec, SkipblockNetMicro
-from .losses import (BiasLossConfig, LossBatch, bias_loss, cross_entropy,
-                     focal_loss, variance_record)
+from .losses import (BiasLossConfig, bias_loss, cross_entropy, focal_loss,
+                     variance_record)
 
 CHECKPOINT_MAGIC = b"BLCK"
 CHECKPOINT_VERSION = 1
@@ -54,7 +55,8 @@ def _opt(default, help, identity=True):
 
 
 # (field, rule, test) for TrainConfig's numeric fields; the comparisons
-# also reject NaN, and an unset limit (None) passes
+# also reject NaN, and an unset limit (None) passes. BiasLossConfig states
+# the rules of the bias loss's own fields.
 _RANGES = (
     ("batch_size", ">= 1", lambda v: v >= 1),
     ("epochs", ">= 0", lambda v: v >= 0),
@@ -63,14 +65,10 @@ _RANGES = (
     ("val_limit", ">= 1", lambda v: v is None or v >= 1),
     ("width_multiplier", "> 0", lambda v: v > 0.0),
     ("dropout", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
-    ("alpha", "finite and >= 0", lambda v: 0.0 <= v < np.inf),
-    ("beta", "finite and >= 0", lambda v: 0.0 <= v < np.inf),
     ("gamma", "finite and >= 0", lambda v: 0.0 <= v < np.inf),
     ("lr0", "finite and > 0", lambda v: 0.0 < v < np.inf),
     ("momentum", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
     ("weight_decay", "finite and >= 0", lambda v: 0.0 <= v < np.inf),
-    ("clamp_lo", "finite", np.isfinite),
-    ("clamp_hi", "finite", np.isfinite),
 )
 
 
@@ -112,9 +110,10 @@ class TrainConfig:
             if not ok(getattr(self, name)):
                 raise ConfigError(f"{name} must be {rule}, got "
                                   f"{getattr(self, name)}")
-        if self.clamp_lo > self.clamp_hi:
-            raise ConfigError(f"clamp_lo {self.clamp_lo} exceeds clamp_hi "
-                              f"{self.clamp_hi}")
+        try:
+            self.bias_config()
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         if self.schedule is None:
             # the reference recipe decays x0.2 at 30/60/80% of the run
             self.schedule = tuple(
@@ -389,7 +388,8 @@ def load_checkpoint(path):
         if offset < 0 or any(d < 0 for d in shape):
             raise CheckpointError(
                 f"{path}: negative offset or dimension in {line!r}")
-        count = int(np.prod(shape)) if shape else 1
+        # math.prod does not wrap around, so a huge shape overruns the blob
+        count = math.prod(shape)
         end = offset + count * dt.itemsize
         if end > len(blob):
             raise CheckpointError(f"{path}: entry {name} overruns blob")
@@ -422,12 +422,12 @@ def _batch_loss(cfg, logits, feature_map, labels, stats, where):
     whole variance record rides on the exception. Unweighted losses log
     the variance columns with unit applied weights.
     """
-    batch = LossBatch(logits, labels, feature_map)
     if cfg.loss == "bias":
-        loss, record = bias_loss(batch, cfg.bias_config())
+        loss, record = bias_loss(logits, labels, feature_map,
+                                 cfg.bias_config())
     else:
-        loss = (focal_loss(batch, cfg.gamma) if cfg.loss == "focal"
-                else cross_entropy(batch))
+        loss = (focal_loss(logits, labels, cfg.gamma) if cfg.loss == "focal"
+                else cross_entropy(logits, labels))
         record = variance_record(feature_map.value)
     lval = loss.item()
     if not np.isfinite(lval):
@@ -452,7 +452,8 @@ def _eval_epoch(model, dataset, cfg, where="eval"):
     walk of a GraphCache of its own; the loss is built on constants of
     each batch's joined logits and feature map, so it holds no model
     node."""
-    spec = datamod.normalize_only(datamod.default_augment(cfg.dataset))
+    spec = datamod.AugmentSpec(
+        normalize=datamod.default_augment(cfg.dataset).normalize)
     cache = GraphCache(model)
     stats = _epoch_stats()
     with model.evaluating():
@@ -501,7 +502,7 @@ def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
     cache = GraphCache(model)
     aug = datamod.default_augment(cfg.dataset)
     if not cfg.augment:
-        aug = datamod.normalize_only(aug)
+        aug = datamod.AugmentSpec(normalize=aug.normalize)
     opt_state = {}
     log = RunLog()
     best = None

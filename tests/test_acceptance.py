@@ -17,7 +17,7 @@ import pytest
 from biasloss import autodiff as ad
 from biasloss import cli, data, diagnostics, losses, train
 from biasloss.layers import MicroNetSpec, SkipblockNetMicro
-from biasloss.losses import BiasLossConfig, LossBatch
+from biasloss.losses import BiasLossConfig
 from conftest import require_dataset
 from fdcheck import assert_grads_close
 
@@ -27,7 +27,7 @@ def rand_batch(rng, n=8, k=10, c=4, h=5, w=5, degenerate=False):
     fm = (np.ones((n, c, h, w)) if degenerate
           else rng.normal(size=(n, c, h, w)))
     labels = rng.integers(0, k, size=n)
-    return LossBatch(logits, labels, fm)
+    return logits, labels, fm
 
 
 def test_c01_loss_formula_fidelity():
@@ -36,9 +36,9 @@ def test_c01_loss_formula_fidelity():
     cfg = BiasLossConfig(alpha=0.0, beta=0.0)
     t0 = time.perf_counter()
     for _ in range(100):
-        batch = rand_batch(rng)
-        b, _ = losses.bias_loss(batch, cfg)
-        c = losses.cross_entropy(batch)
+        logits, labels, fm = rand_batch(rng)
+        b, _ = losses.bias_loss(logits, labels, fm, cfg)
+        c = losses.cross_entropy(logits, labels)
         assert abs(b.item() - c.item()) <= 1e-12 * max(1.0, abs(c.item()))
     assert time.perf_counter() - t0 < 1.0
 
@@ -57,8 +57,7 @@ def test_c02_gradient_correctness():
         x = ad.leaf(rng.normal(size=(3, 2, 12, 12)))
         out = model.build(x)
         labels = rng.integers(0, 3, size=3)
-        loss, _ = losses.bias_loss(
-            LossBatch(out.logits, labels, out.feature_map))
+        loss, _ = losses.bias_loss(out.logits, labels, out.feature_map)
         worst, _ = assert_grads_close(
             loss, [p.node for p in model.parameters()], eps=1e-4, rtol=1e-4)
         assert worst <= 1e-4
@@ -71,12 +70,12 @@ def test_c03_per_sample_decomposition():
     rng = np.random.default_rng(1)
     cfg = BiasLossConfig()
     for trial in range(100):
-        batch = rand_batch(rng, degenerate=(trial % 5 == 4))
-        loss, _ = losses.bias_loss(batch, cfg)
-        flat = batch.feature_map.reshape(len(batch.labels), -1)
+        logits, labels, fm = rand_batch(rng, degenerate=(trial % 5 == 4))
+        loss, _ = losses.bias_loss(logits, labels, fm, cfg)
+        flat = fm.reshape(len(labels), -1)
         n = flat.shape[1]
         per = []
-        for i in range(len(batch.labels)):
+        for i in range(len(labels)):
             mu = flat[i].sum() / n
             raw_i = ((flat[i] - mu) ** 2).sum() / (n - 1)
             per.append(raw_i)
@@ -87,12 +86,12 @@ def test_c03_per_sample_decomposition():
         z = np.clip(np.exp(cfg.alpha * scaled) - cfg.beta,
                     cfg.clamp_lo, cfg.clamp_hi)
         total = 0.0
-        for i in range(len(batch.labels)):
-            row = batch.logits[i]
+        for i in range(len(labels)):
+            row = logits[i]
             e = np.exp(row - row.max())
-            ce_i = -math.log(e[batch.labels[i]] / e.sum())
+            ce_i = -math.log(e[labels[i]] / e.sum())
             total += z[i] * ce_i
-        expect = total / len(batch.labels)
+        expect = total / len(labels)
         assert abs(loss.item() - expect) <= 1e-12 * max(1.0, abs(expect))
 
 
@@ -154,11 +153,11 @@ def test_c07_focal_baseline():
     for _ in range(50):
         logits = rng.normal(size=(6, 5)) * 2
         labels = rng.integers(0, 5, size=6)
-        f = losses.focal_loss(LossBatch(logits, labels), gamma=0.0)
-        c = losses.cross_entropy(LossBatch(logits, labels))
+        f = losses.focal_loss(logits, labels, gamma=0.0)
+        c = losses.cross_entropy(logits, labels)
         assert abs(f.item() - c.item()) <= 1e-12 * max(1.0, abs(c.item()))
-    single = losses.focal_loss(
-        LossBatch(np.array([[0.0, 0.0]]), np.array([0])), gamma=2.0)
+    single = losses.focal_loss(np.array([[0.0, 0.0]]), np.array([0]),
+                               gamma=2.0)
     assert abs(single.item() - 0.25 * math.log(2)) <= 1e-9
 
 

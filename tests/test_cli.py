@@ -5,6 +5,7 @@ import io
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 
 from biasloss import cli, data, diagnostics, layers, train
 from biasloss.cli import main
+from test_data import damaged_gzip
 from test_train import (MALFORMED_CHECKPOINTS, write_empty_test_split,
                         write_nan_checkpoint)
 
@@ -184,6 +186,33 @@ class TestBadPaths:
         code = main([verb, "--data_dir", str(root)] + extra)
         assert msg in assert_config_error(code, capsys)
 
+    def test_images_without_pixels(self, tmp_path, capsys):
+        # IDX headers of 0x0-pixel images parse, with no pixel bytes
+        root = tmp_path / "data"
+        data.write_synthetic_mnist(root, n_train=16, n_test=16)
+        for prefix in ("train", "t10k"):
+            (root / f"{prefix}-images-idx3-ubyte").write_bytes(
+                struct.pack(">IIII", data.IDX_MAGIC_IMAGES, 16, 0, 0))
+        code = main(["train", "--data_dir", str(root),
+                     "--out", str(tmp_path / "run")] + TRAIN_ARGS)
+        assert "images have no pixels" in assert_config_error(code, capsys)
+
+    @pytest.mark.parametrize("how,msg", [
+        ("cut", "ended before"), ("corrupt", "corrupt gzip stream"),
+        ("not_gzip", "Not a gzipped file")])
+    def test_damaged_gzip_dataset(self, tmp_path, how, msg, capsys):
+        root = tmp_path / "data"
+        data.write_synthetic_mnist(root, n_train=16, n_test=16)
+        images = root / "t10k-images-idx3-ubyte"
+        (root / "t10k-images-idx3-ubyte.gz").write_bytes(
+            damaged_gzip(images.read_bytes(), how))
+        images.unlink()
+        code = main(["eval", "--data_dir", str(root),
+                     "--ckpt", str(tmp_path / "none.ckpt")])
+        err = assert_config_error(code, capsys)
+        assert "t10k-images-idx3-ubyte.gz" in err and msg in err
+        assert err.count("\n") == 1
+
     def test_cifar_label_out_of_range(self, tmp_path, capsys):
         root = tmp_path / "data"
         data.write_synthetic_cifar10(root, n_train=5, n_test=2)
@@ -271,18 +300,19 @@ class TestCurve:
     @pytest.mark.parametrize("flags", [["--alpha=-1"], ["--beta=0.3,-0.2"]])
     def test_negative_alpha_beta_exit_two(self, tmp_path, capsys, flags):
         assert main(["curve", "--out", str(tmp_path)] + flags) == 2
-        assert "must be >= 0" in capsys.readouterr().err
+        assert "must be finite and >= 0, got -" in capsys.readouterr().err
         assert not (tmp_path / "curve.csv").exists()
 
     def test_crossed_clamp_bounds_exit_two(self, tmp_path, capsys):
         assert main(["curve", "--clamp_hi", "0", "--out", str(tmp_path)]) == 2
-        assert "clamp_lo" in capsys.readouterr().err
+        assert (capsys.readouterr().err
+                == "error: clamp_lo 0.5 exceeds clamp_hi 0.0\n")
 
     @pytest.mark.parametrize("flags,msg", [
         (["--clamp_lo", "nan"], "error: clamp_lo must be finite, got nan"),
         (["--clamp_hi", "inf"], "error: clamp_hi must be finite, got inf"),
-        (["--alpha", "inf"], "error: alpha values must be >= 0 and finite"),
-        (["--beta", "0.3,inf"], "error: beta values must be >= 0 and finite"),
+        (["--alpha", "inf"], "error: alpha must be finite and >= 0, got inf"),
+        (["--beta", "0.3,inf"], "error: beta must be finite and >= 0, got inf"),
     ], ids=["clamp_lo_nan", "clamp_hi_inf", "alpha_inf", "beta_inf"])
     def test_nonfinite_values_exit_two(self, tmp_path, capsys, flags, msg):
         assert main(["curve", "--samples", "3", "--out", str(tmp_path)]
@@ -570,6 +600,28 @@ class TestSweep:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: sweep needs epochs")
         assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("alphas", ["0.1,0.1000001", "0.1,0.1"])
+    def test_cells_sharing_a_directory_exit_two(self, synth_dir, tmp_path,
+                                                alphas, capsys):
+        # both cells would write a0.1_b0.3/
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--data_dir", str(synth_dir), "--alphas",
+                     alphas, "--betas", "0.3", "--out", str(out)]
+                    + TRAIN_ARGS)
+        err = assert_config_error(code, capsys)
+        a0, a1 = (repr(float(a)) for a in alphas.split(","))
+        assert (f"alpha={a0} beta=0.3 and alpha={a1} beta=0.3 would share "
+                f"the directory {out / 'a0.1_b0.3'}") in err
+        assert not out.exists()
+
+    def test_bad_cell_value_exits_two(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--data_dir", str(synth_dir), "--alphas",
+                     "0.3,-1", "--out", str(out)] + TRAIN_ARGS)
+        assert assert_config_error(code, capsys) == (
+            "error: alpha must be finite and >= 0, got -1.0\n")
+        assert not out.exists()
 
     def test_parallel_jobs_match_sequential(self, synth_dir, tmp_path):
         args = ["--quiet", "sweep", "--data_dir", str(synth_dir),

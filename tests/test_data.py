@@ -1,3 +1,4 @@
+import gzip
 import hashlib
 import struct
 import subprocess
@@ -20,6 +21,17 @@ def make_idx_image_bytes():
 
 def make_idx_label_bytes():
     return struct.pack(">II", 0x00000801, 2) + bytes([3, 7])
+
+
+def damaged_gzip(raw, how):
+    """raw gzipped, then cut in half ("cut") or with 40 bytes of its
+    deflate stream inverted ("corrupt"); or raw as it is ("not_gzip")."""
+    if how == "not_gzip":
+        return raw
+    gz = gzip.compress(raw, mtime=0)
+    if how == "cut":
+        return gz[:len(gz) // 2]
+    return gz[:20] + bytes(b ^ 0xFF for b in gz[20:60]) + gz[60:]
 
 
 def make_cifar_record():
@@ -80,11 +92,22 @@ class TestIdxReader:
         assert lout.read_bytes() == lraw
 
     def test_gzip_supported(self, tmp_path):
-        import gzip
         p = tmp_path / "imgs.gz"
         with gzip.open(p, "wb") as f:
             f.write(make_idx_image_bytes())
         assert read_idx(p).shape == (2, 1, 2, 2)
+
+    @pytest.mark.parametrize("how,error,msg", [
+        ("cut", data.TruncatedFileError, "ended before"),
+        ("corrupt", FormatError, "corrupt gzip stream"),
+        ("not_gzip", FormatError, "Not a gzipped file")])
+    def test_damaged_gzip(self, tmp_path, how, error, msg):
+        images = data.make_synthetic("mnist", 8, seed=0).images
+        data.write_idx_images(tmp_path / "imgs", images)
+        p = tmp_path / "imgs.gz"
+        p.write_bytes(damaged_gzip((tmp_path / "imgs").read_bytes(), how))
+        with pytest.raises(error, match=msg):
+            read_idx(p)
 
 
 class TestCifarReader:
@@ -120,6 +143,13 @@ class TestDataset:
             Dataset(np.zeros((2, 1, 2, 2), np.float32),
                     np.array([0, 10]), "x", "train")
 
+    @pytest.mark.parametrize("shape", [(2, 1, 0, 0), (2, 1, 0, 3),
+                                       (2, 0, 2, 2)])
+    def test_images_without_pixels_rejected(self, shape):
+        with pytest.raises(FormatError, match="no pixels"):
+            Dataset(np.zeros(shape, np.float32), np.array([0, 1]), "x",
+                    "train")
+
     def test_take_subset(self):
         ds = data.make_synthetic("mnist", 20, seed=0)
         sub = ds.take(5)
@@ -140,21 +170,23 @@ class TestAugment:
         np.testing.assert_array_equal(out, img)
 
     def test_normalization_applied(self):
+        # augment leaves normalization to the batch
         img = np.full((2, 4, 4), 0.5, dtype=np.float32)
-        spec = AugmentSpec(hflip=False, rotate_deg=(0.0, 0.0),
-                           normalize=((0.25, 0.5), (0.5, 1.0)))
-        out = augment(img, spec, (0, 0), seed=0)
+        spec = AugmentSpec(normalize=((0.25, 0.5), (0.5, 1.0)))
+        np.testing.assert_array_equal(augment(img, spec, (0, 0), seed=0), img)
+        ds = Dataset(img[None], np.array([0]), "x", "train")
+        (out,) = (b.images[0] for b in batches(ds, 1, augment_spec=spec))
         np.testing.assert_allclose(out[0], 0.5, rtol=1e-6)
         np.testing.assert_allclose(out[1], 0.0, atol=1e-7)
 
     @pytest.mark.parametrize("normalize", [((0.1, 0.2), (0.3, 0.4)),
                                            ((0.1,), (0.3, 0.4))])
     def test_normalize_channel_mismatch_rejected(self, normalize):
-        img = np.zeros((1, 28, 28), dtype=np.float32)
-        spec = AugmentSpec(hflip=False, rotate_deg=(0.0, 0.0),
-                           normalize=normalize)
+        ds = Dataset(np.zeros((1, 1, 28, 28), np.float32), np.array([0]),
+                     "x", "train")
+        spec = AugmentSpec(normalize=normalize)
         with pytest.raises(FormatError, match="channels"):
-            augment(img, spec, (0, 0), seed=0)
+            list(batches(ds, 1, augment_spec=spec))
 
     def test_default_augment_unknown_dataset_rejected(self):
         with pytest.raises(ValueError, match="unknown dataset"):
@@ -275,11 +307,11 @@ class TestBatches:
 
 
 ASSEMBLY_SPECS = {
-    "none": ("mnist", None),
-    "normalize_mnist": ("mnist", data.normalize_only(
-        data.default_augment("mnist"))),
-    "normalize_cifar": ("cifar10", data.normalize_only(
-        data.default_augment("cifar10"))),
+    "none": ("mnist", AugmentSpec()),
+    "normalize_mnist": ("mnist", AugmentSpec(
+        normalize=data.default_augment("mnist").normalize)),
+    "normalize_cifar": ("cifar10", AugmentSpec(
+        normalize=data.default_augment("cifar10").normalize)),
     "flip_only": ("cifar10", AugmentSpec(hflip=True, rotate_deg=(0.0, 0.0),
                                          normalize=None)),
     "default_rotate_mnist": ("mnist", data.default_augment("mnist")),
@@ -287,9 +319,24 @@ ASSEMBLY_SPECS = {
 }
 
 
+def normalized(images, normalize):
+    """(images - mean) / std per channel, in the images' dtype."""
+    if normalize is None:
+        return images
+    mean, std = (np.asarray(t, images.dtype).reshape(-1, 1, 1)
+                 for t in normalize)
+    return (images - mean) / std
+
+
 class TestAssembly:
-    """A batch is normalized once as a whole, yet holds the bytes of
-    stacking each image's own augment output."""
+    """A batch holds the bytes of stacking each image's own augment output
+    and normalizing the stack."""
+
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_default_spec_yields_raw_images(self, prefetch):
+        ds = data.make_synthetic("cifar10", 21, seed=2)
+        for b in batches(ds, 8, seed=5, prefetch=prefetch):
+            assert b.images.tobytes() == ds.images[b.indices].tobytes()
 
     @pytest.mark.parametrize("prefetch", [False, True])
     @pytest.mark.parametrize("name", list(ASSEMBLY_SPECS))
@@ -300,11 +347,9 @@ class TestAssembly:
                            prefetch=prefetch))
         assert [len(b.labels) for b in got] == [8, 8, 5]
         for b in got:
-            if spec is None:
-                want = np.stack([ds.images[i] for i in b.indices])
-            else:
-                want = np.stack([augment(ds.images[i], spec, (3, int(i)),
-                                         seed=5) for i in b.indices])
+            want = normalized(np.stack([augment(ds.images[i], spec,
+                                                (3, int(i)), seed=5)
+                                        for i in b.indices]), spec.normalize)
             assert b.images.dtype == want.dtype == np.float32
             assert b.images.shape == want.shape
             assert b.images.tobytes() == want.tobytes()
@@ -320,7 +365,7 @@ class TestAssembly:
             return rng_for(seed, domain, *key)
 
         monkeypatch.setattr(data, "_rng_for", counting)
-        spec = data.normalize_only(data.default_augment(kind))
+        spec = AugmentSpec(normalize=data.default_augment(kind).normalize)
         list(batches(ds, 5, seed=1, augment_spec=spec))
         assert domains == [data._DOMAIN_SHUFFLE]
         domains.clear()
@@ -328,9 +373,9 @@ class TestAssembly:
         assert domains.count(data._DOMAIN_AUGMENT) == len(ds)
 
     @pytest.mark.parametrize("spec", [
-        AugmentSpec(hflip=False, rotate_deg=(0.0, 0.0),
+        AugmentSpec(normalize=((0.1, 0.2), (0.3, 0.4))),
+        AugmentSpec(rotate_deg=(-15.0, 15.0),
                     normalize=((0.1, 0.2), (0.3, 0.4))),
-        AugmentSpec(hflip=False, normalize=((0.1, 0.2), (0.3, 0.4))),
     ], ids=["normalize_only", "rotate"])
     @pytest.mark.parametrize("prefetch", [False, True])
     def test_channel_mismatch_rejected(self, spec, prefetch):

@@ -25,9 +25,7 @@ def retaining_rows(model, dataset, names, batch_size):
     """profile's rows from retaining passes over whole batches."""
     model.eval()
     cache, want = GraphCache(model), {}
-    spec = data.normalize_only(data.AugmentSpec())
-    for b in data.batches(dataset, batch_size, shuffle=False,
-                          augment_spec=spec):
+    for b in data.batches(dataset, batch_size, shuffle=False):
         out = cache.get(b.images)
         for name in names or model.probe_names():
             want.setdefault(name, LayerProbe(name)).update(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from biasloss import _kernels as K
 from biasloss import autodiff as ad
 from biasloss import layers as L
 from fdcheck import assert_grads_close
@@ -247,7 +248,7 @@ class TestBatchNorm:
 
     def test_gradients_train_and_eval(self):
         rng = np.random.default_rng(3)
-        for act in L.ACTIVATIONS:
+        for act in K.ACTIVATIONS:
             for training in (True, False):
                 bn = L.BatchNorm2d(3, dtype=np.float64, act=act)
                 bn.training = training

@@ -9,9 +9,9 @@ from hypothesis.extra import numpy as hnp
 from biasloss import _kernels
 from biasloss import autodiff as ad
 from biasloss import losses
-from biasloss.losses import (BiasLossConfig, LossBatch, batch_variances,
-                             bias_loss, bias_weight, cross_entropy,
-                             focal_loss, minmax_scale, sample_variance)
+from biasloss.losses import (BiasLossConfig, batch_variances, bias_loss,
+                             bias_weight, cross_entropy, focal_loss,
+                             minmax_scale, sample_variance)
 from fdcheck import assert_grads_close
 
 
@@ -160,12 +160,12 @@ class TestBiasWeight:
 class TestCrossEntropy:
     def test_uniform_logits(self):
         logits = np.zeros((4, 10))
-        loss = cross_entropy(LossBatch(logits, np.array([0, 3, 5, 9])))
+        loss = cross_entropy(logits, np.array([0, 3, 5, 9]))
         assert loss.item() == pytest.approx(math.log(10), rel=1e-12)
 
     def test_stability_no_overflow(self):
         logits = np.array([[1000.0, 0.0]])
-        loss = cross_entropy(LossBatch(logits, np.array([0])))
+        loss = cross_entropy(logits, np.array([0]))
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_naive_oracle(self):
@@ -173,13 +173,20 @@ class TestCrossEntropy:
         for _ in range(20):
             logits = rng.normal(size=(8, 6)) * 3
             labels = rng.integers(0, 6, size=8)
-            got = cross_entropy(LossBatch(logits, labels)).item()
+            got = cross_entropy(logits, labels).item()
             expect = naive_softmax_ce(logits, labels)
             assert abs(got - expect) <= 1e-8 * max(1.0, abs(expect))
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            cross_entropy(LossBatch(np.zeros((2, 3)), np.array([0, 3])))
+            cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+
+    @pytest.mark.parametrize("loss", [cross_entropy, focal_loss,
+                                      lambda x, y: bias_loss(
+                                          x, y, np.ones((2, 1, 2, 2)))])
+    def test_labels_must_be_1d(self, loss):
+        with pytest.raises(ValueError, match="1-d"):
+            loss(np.zeros((2, 3)), np.array([[0], [1]]))
 
 
 class TestBiasLoss:
@@ -190,13 +197,14 @@ class TestBiasLoss:
         else:
             fm = rng.normal(size=(n, 2, 3, 3)).astype(np.float64)
         labels = rng.integers(0, k, size=n)
-        return LossBatch(logits, labels, fm)
+        return logits, labels, fm
 
     def test_alpha_beta_zero_equals_ce(self):
         rng = np.random.default_rng(1)
-        batch = self.rand_batch(rng)
-        loss, record = bias_loss(batch, BiasLossConfig(alpha=0.0, beta=0.0))
-        ce = cross_entropy(batch)
+        logits, labels, fm = self.rand_batch(rng)
+        loss, record = bias_loss(logits, labels, fm,
+                                 BiasLossConfig(alpha=0.0, beta=0.0))
+        ce = cross_entropy(logits, labels)
         assert loss.item() == ce.item()
         assert (record.weight == 1.0).all()
 
@@ -213,7 +221,7 @@ class TestBiasLoss:
         logits = np.array([[0.0, math.log(math.e - 1.0)],
                            [0.0, math.log(math.e ** 2 - 1.0)]])
         labels = np.array([0, 0])  # CE_i = log(1 + exp(l2 - l1)) = 1, 2
-        loss, record = bias_loss(LossBatch(logits, labels, fm),
+        loss, record = bias_loss(logits, labels, fm,
                                  BiasLossConfig(alpha=0.3, beta=0.3))
         np.testing.assert_allclose(record.weight, z, rtol=1e-12)
         assert loss.item() == pytest.approx(expect, rel=1e-12)
@@ -223,11 +231,11 @@ class TestBiasLoss:
     def test_decomposition_random_batches(self, degenerate):
         rng = np.random.default_rng(7)
         for _ in range(25):
-            batch = self.rand_batch(rng, degenerate=degenerate)
+            logits, labels, fm = self.rand_batch(rng, degenerate=degenerate)
             cfg = BiasLossConfig()
-            loss, record = bias_loss(batch, cfg)
+            loss, record = bias_loss(logits, labels, fm, cfg)
             # independent per-sample recomputation
-            flat = batch.feature_map.reshape(len(batch.labels), -1)
+            flat = fm.reshape(len(labels), -1)
             raw = np.array([two_pass_variance(r) for r in flat])
             lo, hi = raw.min(), raw.max()
             if hi - lo < 1e-12:
@@ -235,20 +243,18 @@ class TestBiasLoss:
             else:
                 scaled = (raw - lo) / (hi - lo)
             z = np.clip(np.exp(0.3 * scaled) - 0.3, 0.5, 1.5)
-            per_ce = np.array([naive_softmax_ce(batch.logits[i:i + 1],
-                                                batch.labels[i:i + 1])
-                               for i in range(len(batch.labels))])
+            per_ce = np.array([naive_softmax_ce(logits[i:i + 1],
+                                                labels[i:i + 1])
+                               for i in range(len(labels))])
             expect = float(np.mean(z * per_ce))
             assert abs(loss.item() - expect) <= 1e-12 * max(1.0, expect)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
-        batch = self.rand_batch(rng, n=8)
-        loss, record = bias_loss(batch)
+        logits, labels, fm = self.rand_batch(rng, n=8)
+        loss, record = bias_loss(logits, labels, fm)
         perm = rng.permutation(8)
-        batch_p = LossBatch(batch.logits[perm], batch.labels[perm],
-                            batch.feature_map[perm])
-        loss_p, record_p = bias_loss(batch_p)
+        loss_p, record_p = bias_loss(logits[perm], labels[perm], fm[perm])
         np.testing.assert_allclose(record_p.weight, record.weight[perm],
                                    rtol=1e-15)
         assert abs(loss.item() - loss_p.item()) <= 1e-12
@@ -258,7 +264,7 @@ class TestBiasLoss:
         fm = ad.parameter(rng.normal(size=(4, 2, 3, 3)))
         logits = ad.constant(rng.normal(size=(4, 5)))  # held fixed
         labels = rng.integers(0, 5, size=4)
-        loss, _ = bias_loss(LossBatch(logits, labels, fm), BiasLossConfig())
+        loss, _ = bias_loss(logits, labels, fm, BiasLossConfig())
         grads = ad.backward(loss)
         np.testing.assert_array_equal(grads[fm], 0.0)
 
@@ -268,7 +274,7 @@ class TestBiasLoss:
         logits = ad.constant(rng.normal(size=(4, 5)))
         labels = rng.integers(0, 5, size=4)
         cfg = BiasLossConfig(detach_weight=False)
-        loss, _ = bias_loss(LossBatch(logits, labels, fm), cfg)
+        loss, _ = bias_loss(logits, labels, fm, cfg)
         grads = ad.backward(loss)
         assert np.abs(grads[fm]).max() > 0
 
@@ -280,14 +286,14 @@ class TestBiasLoss:
         logits = ad.constant(rng.normal(size=(3, 4)))
         labels = rng.integers(0, 4, size=3)
         cfg = BiasLossConfig(detach_weight=False)
-        loss, _ = bias_loss(LossBatch(logits, labels, fm), cfg)
+        loss, _ = bias_loss(logits, labels, fm, cfg)
         assert_grads_close(loss, [fm], eps=1e-5, rtol=1e-4)
 
     def test_weight_bounds_always_hold(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
-            batch = self.rand_batch(rng)
-            _, record = bias_loss(batch, BiasLossConfig(alpha=2.5, beta=0.9))
+            _, record = bias_loss(*self.rand_batch(rng),
+                                  BiasLossConfig(alpha=2.5, beta=0.9))
             assert (record.weight >= 0.5).all()
             assert (record.weight <= 1.5).all()
             assert (record.scaled >= 0.0).all()
@@ -295,7 +301,7 @@ class TestBiasLoss:
 
     def test_missing_feature_map(self):
         with pytest.raises(ValueError):
-            bias_loss(LossBatch(np.zeros((2, 3)), np.array([0, 1])))
+            bias_loss(np.zeros((2, 3)), np.array([0, 1]), None)
 
 
 class TestFocalLoss:
@@ -303,22 +309,21 @@ class TestFocalLoss:
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(6, 4))
         labels = rng.integers(0, 4, size=6)
-        f = focal_loss(LossBatch(logits, labels), gamma=0.0)
-        c = cross_entropy(LossBatch(logits, labels))
+        f = focal_loss(logits, labels, gamma=0.0)
+        c = cross_entropy(logits, labels)
         assert f.item() == c.item()
 
     def test_half_probability_gamma_two(self):
         # two equal logits: p_target = 0.5 exactly
-        loss = focal_loss(LossBatch(np.array([[0.0, 0.0]]), np.array([0])),
-                          gamma=2.0)
+        loss = focal_loss(np.array([[0.0, 0.0]]), np.array([0]), gamma=2.0)
         assert loss.item() == pytest.approx(0.25 * math.log(2), abs=1e-9)
 
     def test_confident_predictions_vanish_faster_than_ce(self):
         labels = np.array([0])
         for margin in (2.0, 4.0, 8.0):
             logits = np.array([[margin, 0.0]])
-            f = focal_loss(LossBatch(logits, labels), gamma=2.0).item()
-            c = cross_entropy(LossBatch(logits, labels)).item()
+            f = focal_loss(logits, labels, gamma=2.0).item()
+            c = cross_entropy(logits, labels).item()
             p = 1.0 / (1.0 + math.exp(-margin))
             assert f / c == pytest.approx((1 - p) ** 2, rel=1e-6)
 
@@ -326,18 +331,17 @@ class TestFocalLoss:
         rng = np.random.default_rng(2)
         logits = ad.parameter(rng.normal(size=(5, 4)))
         labels = rng.integers(0, 4, size=5)
-        loss = focal_loss(LossBatch(logits, labels), gamma=2.0)
+        loss = focal_loss(logits, labels, gamma=2.0)
         assert_grads_close(loss, [logits], eps=1e-5, rtol=1e-4)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
-            focal_loss(LossBatch(np.zeros((1, 2)), np.array([0])), gamma=-1)
+            focal_loss(np.zeros((1, 2)), np.array([0]), gamma=-1)
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf])
     def test_nonfinite_gamma_rejected(self, gamma):
         with pytest.raises(ValueError, match="gamma"):
-            focal_loss(LossBatch(np.zeros((1, 2)), np.array([0])),
-                       gamma=gamma)
+            focal_loss(np.zeros((1, 2)), np.array([0]), gamma=gamma)
 
 
 class TestConfigValidation:
@@ -372,8 +376,8 @@ class TestClampedSamples:
         scale = np.sqrt(np.linspace(1.0, 8.0, 8))
         fm = np.random.default_rng(0).normal(size=(8, 2, 4, 4))
         fm = fm / fm.std(axis=(1, 2, 3), ddof=1, keepdims=True)
-        return LossBatch(np.zeros((8, 3), np.float32), np.zeros(8, int),
-                         (fm * scale[:, None, None, None]).astype(np.float32))
+        return (np.zeros((8, 3), np.float32), np.zeros(8, int),
+                (fm * scale[:, None, None, None]).astype(np.float32))
 
     @pytest.mark.parametrize("detach", [True, False])
     def test_bounds_that_are_not_float32_numbers(self, detach):
@@ -382,11 +386,11 @@ class TestClampedSamples:
         # graph clamps in float32, where 0.9 and 1.1 are inexact.
         cfg = BiasLossConfig(alpha=2.0, clamp_lo=0.9, clamp_hi=1.1,
                              detach_weight=detach)
-        _, record = bias_loss(self.batch(), cfg)
+        _, record = bias_loss(*self.batch(), cfg)
         np.testing.assert_array_equal(record.clamped_lo, [1] + [0] * 7)
         np.testing.assert_array_equal(record.clamped_hi, [0, 0] + [1] * 6)
 
     def test_unweighted_record_has_no_clamp(self):
-        record = losses.variance_record(self.batch().feature_map)
+        record = losses.variance_record(self.batch()[2])
         np.testing.assert_array_equal(record.weight, np.ones(8))
         assert not record.clamped_lo.any() and not record.clamped_hi.any()

@@ -45,6 +45,9 @@ MALFORMED_CHECKPOINTS = {
     "manifest_not_utf8": checkpoint_bytes(b"w\xff 2 f32 0\n"),
     "negative_dimension": checkpoint_bytes(b"w -1 f32 0\n", b"\0" * 4),
     "negative_offset": checkpoint_bytes(b"w 1 f32 -4\n"),
+    # 2^40 * 2^40 values: a count that wraps to 0 in int64
+    "overflowing_dimensions": checkpoint_bytes(
+        b"w 1099511627776 1099511627776 f32 0\n"),
 }
 
 
@@ -69,7 +72,8 @@ def retaining_stats(model, dataset, cfg):
     loss built on the graph's nodes."""
     model.eval()
     cache, stats = GraphCache(model), train._epoch_stats()
-    spec = data.normalize_only(data.default_augment(cfg.dataset))
+    spec = data.AugmentSpec(
+        normalize=data.default_augment(cfg.dataset).normalize)
     for i, b in enumerate(data.batches(dataset, cfg.batch_size,
                                        shuffle=False, augment_spec=spec)):
         out = cache.get(b.images)
@@ -388,7 +392,7 @@ class TestTrainRun:
         batch_losses = []
         for b in data.batches(ds, 16, seed=0, epoch=0):
             out = cache.get(b.images)
-            loss = losses.cross_entropy(losses.LossBatch(out.logits, b.labels))
+            loss = losses.cross_entropy(out.logits, b.labels)
             batch_losses.append(loss.item())
             grads = ad.backward(loss)
             sgd_step(model.parameters(), grads, state, 0.1, 0.9, 0.0)
@@ -396,8 +400,7 @@ class TestTrainRun:
         first = next(iter(data.batches(ds, 16, seed=0, epoch=0)))
         out = cache.get(first.images)
         model.eval()
-        end_loss = losses.cross_entropy(
-            losses.LossBatch(out.logits, first.labels)).item()
+        end_loss = losses.cross_entropy(out.logits, first.labels).item()
         assert end_loss < batch_losses[0]
 
     def test_runlog_header_and_row_format(self):
