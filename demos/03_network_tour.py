@@ -34,10 +34,14 @@ print(f"  logits     {out.logits.value.shape}")
 # ---------------------------------------------------------------------------
 # The skip block pools the 28x28 stem output down to the last block's 7x7
 # input and projects its channels to match, so the merge is a plain add.
+# The build passes that target to each call of the skip block, so it lives
+# in the graph: the pool node feeding the skip probe holds it.
 
 src, dst, skip = model.skips[0]
+pool = next(n for n in ad.topo_order(out.probes[f"skip{src}_{dst}"])
+            if n.op == "adaptive_avg_pool")
 print(f"\nskip block: unit {src} (stem) -> input of unit {dst}, "
-      f"target spatial {skip.target_spatial}, out channels {skip.cout}")
+      f"target spatial {pool.attrs['out']}, out channels {skip.cout}")
 
 # ---------------------------------------------------------------------------
 # The width multiplier scales every stage, rounding to multiples of 4.

@@ -21,8 +21,8 @@ would be vertical padding, so the kernels take the unpadded input and no
 padded copy is made. Each GEMM (about 23k multiply-adds at 28x28) stays
 below OpenBLAS's threading cutoff, so it runs on the calling thread and
 OpenBLAS's worker is never woken to spin on a core the pool needs.
-Every other conv is one GEMM per (sample, group) on im2col columns,
-walked in the same blocks. Both conv kernels take an optional epilogue,
+Every other conv is dense: one GEMM per sample on im2col columns, walked
+in the same blocks. Both conv kernels take an optional epilogue,
 a per-channel shift and an activation, applied to each output block right
 after its GEMMs; an eval-mode batch norm folded into the conv runs there,
 while the block is still in cache.
@@ -248,24 +248,23 @@ def _epilogue(o, shift, act):
 
 
 def gemm_conv_fwd(w, cols, shift=None, act=None):
-    """[b, groups * m, p] output of a grouped conv on im2col columns,
-    w[g] [m, k] @ cols[i, g] [k, p] per (sample, group), then act(out +
-    shift) with shift per output channel (None adds nothing).
+    """[b, m, p] output of a dense conv on im2col columns, w [m, k] @
+    cols[i] [k, p] per sample, then act(out + shift) with shift per output
+    channel (None adds nothing).
 
     Each block of the batch runs its GEMMs into its slice of the output and
     then the epilogue, while that slice is still in cache. Blocked matmul
-    calls the same GEMM per (sample, group) as a whole-batch one, so the
-    GEMM results are the same bytes.
+    calls the same GEMM per sample as a whole-batch one, so the GEMM
+    results are the same bytes.
     """
     _check_act(act)
-    b, groups, _, p = cols.shape
-    m = w.shape[1]
-    out = np.empty((b, groups * m, p), dtype=np.result_type(w, cols))
+    b, _, p = cols.shape
+    out = np.empty((b, w.shape[0], p), dtype=np.result_type(w, cols))
     shift = None if shift is None else _channel(shift, out)
 
     def block(s):
         o = out[s]
-        np.matmul(w, cols[s], out=o.reshape(len(o), groups, m, p))
+        np.matmul(w, cols[s], out=o)
         _epilogue(o, shift, act)
 
     _map_blocks(block, out)

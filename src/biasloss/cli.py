@@ -11,9 +11,7 @@ profiled variance.
 from __future__ import annotations
 
 import argparse
-import contextvars
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -107,8 +105,6 @@ def cmd_sweep(args):
     if cfg.epochs < 1:
         # each cell reports its last val row, which needs an epoch
         raise ConfigError(f"sweep needs epochs >= 1, got {cfg.epochs}")
-    if args.jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
     # every cell's config is built, and each cell's directory checked to
     # be its own, before anything is written
     cells = {}
@@ -127,25 +123,18 @@ def cmd_sweep(args):
     train_ds = trainmod.load_split(cfg, "train")
     val_ds = trainmod.load_split(cfg, "test")
 
-    def run_cell(name):
-        a, b, cell_cfg = cells[name]
+    # cells run one after another; each train_run spreads its kernels over
+    # every usable core
+    lines = ["alpha,beta,final_top1,final_loss,status"]
+    for name, (a, b, cell_cfg) in cells.items():
         try:
             log, _ = trainmod.train_run(cell_cfg, out_dir=out / name,
                                         train_ds=train_ds, val_ds=val_ds)
             row = log.last("val")
-            return (a, b, row.top1, row.loss, "ok")
+            top1, loss, status = row.top1, row.loss, "ok"
         except NonFiniteLossError:
             # a one-word status: the error message holds commas
-            return (a, b, float("nan"), float("nan"), "nonfinite")
-
-    with ThreadPoolExecutor(args.jobs) as ex:
-        # each cell runs in a copy of the caller's context, so the caller's
-        # np.errstate reaches it
-        futures = [ex.submit(contextvars.copy_context().run, run_cell, name)
-                   for name in cells]
-        results = [f.result() for f in futures]
-    lines = ["alpha,beta,final_top1,final_loss,status"]
-    for a, b, top1, loss, status in results:
+            top1, loss, status = float("nan"), float("nan"), "nonfinite"
         lines.append(f"{a!r},{b!r},{top1!r},{loss!r},{status}")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     if not args.quiet:
@@ -243,7 +232,6 @@ def build_parser():
     _add_config_flags(p)
     p.add_argument("--alphas", default="0.1,0.3,0.5")
     p.add_argument("--betas", default="0.1,0.3,0.5")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_sweep)
 

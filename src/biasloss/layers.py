@@ -1,12 +1,12 @@
 """CNN building blocks on top of the autodiff engine.
 
-Convolution has two paths, both walked in blocks of the batch by the
-kernels of _kernels. Depthwise conv is one banded GEMM per (sample,
-channel) and kernel row on the unpadded input; the padding lives in the
-band, so no padded copy is made. Every other conv (1x1, the stem, grouped
-convs) is one GEMM per sample and group on im2col columns, W[g]
-[cout/g, cin/g*kh*kw] @ cols[i, g] [cin/g*kh*kw, oh*ow]. For a 1x1 kernel
-at stride 1 the columns are the NCHW activation itself, with no layout
+A conv is dense or depthwise, and each kind has one path, walked in
+blocks of the batch by the kernels of _kernels. Depthwise conv is one
+banded GEMM per (sample, channel) and kernel row on the unpadded input;
+the padding lives in the band, so no padded copy is made. A dense conv
+(1x1 and the stem) is one GEMM per sample on im2col columns, W
+[cout, cin*kh*kw] @ cols[i] [cin*kh*kw, oh*ow]. For a 1x1 kernel at
+stride 1 the columns are the NCHW activation itself, with no layout
 copy. Adaptive average pooling is one GEMM per sample against an
 averaging matrix built once per shape. Each of these GEMMs is small
 enough that OpenBLAS runs it on the calling thread; a multithreaded BLAS
@@ -56,6 +56,14 @@ from .autodiff import Node, ShapeError, register_op, _node
 # ---------------------------------------------------------------------------
 # convolution
 
+def _check_groups(cin, cout, groups):
+    """A conv is dense (groups 1) or depthwise (groups = cin = cout)."""
+    if groups != 1 and not groups == cin == cout:
+        raise ShapeError(
+            f"groups must be 1 (dense) or cin = cout (depthwise), got "
+            f"cin={cin} cout={cout} groups={groups}")
+
+
 def _conv2d_fwd(node, xs):
     x, w = xs
     stride = node.attrs["stride"]
@@ -63,25 +71,23 @@ def _conv2d_fwd(node, xs):
     groups = node.attrs["groups"]
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError("conv2d expects 4-d input and weight")
-    b, cin, h, wd = x.shape
-    cout, cin_g, kh, kw = w.shape
-    if cin % groups or cout % groups or cin_g != cin // groups:
-        raise ShapeError(
-            f"channel/group mismatch: cin={cin} cout={cout} groups={groups} "
-            f"weight cin/g={cin_g}")
+    _, cin, h, wd = x.shape
+    cout, cin_w, kh, kw = w.shape
+    _check_groups(cin, cout, groups)
+    if cin_w != cin // groups:
+        raise ShapeError(f"weight {w.shape} does not fit cin={cin} "
+                         f"groups={groups}")
     oh = K.conv_out_size(h, kh, stride, pad)
     ow = K.conv_out_size(wd, kw, stride, pad)
     if oh < 1 or ow < 1:
         raise ShapeError("kernel larger than padded input")
 
-    if groups == cin and cout == cin:
+    if groups == cin == cout:
         node.ctx = None  # depthwise: the kernels read x itself
     else:
-        # a block-diagonal stack of dense convs, one GEMM per (sample,
-        # group): [groups, cout/g, cin/g*kh*kw] @ [b, groups, cin/g*kh*kw,
+        # dense: one GEMM per sample, [cout, cin*kh*kw] @ [b, cin*kh*kw,
         # oh*ow]
-        node.ctx = _im2col(x, kh, kw, stride, pad).reshape(b, groups, -1,
-                                                           oh * ow)
+        node.ctx = _im2col(x, kh, kw, stride, pad)
     bn = node.attrs.get("bn")
     if bn is None or bn.training:
         return _conv(node, x, w)
@@ -100,9 +106,7 @@ def _conv(node, x, w, shift=None, act=None):
                              shift, act)
     b, _, h, wd = x.shape
     cout, _, kh, kw = w.shape
-    groups = node.attrs["groups"]
-    out = K.gemm_conv_fwd(w.reshape(groups, cout // groups, -1), node.ctx,
-                          shift, act)
+    out = K.gemm_conv_fwd(w.reshape(cout, -1), node.ctx, shift, act)
     return out.reshape(b, cout, K.conv_out_size(h, kh, stride, pad),
                        K.conv_out_size(wd, kw, stride, pad))
 
@@ -153,21 +157,19 @@ def _conv2d_bwd(node, g):
     w = node.inputs[1].value
     stride = node.attrs["stride"]
     pad = node.attrs["padding"]
-    groups = node.attrs["groups"]
     b, cout, oh, ow = g.shape
     cols = node.ctx
     if cols is None:
         dx, dw = K.dw_conv_bwd(np.ascontiguousarray(x), w[:, 0],
                                np.ascontiguousarray(g), stride, pad)
     else:
-        gm = g.reshape(b, groups, cout // groups, oh * ow)
+        gm = g.reshape(b, cout, oh * ow)
         # per-sample weight-gradient partials, summed over the batch in f64
-        dw = np.add.reduce(np.matmul(gm, cols.swapaxes(2, 3)), axis=0,
+        dw = np.add.reduce(np.matmul(gm, cols.swapaxes(1, 2)), axis=0,
                            dtype=np.float64).astype(w.dtype)
         dx = None  # an input without gradient, like the stem's images
         if node.inputs[0].requires_grad:
-            dcol = np.matmul(
-                w.reshape(groups, cout // groups, -1).swapaxes(1, 2), gm)
+            dcol = np.matmul(w.reshape(cout, -1).T, gm)
             dx = _col2im(dcol, x.shape, w.shape[2], w.shape[3], stride, pad)
     return [dx, dw.reshape(w.shape)]
 
@@ -176,7 +178,8 @@ register_op("conv2d", _conv2d_fwd, _conv2d_bwd)
 
 
 def conv2d(x, weight, stride=1, padding=0, groups=1, bn=None):
-    """Cross-correlation of [b,cin,h,w] with [cout,cin/groups,kh,kw].
+    """Cross-correlation of [b,cin,h,w] with a dense [cout,cin,kh,kw]
+    weight (groups 1) or a depthwise [cin,1,kh,kw] one (groups = cin).
 
     With bn, the BatchNorm2d applied to this conv's output, the conv
     computes that BN and its activation itself whenever bn is in eval mode;
@@ -419,12 +422,12 @@ def _submodules(values):
 
 
 class Conv2d(Module):
-    """Convolution layer owning its weight parameter; it has no bias."""
+    """Convolution layer owning its weight parameter; it has no bias. It is
+    dense (groups 1) or depthwise (groups = cin = cout)."""
 
     def __init__(self, cin, cout, kernel, stride=1, padding=0, groups=1,
                  rng=None, dtype=np.float32, name="conv"):
-        if cin % groups or cout % groups:
-            raise ShapeError("in/out channels must be divisible by groups")
+        _check_groups(cin, cout, groups)
         rng = rng or np.random.default_rng(0)
         fan_in = (cin // groups) * kernel * kernel
         w = kaiming_uniform(rng, (cout, cin // groups, kernel, kernel), fan_in,
@@ -532,20 +535,18 @@ class SkipBlock(InvertedResidual):
     """Carries early features to a deeper insertion point.
 
     The 3x3 relu inverted-residual branch (1x1 expand, 3x3 depthwise,
-    linear 1x1 projection) over the input average-pooled down to
-    target_spatial, the destination's spatial size, which the network's
-    build sets. It never adds a residual: its output is added to the
-    destination's input instead.
+    linear 1x1 projection) over the input average-pooled down to size, the
+    destination's spatial size, which each call passes. It never adds a
+    residual: its output is added to the destination's input instead.
     """
 
-    def __init__(self, cin, expand, cout, target_spatial=None, rng=None,
-                 dtype=np.float32, name="skip"):
+    def __init__(self, cin, expand, cout, rng=None, dtype=np.float32,
+                 name="skip"):
         super().__init__(cin, expand, cout, rng=rng, dtype=dtype, name=name)
         self.use_residual = False
-        self.target_spatial = target_spatial
 
-    def __call__(self, x):
-        return super().__call__(adaptive_avg_pool(x, self.target_spatial))
+    def __call__(self, x, size):
+        return super().__call__(adaptive_avg_pool(x, size))
 
 
 # ---------------------------------------------------------------------------
@@ -582,15 +583,19 @@ class MicroNetSpec:
     dropout: float = 0.2
     kernel: int = 3
 
-    def validate(self):
+    def __post_init__(self):
+        # the comparisons also reject NaN
+        if not 0.0 < self.width_multiplier < np.inf:
+            raise ValueError(f"width_multiplier must be finite and > 0, got "
+                             f"{self.width_multiplier}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         n_units = 1 + len(self.stages)
         for src, dst in self.skip_insertions:
-            if not (0 <= src < dst < n_units):
+            if not 0 <= src < dst < n_units:
                 raise ValueError(
-                    f"skip insertion ({src},{dst}) must satisfy "
+                    f"skip_insertions ({src},{dst}) must satisfy "
                     f"0 <= src < dst < {n_units}")
-        if self.width_multiplier <= 0:
-            raise ValueError("width multiplier must be positive")
 
 
 @dataclass
@@ -610,8 +615,7 @@ class GraphCache:
     the skip blocks' pooling targets depend on the input, and only on its
     spatial size. A ragged last batch thus reuses its slot's graph. Slots
     are the sample walk's: each slice of a batch runs on a graph of its
-    own, since a graph instance is single-threaded. Graphs are built on the
-    calling thread, because the network's build writes the pooling targets.
+    own, since a graph instance is single-threaded.
     """
 
     def __init__(self, model):
@@ -659,7 +663,6 @@ class SkipblockNetMicro(Module):
 
     def __init__(self, spec: MicroNetSpec = None, seed=0, dtype=np.float32):
         self.spec = spec or MicroNetSpec()
-        self.spec.validate()
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(seed, spawn_key=(0x1,))))
         s = self.spec
@@ -705,8 +708,7 @@ class SkipblockNetMicro(Module):
         for bi, blk in enumerate(self.blocks, start=1):
             for src, dst, skip in self.skips:
                 if dst == bi:
-                    skip.target_spatial = size
-                    probes[f"skip{src}_{bi}"] = sk = skip(outs[src])
+                    probes[f"skip{src}_{bi}"] = sk = skip(outs[src], size)
                     cur = ad.add(cur, sk)
             cur = blk(cur)
             outs.append(cur)

@@ -56,15 +56,14 @@ def _opt(default, help, identity=True):
 
 # (field, rule, test) for TrainConfig's numeric fields; the comparisons
 # also reject NaN, and an unset limit (None) passes. BiasLossConfig states
-# the rules of the bias loss's own fields.
+# the rules of the bias loss's own fields and MicroNetSpec those of the
+# network's.
 _RANGES = (
     ("batch_size", ">= 1", lambda v: v >= 1),
     ("epochs", ">= 0", lambda v: v >= 0),
     ("seed", ">= 0", lambda v: v >= 0),
     ("train_limit", ">= 1", lambda v: v is None or v >= 1),
     ("val_limit", ">= 1", lambda v: v is None or v >= 1),
-    ("width_multiplier", "> 0", lambda v: v > 0.0),
-    ("dropout", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
     ("gamma", "finite and >= 0", lambda v: 0.0 <= v < np.inf),
     ("lr0", "finite and > 0", lambda v: 0.0 < v < np.inf),
     ("momentum", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
@@ -112,6 +111,7 @@ class TrainConfig:
                                   f"{getattr(self, name)}")
         try:
             self.bias_config()
+            self.model_spec()
         except ValueError as e:
             raise ConfigError(str(e)) from None
         if self.schedule is None:

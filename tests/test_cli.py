@@ -88,6 +88,8 @@ class TestUsage:
         ["--loss", "focal", "--gamma", "inf"],
         # numpy's SeedSequence refused it in the model build, in a traceback
         ["--seed", "-1"],
+        # scale_channels raised OverflowError in the model build
+        ["--width_multiplier", "inf"],
     ])
     def test_out_of_range_field_exits_two_without_traceback(
             self, tmp_path, synth_dir, flags, capsys):
@@ -223,12 +225,13 @@ class TestBadPaths:
         err = assert_config_error(code, capsys)
         assert "cifar10 test: labels must lie in [0, 10)" in err
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_sweep_nonpositive_jobs(self, tmp_path, synth_dir, jobs, capsys):
-        code = main(["sweep", "--data_dir", str(synth_dir), "--jobs", jobs,
+    def test_sweep_jobs_is_a_usage_error(self, tmp_path, synth_dir,
+                                         capsys):
+        # sweep runs its cells in order and has no --jobs flag
+        code = main(["sweep", "--data_dir", str(synth_dir), "--jobs", "2",
                      "--out", str(tmp_path / "sweep")] + TRAIN_ARGS)
-        assert f"jobs must be >= 1, got {jobs}" in assert_config_error(
-            code, capsys)
+        assert code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
 
@@ -623,18 +626,7 @@ class TestSweep:
             "error: alpha must be finite and >= 0, got -1.0\n")
         assert not out.exists()
 
-    def test_parallel_jobs_match_sequential(self, synth_dir, tmp_path):
-        args = ["--quiet", "sweep", "--data_dir", str(synth_dir),
-                "--alphas", "0.1,0.3", "--betas", "0.3",
-                "--epochs", "1", "--batch_size", "32", "--lr0", "0.05",
-                "--seed", "1", "--augment", "false", "--dropout", "0.0"]
-        out1, out2 = tmp_path / "s1", tmp_path / "s2"
-        assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2), "--jobs", "2"]) == 0
-        assert ((out1 / "sweep.csv").read_text()
-                == (out2 / "sweep.csv").read_text())
-
-    # the cell runs on the sweep's own thread, outside any errstate here
+    # the overflow is the fixture here, not a warning under test
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_cell_is_one_csv_row(self, synth_dir, tmp_path):
         # lr * weight_decay >> 1 makes the weights overflow in the first step

@@ -368,7 +368,7 @@ def test_inline_blocks_match_pooled(monkeypatch):
     g = rng.normal(size=x.shape).astype(np.float32)
     g2 = rng.normal(size=(37, 12, 14, 14)).astype(np.float32)
     w = rng.normal(size=(12, 3, 3)).astype(np.float32)
-    w1 = rng.normal(size=(1, 24, 12)).astype(np.float32)
+    w1 = rng.normal(size=(24, 12)).astype(np.float32)
     gamma = rng.normal(1.0, 0.1, size=12).astype(np.float32)
     beta = rng.normal(size=12).astype(np.float32)
     shift = rng.normal(size=24).astype(np.float32)
@@ -379,7 +379,7 @@ def test_inline_blocks_match_pooled(monkeypatch):
         invstd = 1.0 / np.sqrt(var + 1e-5)
         outs = [K.dw_conv_fwd(x, w, 2, 1, beta, "hswish"),
                 *K.dw_conv_bwd(x, w, g2, 2, 1),
-                K.gemm_conv_fwd(w1, x.reshape(37, 1, 12, -1), shift, "relu"),
+                K.gemm_conv_fwd(w1, x.reshape(37, 12, -1), shift, "relu"),
                 mean, var]
         for act in ACTS:
             outs += [K.bn_normalize(x, mean, invstd, gamma, beta, act),
@@ -510,13 +510,13 @@ def test_kernels_in_a_slice_run_inline(monkeypatch):
     rng = np.random.default_rng(9)
     x = rng.normal(size=(37, 12, 28, 28)).astype(np.float32)
     w = rng.normal(size=(12, 3, 3)).astype(np.float32)
-    w1 = rng.normal(size=(1, 24, 12)).astype(np.float32)
+    w1 = rng.normal(size=(24, 12)).astype(np.float32)
     shift = rng.normal(size=24).astype(np.float32)
     assert ragged(x[:18]) and ragged(x[18:])
 
     def run(xs):
         return [K.dw_conv_fwd(xs, w, 2, 1, shift[:12], "hswish"),
-                K.gemm_conv_fwd(w1, xs.reshape(len(xs), 1, 12, -1), shift,
+                K.gemm_conv_fwd(w1, xs.reshape(len(xs), 12, -1), shift,
                                 "relu"),
                 K.bn_normalize(xs, *identity_bn(12), "relu")]
 

@@ -102,7 +102,7 @@ class TestConv2d:
 
     @pytest.mark.parametrize("cin,cout,k,stride,pad,groups", [
         (3, 4, 3, 1, 1, 1),
-        (4, 6, 3, 2, 1, 2),
+        (4, 6, 3, 2, 1, 1),   # dense, strided
         (4, 4, 3, 1, 1, 4),   # depthwise
         (5, 5, 3, 2, 1, 5),   # depthwise, strided
         (2, 3, 1, 1, 0, 1),   # pointwise
@@ -121,9 +121,9 @@ class TestConv2d:
             y.value, naive_conv(x, w, stride, pad, groups),
             rtol=1e-10, atol=1e-12)
 
-    # pointwise (stride 1 and 2, grouped), grouped and the stem's dense 3x3
+    # pointwise (stride 1 and 2, padded), dense 3x3 (strided, the stem's)
     GEMM_CASES = [(8, 12, 1, 1, 0, 1), (8, 12, 1, 2, 0, 1),
-                  (8, 12, 1, 1, 0, 2), (4, 6, 3, 1, 1, 2), (6, 4, 3, 2, 1, 2),
+                  (8, 12, 1, 1, 1, 1), (4, 6, 3, 1, 1, 1), (6, 4, 3, 2, 1, 1),
                   (3, 8, 3, 1, 1, 1),
                   # depthwise: banded GEMMs per (sample, channel)
                   (8, 8, 3, 1, 1, 8), (8, 8, 3, 2, 1, 8), (6, 6, 5, 1, 2, 6)]
@@ -167,6 +167,21 @@ class TestConv2d:
         w = ad.constant(np.zeros((4, 1, 3, 3), dtype=np.float32))
         with pytest.raises(ad.ShapeError):
             run(L.conv2d(x, w, groups=2))
+
+    # a conv is dense (groups 1) or depthwise (groups = cin = cout): grouped
+    # convs with 1 < groups < cin, and depthwise with cout != cin, are refused
+    @pytest.mark.parametrize("cin,cout,groups", [(4, 4, 2), (4, 8, 2),
+                                                 (4, 8, 4), (4, 2, 4)],
+                             ids=["grouped", "grouped-wider", "dw-wider",
+                                  "dw-narrower"])
+    def test_only_dense_or_depthwise(self, cin, cout, groups):
+        x = ad.constant(np.zeros((1, cin, 4, 4), dtype=np.float32))
+        w = ad.constant(np.zeros((cout, cin // groups, 3, 3),
+                                 dtype=np.float32))
+        with pytest.raises(ad.ShapeError, match="groups must be 1"):
+            run(L.conv2d(x, w, groups=groups))
+        with pytest.raises(ad.ShapeError, match="groups must be 1"):
+            L.Conv2d(cin, cout, 3, groups=groups)
 
     def test_gradients(self):
         rng = np.random.default_rng(1)
@@ -395,21 +410,20 @@ class TestAdaptiveAvgPool:
 class TestSkipBlock:
     def make(self, dtype=np.float32):
         rng = np.random.default_rng(5)
-        return L.SkipBlock(4, 8, 6, (4, 4), rng=rng, dtype=dtype)
+        return L.SkipBlock(4, 8, 6, rng=rng, dtype=dtype)
 
     def test_shape_contract(self):
-        blk = L.SkipBlock(8, 16, 16, (8, 8),
-                          rng=np.random.default_rng(0))
+        blk = L.SkipBlock(8, 16, 16, rng=np.random.default_rng(0))
         x = ad.constant(np.random.default_rng(1).normal(
             size=(2, 8, 32, 32)).astype(np.float32))
-        y = blk(x)
+        y = blk(x, (8, 8))
         run(y)
         assert y.value.shape == (2, 16, 8, 8)
 
     def test_zero_input_zero_output(self):
         blk = self.make()
         x = ad.constant(np.zeros((2, 4, 8, 8), dtype=np.float32))
-        y = blk(x)
+        y = blk(x, (4, 4))
         run(y)
         # all-zero input stays zero through linear convs and zero BN shift
         np.testing.assert_array_equal(y.value, 0.0)
@@ -418,14 +432,14 @@ class TestSkipBlock:
         blk = self.make()
         x = ad.constant(np.random.default_rng(2).normal(
             size=(3, 4, 9, 9)).astype(np.float32))
-        y = blk(x)
+        y = blk(x, (4, 4))
         run(y)
         # replay the four sub-operations independently, bit-identical
         blk.train()
         blk2 = self.make()
         for p, q in zip(blk.parameters(), blk2.parameters()):
             q.node.value = p.node.value.copy()
-        pooled = L.adaptive_avg_pool(x, blk2.target_spatial)
+        pooled = L.adaptive_avg_pool(x, (4, 4))
         step = blk2.project(blk2.depthwise(blk2.expand(pooled)))
         run(step)
         np.testing.assert_array_equal(y.value, step.value)
@@ -436,10 +450,10 @@ class TestSkipBlock:
         blk = self.make(dtype=np.float64)
         blk.eval()
         x = ad.constant(np.random.default_rng(3).normal(size=(2, 4, 8, 8)))
-        y1 = blk(x)
+        y1 = blk(x, (4, 4))
         run(y1)
         blk.project.conv.weight.value = blk.project.conv.weight.value * 3.0
-        y2 = blk(x)
+        y2 = blk(x, (4, 4))
         run(y2)
         np.testing.assert_allclose(y2.value, 3.0 * y1.value, rtol=1e-10)
 
@@ -452,8 +466,8 @@ class TestSkipBlock:
         assert [c.conv.weight.value.shape[:2] for c in
                 (blk.expand, blk.depthwise, blk.project)] == [
                     (8, 4), (8, 1), (4, 8)]
-        blk.target_spatial = (7, 7)
-        y = blk(ad.constant(np.zeros((2, 4, 28, 28), dtype=np.float32)))
+        y = blk(ad.constant(np.zeros((2, 4, 28, 28), dtype=np.float32)),
+                (7, 7))
         ops = [n.op for n in ad.topo_order(y) if n.op != "leaf"]
         assert ops == ["adaptive_avg_pool"] + ["conv2d", "batchnorm"] * 3
 
@@ -591,9 +605,9 @@ class TestMicroNet:
 
     def test_skip_insertion_validation(self):
         with pytest.raises(ValueError):
-            L.MicroNetSpec(skip_insertions=((3, 2),)).validate()
+            L.MicroNetSpec(skip_insertions=((3, 2),))
         with pytest.raises(ValueError):
-            L.MicroNetSpec(skip_insertions=((0, 9),)).validate()
+            L.MicroNetSpec(skip_insertions=((0, 9),))
 
     def test_logits_shape_any_spec(self):
         spec = L.MicroNetSpec(in_channels=3, num_classes=7,
@@ -687,14 +701,16 @@ class TestEvalFold:
         # and beta
         rng = np.random.default_rng(11)
         if block == "skip":
-            blk = L.SkipBlock(4, 8, 6, (3, 3), rng=rng, dtype=np.float64)
+            blk = L.SkipBlock(4, 8, 6, rng=rng, dtype=np.float64)
+            size = [(3, 3)]  # the skip block's pooling target
         else:
             blk = L.InvertedResidual(4, 8, 4, act="hswish", rng=rng,
                                      dtype=np.float64)
+            size = []
         perturb_bn(blk, rng)
         blk.eval()
         x = ad.parameter(rng.normal(size=(2, 4, 6, 6)))
-        y = blk(x)
+        y = blk(x, *size)
         run(y)
         root = ad.sum_(ad.mul(y, ad.constant(rng.normal(size=y.value.shape))))
         params = [x] + [p.node for p in blk.parameters()]
@@ -911,3 +927,25 @@ class TestGraphCache:
             del builds[slots:]
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
             assert [len(g) for g in got] == [n, n]
+
+    def test_graphs_of_two_sizes_keep_their_own_pooling(self):
+        # building a graph writes no module state: a 20x20 graph built after
+        # a 28x28 one leaves the first graph's skip pool and logits alone
+        model = L.SkipblockNetMicro(L.MicroNetSpec(width_multiplier=0.25),
+                                    seed=0).eval()
+        cache = L.GraphCache(model)
+        rng = np.random.default_rng(2)
+        big = rng.normal(size=(4, 1, 28, 28)).astype(np.float32)
+        out28 = cache.get(big)
+        before = ad.forward(out28.logits).copy()
+        out20 = cache.get(rng.normal(size=(4, 1, 20, 20)).astype(np.float32))
+        ad.forward(out20.logits)
+
+        def pool_targets(out):
+            return [n.attrs["out"] for n in ad.topo_order(out.probes["skip0_5"])
+                    if n.op == "adaptive_avg_pool"]
+
+        assert pool_targets(out28) == [(7, 7)]
+        assert pool_targets(out20) == [(5, 5)]
+        assert cache.get(big) is out28
+        assert np.array_equal(ad.forward(out28.logits), before)

@@ -212,7 +212,7 @@ class TestConfig:
         ("clamp_hi", float("nan")), ("clamp_hi", float("inf")),
         ("schedule", ((1, -1.0),)), ("schedule", ((1, 0.0),)),
         ("schedule", ((1, float("nan")),)), ("schedule", ((1, float("inf")),)),
-        ("schedule", ((-1, 0.2),)),
+        ("schedule", ((-1, 0.2),)), ("width_multiplier", float("inf")),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
