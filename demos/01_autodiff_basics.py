@@ -10,6 +10,14 @@ import numpy as np
 
 from biasloss import autodiff as ad
 
+
+
+def dot(a, b):
+    """a . b of two 3-vectors, as a [1, 3] @ [3, 1] matmul."""
+    return ad.reshape(ad.matmul(ad.reshape(a, (1, 3)), ad.reshape(b, (3, 1))),
+                      ())
+
+
 # ---------------------------------------------------------------------------
 # Leaves hold values; everything else is derived. Graphs are built once and
 # can be re-evaluated after leaf values change.
@@ -17,7 +25,7 @@ from biasloss import autodiff as ad
 x = ad.parameter(np.array([1.5, -0.5, 2.0]), name="x")
 w = ad.parameter(np.array([0.3, 0.8, -1.1]), name="w")
 
-score = ad.sum_(ad.mul(x, w))          # dot product
+score = dot(x, w)
 loss = ad.exp(score * 0.5)
 
 value = ad.forward(loss)
@@ -47,7 +55,7 @@ print(f"finite difference for w[1]: {fd:.8f} (analytic {grads[w][1]:.8f})")
 # A constant built from a node's current value freezes it: same value, no
 # gradient upstream. bias_loss freezes its per-sample weights this way.
 
-frozen = ad.sum_(ad.mul(ad.constant(x.value), x))
+frozen = dot(ad.constant(x.value), x)
 ad.forward(frozen)
 g = ad.backward(frozen)
 print("grad with one factor frozen:", g[x], "(equals the values of x)")

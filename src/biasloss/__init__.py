@@ -9,7 +9,7 @@ narrative walkthroughs.
 """
 
 from . import autodiff, data, diagnostics, layers, losses, train
-from .autodiff import GradStore, Node, backward, forward, unfold
+from .autodiff import GradStore, Node, backward, forward
 from .layers import MicroNetSpec, SkipblockNetMicro
 from .losses import (BiasLossConfig, VarianceRecord, batch_variances,
                      bias_loss, bias_weight, cross_entropy, focal_loss,
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "autodiff", "data", "diagnostics", "layers", "losses", "train",
-    "GradStore", "Node", "backward", "forward", "unfold",
+    "GradStore", "Node", "backward", "forward",
     "MicroNetSpec", "SkipblockNetMicro",
     "BiasLossConfig", "VarianceRecord",
     "batch_variances", "bias_loss", "bias_weight", "cross_entropy",

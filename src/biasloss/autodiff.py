@@ -14,7 +14,8 @@ consumer has run and every ctx right after its node's forward, so the live
 activations are the frontier of the walk plus the named nodes'.
 
 The registered ops are exactly those that the network and its three
-losses run; layers adds the conv, batchnorm, pooling and dropout ops. A
+losses run; layers adds the conv, batchnorm, pooling and dropout ops, and
+losses the ``bias_weight`` op of the attached variance weights. A
 value that must take no gradient enters the graph as a constant.
 
 A graph instance is single-threaded: a pass writes its nodes' values and
@@ -116,9 +117,6 @@ class Node:
 
     def __mul__(self, other):
         return mul(self, _lift(other, self))
-
-    def __truediv__(self, other):
-        return div(self, _lift(other, self))
 
 
 def leaf(value=None, requires_grad=False, name=None):
@@ -320,20 +318,6 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _norm_axes(axis, ndim):
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
-
-
-def _expand_to(g, x_shape, axes, keepdims):
-    if not keepdims:
-        g = np.expand_dims(g, axes)
-    return np.broadcast_to(g, x_shape)
-
-
 # ---------------------------------------------------------------------------
 # element-wise arithmetic
 
@@ -359,8 +343,6 @@ sub = _binary("sub", lambda a, b: a - b,
               lambda g, a, b, o: g, lambda g, a, b, o: -g)
 mul = _binary("mul", lambda a, b: a * b,
               lambda g, a, b, o: g * b, lambda g, a, b, o: g * a)
-div = _binary("div", lambda a, b: a / b,
-              lambda g, a, b, o: g / b, lambda g, a, b, o: -g * a / (b * b))
 
 
 def _unary(name, f, df):
@@ -396,26 +378,6 @@ register_op("power", _power_fwd, _power_bwd)
 def power(x, exponent):
     """x ** exponent for a fixed real exponent (x >= 0 when non-integral)."""
     return _node("power", [x], {"exponent": float(exponent)})
-
-
-def _clamp_fwd(node, xs):
-    return np.clip(xs[0], node.attrs["lo"], node.attrs["hi"])
-
-
-def _clamp_bwd(node, g):
-    x = node.inputs[0].value
-    lo, hi = node.attrs["lo"], node.attrs["hi"]
-    return [g * ((x >= lo) & (x <= hi))]
-
-
-register_op("clamp", _clamp_fwd, _clamp_bwd)
-
-
-def clamp(x, lo, hi):
-    """Clip values to [lo, hi]; gradient passes through the interior only."""
-    if lo > hi:
-        raise ValueError(f"clamp bounds out of order: {lo} > {hi}")
-    return _node("clamp", [x], {"lo": float(lo), "hi": float(hi)})
 
 
 # ---------------------------------------------------------------------------
@@ -457,61 +419,24 @@ def reshape(x, shape):
     return _node("reshape", [x], {"shape": tuple(shape)})
 
 
-def _unfold_fwd(node, xs):
-    x = xs[0]
-    if x.ndim != 4:
-        raise ShapeError(f"unfold expects a 4-axis tensor, got {x.ndim} axes")
-    return x.reshape(x.shape[0], -1)  # zero-copy view of row-major data
-
-
-register_op("unfold", _unfold_fwd, _reshape_bwd)
-
-
-def unfold(x):
-    """[b,c,h,w] -> [b, c*h*w]; row i is sample i's scalars in row-major order."""
-    return _node("unfold", [x])
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
-def _sum_fwd(node, xs):
-    return np.asarray(xs[0].sum(axis=node.attrs["axis"],
-                                keepdims=node.attrs["keepdims"]))
-
-
-def _sum_bwd(node, g):
-    x = node.inputs[0].value
-    axes = _norm_axes(node.attrs["axis"], x.ndim)
-    return [np.ascontiguousarray(_expand_to(g, x.shape, axes,
-                                            node.attrs["keepdims"]))]
-
-
-register_op("sum", _sum_fwd, _sum_bwd)
-
-
-def sum_(x, axis=None, keepdims=False):
-    return _node("sum", [x], {"axis": axis, "keepdims": keepdims})
-
-
 def _mean_fwd(node, xs):
-    return np.asarray(xs[0].mean(axis=node.attrs["axis"],
-                                 keepdims=node.attrs["keepdims"]))
+    return np.asarray(xs[0].mean())
 
 
 def _mean_bwd(node, g):
     x = node.inputs[0].value
-    axes = _norm_axes(node.attrs["axis"], x.ndim)
-    count = np.prod([x.shape[a] for a in axes])
-    gx = _expand_to(g, x.shape, axes, node.attrs["keepdims"])
-    return [gx / x.dtype.type(count)]
+    return [np.broadcast_to(g, x.shape) / x.dtype.type(x.size)]
 
 
 register_op("mean", _mean_fwd, _mean_bwd)
 
 
-def mean(x, axis=None, keepdims=False):
-    return _node("mean", [x], {"axis": axis, "keepdims": keepdims})
+def mean(x):
+    """Mean over every element: a scalar."""
+    return _node("mean", [x])
 
 
 # ---------------------------------------------------------------------------

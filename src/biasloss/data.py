@@ -31,6 +31,7 @@ IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
 CIFAR_RECORD = 3073  # 1 label byte + 3*32*32 pixel bytes
 
+# per-channel pixel mean and population std of each training set
 MNIST_MEAN, MNIST_STD = (0.1307,), (0.3081,)
 CIFAR10_MEAN = (0.4914, 0.4822, 0.4465)
 CIFAR10_STD = (0.2470, 0.2435, 0.2616)
@@ -235,18 +236,6 @@ def load_dataset(name, root, split="train"):
     if name == "cifar10":
         return load_cifar10(root, split)
     raise ValueError(f"unknown dataset {name!r}")
-
-
-def channel_stats(images):
-    """Per-channel mean/std over a [N,c,h,w] stack (population std).
-
-    The checked-in CIFAR10_MEAN/STD constants were produced by this
-    computation over the full training set.
-    """
-    imgs = np.asarray(images, dtype=np.float64)
-    mean = imgs.mean(axis=(0, 2, 3))
-    std = imgs.std(axis=(0, 2, 3))
-    return tuple(mean.tolist()), tuple(std.tolist())
 
 
 def default_augment(dataset_name):

@@ -51,16 +51,6 @@ class LayerProbe:
         self.max = float(np.maximum(self.max, variances.max()))
         self.min = float(np.minimum(self.min, variances.min()))
 
-    def merge(self, other):
-        """Combine two probes: count-weighted sum, global extrema."""
-        if other.name != self.name:
-            raise ProbeError(f"cannot merge {self.name} with {other.name}")
-        out = LayerProbe(self.name, self.count + other.count,
-                         self.total + other.total,
-                         float(np.maximum(self.max, other.max)),
-                         float(np.minimum(self.min, other.min)))
-        return out
-
     @property
     def avg(self):
         return self.total / self.count if self.count else float("nan")

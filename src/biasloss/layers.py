@@ -552,6 +552,9 @@ class SkipBlock(InvertedResidual):
 # ---------------------------------------------------------------------------
 # the compact network
 
+MAX_WIDTH_MULTIPLIER = 16.0
+
+
 def scale_channels(c, multiplier):
     """Round c * multiplier to the nearest multiple of 4 (half rounds up),
     never below 4."""
@@ -584,9 +587,11 @@ class MicroNetSpec:
     kernel: int = 3
 
     def __post_init__(self):
-        # the comparisons also reject NaN
-        if not 0.0 < self.width_multiplier < np.inf:
-            raise ValueError(f"width_multiplier must be finite and > 0, got "
+        # the comparisons also reject NaN; at the top width the widest
+        # layer has 72 * 16 = 1152 channels
+        if not 0.0 < self.width_multiplier <= MAX_WIDTH_MULTIPLIER:
+            raise ValueError(f"width_multiplier must be in (0, "
+                             f"{MAX_WIDTH_MULTIPLIER:g}], got "
                              f"{self.width_multiplier}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")

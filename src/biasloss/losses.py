@@ -6,9 +6,12 @@ softmax cross-entropy: w_i = 1 for plain cross-entropy and
 ``z(v) = exp(alpha * v) - beta`` where v is that sample's feature-map
 variance, min-max scaled across the batch into [0, 1]. z is clamped to a
 configurable range to keep outlier activations from destabilising
-training. By default the weights are treated as constants during
-differentiation; the variance path can optionally be differentiated, but
-never through the batch min/max (non-smooth, batch-coupled).
+training. The weights are computed once, in float64, by
+``variance_record``. By default they are constants during
+differentiation; with ``detach_weight`` off the ``bias_weight`` op
+registered here carries their gradient through the variances and the
+exponential, but never through the batch min/max (non-smooth,
+batch-coupled). Either way the loss value is the same.
 """
 
 from __future__ import annotations
@@ -108,11 +111,16 @@ def minmax_scale(raw):
     """
     raw = np.asarray(raw, dtype=np.float64)
     vmin, vmax = float(raw.min()), float(raw.max())
+    return scale_between(raw, vmin, vmax), vmin, vmax
+
+
+def scale_between(raw, vmin, vmax):
+    """(raw - vmin) / (vmax - vmin) in float64, or DEGENERATE_SCALED for
+    every sample when vmax - vmin < DEGENERATE_SPREAD."""
+    raw = np.asarray(raw, dtype=np.float64)
     if vmax - vmin < DEGENERATE_SPREAD:
-        scaled = np.full_like(raw, DEGENERATE_SCALED)
-    else:
-        scaled = (raw - vmin) / (vmax - vmin)
-    return scaled, vmin, vmax
+        return np.full_like(raw, DEGENERATE_SCALED)
+    return (raw - vmin) / (vmax - vmin)
 
 
 def bias_weight(v_scaled, cfg: BiasLossConfig = None):
@@ -170,14 +178,36 @@ def focal_loss(logits, labels, gamma=2.0) -> Node:
                         lambda logp_t: ad.power(1.0 - ad.exp(logp_t), gamma))
 
 
-def _variance_nodes(feature: Node) -> Node:
-    """Differentiable per-sample unbiased variance of the unfolded map."""
-    n = int(np.prod(feature.value.shape[1:]))
-    flat = ad.unfold(feature)
-    mu = ad.mean(flat, axis=1, keepdims=True)
-    centered = ad.sub(flat, mu)
-    ss = ad.sum_(ad.mul(centered, centered), axis=1)
-    return ss / float(n - 1)
+# ---------------------------------------------------------------------------
+# the attached weight: variance_record's weight as an op with a gradient
+
+def _bias_weight_fwd(node, xs):
+    """bias_weight of the input's variances, scaled by the frozen batch min
+    and max: on the record's own batch, record.weight in the input dtype."""
+    a = node.attrs
+    node.ctx = scale_between(batch_variances(xs[0]), a["batch_min"],
+                             a["batch_max"])
+    return bias_weight(node.ctx, a["cfg"]).astype(xs[0].dtype)
+
+
+def _bias_weight_bwd(node, g):
+    a = node.attrs
+    cfg, spread = a["cfg"], a["batch_max"] - a["batch_min"]
+    x = node.inputs[0].value
+    if spread < DEGENERATE_SPREAD:  # every scaled variance is a constant
+        return [np.zeros_like(x)]
+    flat = x.reshape(len(x), -1)
+    e = np.exp(cfg.alpha * node.ctx)
+    z = e - cfg.beta
+    # dw/dv_raw is alpha e^{alpha s} / spread inside the clamp, 0 outside;
+    # dv_raw/dx is 2 (x - mean_row) / (n - 1)
+    coef = (cfg.alpha * e * ((z >= cfg.clamp_lo) & (z <= cfg.clamp_hi)) * g
+            * (2.0 / (spread * (flat.shape[1] - 1))))
+    centered = flat - flat.mean(axis=1, keepdims=True, dtype=np.float64)
+    return [(centered * coef[:, None]).astype(x.dtype).reshape(x.shape)]
+
+
+ad.register_op("bias_weight", _bias_weight_fwd, _bias_weight_bwd)
 
 
 def bias_loss(logits, labels, feature_map, cfg: BiasLossConfig = None):
@@ -186,8 +216,8 @@ def bias_loss(logits, labels, feature_map, cfg: BiasLossConfig = None):
 
     Returns (loss_node, VarianceRecord). The loss is the mean over samples
     of z_i * CE_i where z_i is the clamped exponential weight of sample i's
-    scaled feature-map variance. With cfg.detach_weight the weights are
-    constants with respect to differentiation.
+    scaled feature-map variance. cfg.detach_weight decides only whether
+    the weights are constants with respect to differentiation.
     """
     cfg = cfg or BiasLossConfig()
     if feature_map is None:
@@ -199,29 +229,12 @@ def bias_loss(logits, labels, feature_map, cfg: BiasLossConfig = None):
         raise ValueError("feature map batch axis must match labels")
 
     record = variance_record(feature.value, cfg)
-    dtype = feature.value.dtype
     if cfg.detach_weight:
-        w_node = ad.constant(record.weight.astype(dtype))
+        w_node = ad.constant(record.weight.astype(feature.value.dtype))
     else:
-        # differentiate through variance and the exponential, but the batch
-        # min/max enter as constants (the scaling is non-smooth there)
-        raw_n = _variance_nodes(feature)
-        spread = record.batch_max - record.batch_min
-        if spread < DEGENERATE_SPREAD:
-            scaled_n = ad.constant(
-                np.full(feature.value.shape[0], DEGENERATE_SCALED,
-                        dtype=dtype))
-        else:
-            scaled_n = (raw_n - record.batch_min) / spread
-        w_node = ad.clamp(ad.exp(scaled_n * cfg.alpha) - cfg.beta,
-                          cfg.clamp_lo, cfg.clamp_hi)
-
-    loss = _weighted_ce(logits, labels, fp, lambda _: w_node)
-    if not cfg.detach_weight:
-        # the graph clamped in dtype, so compare there: a bound such as 0.9
-        # is not a float32 number and no float64 weight would equal it
-        w = w_node.value
-        record.weight = np.asarray(w, dtype=np.float64)
-        record.clamped_lo, record.clamped_hi = (w == cfg.clamp_lo,
-                                                w == cfg.clamp_hi)
-    return loss, record
+        # the same weights, differentiable in the feature map; the batch
+        # min and max stay frozen (the scaling is non-smooth there)
+        w_node = ad._node("bias_weight", [feature],
+                          {"cfg": cfg, "batch_min": record.batch_min,
+                           "batch_max": record.batch_max})
+    return _weighted_ce(logits, labels, fp, lambda _: w_node), record

@@ -491,8 +491,9 @@ def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
     if train_ds is None or val_ds is None:
         train_ds = load_split(cfg, "train")
         val_ds = load_split(cfg, "test")
-    train_ds = datamod.require_samples(train_ds.take(cfg.train_limit))
-    val_ds = datamod.require_samples(val_ds.take(cfg.val_limit))
+    else:
+        train_ds = datamod.require_samples(train_ds.take(cfg.train_limit))
+        val_ds = datamod.require_samples(val_ds.take(cfg.val_limit))
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -3,7 +3,8 @@
 Central differences are a valid derivative oracle only where the function
 is smooth on the whole secant interval. Perturbing a parameter by +-eps
 occasionally pushes some activation or clamp input across its threshold
-(for the activation inside the batchnorm op, its pre-activation), so the two
+(for the activation inside the batchnorm op, its pre-activation; for the
+clamp inside the bias_weight op, the unclamped weight), so the two
 endpoint evaluations sample different linear pieces and the FD estimate is
 corrupted by an amount unrelated to the backward implementation. The
 checker detects this exactly: it records which side of every kink each
@@ -21,6 +22,7 @@ import numpy as np
 from biasloss import _kernels as K
 from biasloss import autodiff as ad
 from biasloss import layers as L
+from biasloss import losses
 
 # kinks of the activations the batchnorm op applies
 _ACT_KINKS = {"relu": (0.0,), "hswish": (-3.0, 3.0)}
@@ -29,13 +31,20 @@ _ACT_KINKS = {"relu": (0.0,), "hswish": (-3.0, 3.0)}
 def _kinks(node):
     """(input, thresholds) of a kink node's non-differentiable points.
 
-    A batchnorm node with an activation does not keep its pre-activation,
-    so it is recomputed from the conv output, with the forward's own
-    kernel. For a BN folded into its conv that is the unfolded conv output,
-    so the pre-activation differs from the folded one by rounding only.
+    A bias_weight node's clamp input is the unclamped weight
+    exp(alpha * v) - beta, recomputed from the feature map with the frozen
+    batch min and max. A batchnorm node with an activation does not keep
+    its pre-activation, so it is recomputed from the conv output, with the
+    forward's own kernel. For a BN folded into its conv that is the
+    unfolded conv output, so the pre-activation differs from the folded one
+    by rounding only.
     """
-    if node.op == "clamp":
-        return node.inputs[0].value, (node.attrs["lo"], node.attrs["hi"])
+    if node.op == "bias_weight":
+        a = node.attrs
+        cfg = a["cfg"]
+        v = losses.scale_between(losses.batch_variances(node.inputs[0].value),
+                                 a["batch_min"], a["batch_max"])
+        return np.exp(cfg.alpha * v) - cfg.beta, (cfg.clamp_lo, cfg.clamp_hi)
     _, x, m, invstd = L.bn_input(node)
     z = K.bn_normalize(x, m, invstd, node.inputs[1].value,
                        node.inputs[2].value)
@@ -54,7 +63,7 @@ def kink_margin(root):
 
 def _kink_nodes(root):
     return [n for n in ad.topo_order(root)
-            if n.op == "clamp"
+            if n.op == "bias_weight"
             or n.op == "batchnorm" and n.attrs["act"] is not None]
 
 
@@ -118,3 +127,10 @@ def assert_grads_close(root, params, eps=1e-4, rtol=1e-4, floor=1e-6,
         f"{skipped}/{total} entries straddled kinks; data too close to "
         f"non-differentiable points for a meaningful check")
     return worst, skipped / total
+
+
+def dot(y, g):
+    """Scalar root sum(y * g) for a constant array g, built as a matmul:
+    its gradient with respect to y is exactly g."""
+    return ad.reshape(ad.matmul(ad.reshape(y, (1, -1)),
+                                ad.constant(np.asarray(g).reshape(-1, 1))), ())

@@ -6,31 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from biasloss import autodiff as ad
 from biasloss import layers, train
-from fdcheck import assert_grads_close
-
-
-class TestUnfold:
-    def test_row_major_flatten(self):
-        x = ad.constant(np.arange(1, 9, dtype=np.float32).reshape(2, 1, 2, 2))
-        u = ad.unfold(x)
-        ad.forward(u)
-        np.testing.assert_array_equal(u.value, [[1, 2, 3, 4], [5, 6, 7, 8]])
-
-    def test_singleton(self):
-        x = ad.constant(np.full((1, 1, 1, 1), 9.0))
-        ad.forward(u := ad.unfold(x))
-        np.testing.assert_array_equal(u.value, [[9.0]])
-
-    def test_rank_2_rejected(self):
-        x = ad.constant(np.zeros((2, 3)))
-        with pytest.raises(ad.ShapeError):
-            ad.forward(ad.unfold(x))
-
-    def test_zero_copy(self):
-        x = ad.constant(np.zeros((2, 3, 4, 5), dtype=np.float32))
-        u = ad.unfold(x)
-        ad.forward(u)
-        assert u.value.base is x.value or u.value.base is x.value.base
+from fdcheck import assert_grads_close, dot
 
 
 class TestForward:
@@ -54,7 +30,7 @@ class TestForward:
     def test_referential_transparency(self):
         rng = np.random.default_rng(0)
         x = ad.leaf(rng.normal(size=(4, 4)).astype(np.float32))
-        y = ad.sum_(ad.exp(ad.mul(x, x)))
+        y = ad.mean(ad.exp(ad.mul(x, x)))
         v1 = ad.forward(y).copy()
         v2 = ad.forward(y)
         assert np.array_equal(v1, v2)
@@ -226,7 +202,7 @@ class TestBackward:
     def test_unreached_node_reads_zero(self):
         x = ad.parameter(np.array([1.0, 2.0]))
         other = ad.parameter(np.array(5.0))
-        root = ad.sum_(x)
+        root = ad.mean(x)
         ad.forward(other)
         ad.forward(root)
         g = ad.backward(root)
@@ -235,7 +211,7 @@ class TestBackward:
     def test_non_leaf_lookup_raises(self):
         x = ad.parameter(np.array([1.0, 2.0]))
         h = ad.exp(x)
-        root = ad.sum_(h)
+        root = dot(h, np.ones(2))
         ad.forward(root)
         g = ad.backward(root)
         for node in (h, root):
@@ -250,7 +226,7 @@ class TestBackward:
         y = x = ad.parameter(np.full(n, 0.5, np.float32))
         for _ in range(depth):
             y = ad.exp(ad.neg(y))
-        root = ad.sum_(y)
+        root = ad.mean(y)
         ad.forward(root)
         tracemalloc.start()
         try:
@@ -279,7 +255,7 @@ class TestBackward:
             params += [w, b]
             h = ad.matmul(h, w) + b
             if i < 2:
-                h = ad.clamp(h, 0.0, 1.0)
+                h = ad.exp(ad.neg(ad.mul(h, h)))
         root = ad.mean(ad.exp(h * 0.3))
         assert_grads_close(root, params, eps=1e-4, rtol=1e-4)
 
@@ -289,42 +265,29 @@ class TestPrimitiveGradients:
     @pytest.mark.parametrize("make", [
         lambda x: ad.exp(x * 0.5),
         lambda x: ad.mul(x, x),
-        lambda x: ad.div(x, x + 3.0),
         lambda x: ad.neg(x),
         lambda x: ad.power(x + 3.0, 1.7),
         lambda x: ad.reshape(x, (-1,)),
-        lambda x: ad.mean(x, axis=0, keepdims=True),
-        lambda x: ad.sum_(x, axis=1),
-    ], ids=["exp", "mul", "div", "neg", "power", "reshape", "mean_axis",
-            "sum_axis"])
+    ], ids=["exp", "mul", "neg", "power", "reshape"])
     def test_smooth_primitives(self, make):
         rng = np.random.default_rng(11)
         x = ad.parameter(rng.uniform(-2, 2, (3, 4)))
-        root = ad.sum_(ad.mul(make(x), ad.constant(rng.normal(size=1))))
+        root = ad.mean(ad.mul(make(x), ad.constant(rng.normal(size=1))))
         assert_grads_close(root, [x], eps=1e-5, rtol=1e-4)
 
     def test_matmul(self):
         rng = np.random.default_rng(3)
         a = ad.parameter(rng.uniform(-2, 2, (3, 4)))
         b = ad.parameter(rng.uniform(-2, 2, (4, 2)))
-        root = ad.sum_(ad.mul(ad.matmul(a, b),
-                              ad.constant(rng.normal(size=(3, 2)))))
+        root = dot(ad.matmul(a, b), rng.normal(size=(3, 2)))
         assert_grads_close(root, [a, b], eps=1e-5, rtol=1e-4)
 
     def test_broadcast_binary(self):
         rng = np.random.default_rng(4)
         a = ad.parameter(rng.uniform(-2, 2, (3, 1, 5)))
         b = ad.parameter(rng.uniform(1, 2, (4, 5)))
-        root = ad.sum_(ad.div(ad.mul(a, b), b + 1.0))
+        root = ad.mean(ad.mul(ad.sub(a, b), b + 1.0))
         assert_grads_close(root, [a, b], eps=1e-5, rtol=1e-4)
-
-    def test_clamp_interior(self):
-        rng = np.random.default_rng(6)
-        x = ad.parameter(rng.uniform(-2, 2, (4, 4)))
-        # keep inputs off the clamp thresholds so FD is valid
-        x.value[np.abs(np.abs(x.value) - 1.0) < 0.05] = 0.5
-        root = ad.sum_(ad.clamp(x, -1.0, 1.0))
-        assert_grads_close(root, [x], eps=1e-5, rtol=1e-4)
 
     def test_log_softmax_and_take_rows(self):
         rng = np.random.default_rng(8)
@@ -335,14 +298,13 @@ class TestPrimitiveGradients:
 
 
 class TestReductionOracles:
-    """sum/mean against naive scalar loops (f64)."""
+    """mean against a naive scalar loop (f64)."""
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_sum_mean_max_match_loop(self, values):
         arr = np.array(values, dtype=np.float64)
         node = ad.constant(arr)
-        s = ad.forward(ad.sum_(node))
         m = ad.forward(ad.mean(node))
         acc = 0.0
         mag = 0.0
@@ -351,7 +313,6 @@ class TestReductionOracles:
             mag += abs(v)
         loop_mean = acc / len(values)
         # summation-order roundoff scales with the summand magnitudes
-        assert abs(s - acc) <= 1e-12 * max(1.0, mag)
         assert abs(m - loop_mean) <= 1e-12 * max(1.0, mag / len(values))
 
 
@@ -364,7 +325,7 @@ class TestDtypeDiscipline:
 
     def test_f64_mode(self):
         x = ad.leaf(np.ones((2, 2), dtype=np.float64))
-        y = ad.exp(x / 3.0)
+        y = ad.exp(x * (1 / 3))
         ad.forward(y)
         assert y.value.dtype == np.float64
 

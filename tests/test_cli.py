@@ -90,6 +90,8 @@ class TestUsage:
         ["--seed", "-1"],
         # scale_channels raised OverflowError in the model build
         ["--width_multiplier", "inf"],
+        # kaiming_uniform could not allocate ~1e300 channels
+        ["--width_multiplier", "1e300"],
     ])
     def test_out_of_range_field_exits_two_without_traceback(
             self, tmp_path, synth_dir, flags, capsys):

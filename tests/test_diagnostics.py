@@ -40,22 +40,6 @@ class TestLayerProbe:
         p.update([1.0, 2.0, 3.0])
         assert (p.avg, p.max, p.min) == (2.0, 3.0, 1.0)
 
-    def test_split_merge_rule(self):
-        rng = np.random.default_rng(0)
-        all_vals = rng.random(50)
-        whole = LayerProbe("x")
-        whole.update(all_vals)
-        a, b = LayerProbe("x"), LayerProbe("x")
-        a.update(all_vals[:20])
-        b.update(all_vals[20:])
-        merged = a.merge(b)
-        assert abs(merged.avg - whole.avg) <= 1e-10
-        assert merged.max == whole.max and merged.min == whole.min
-
-    def test_merge_name_mismatch(self):
-        with pytest.raises(ProbeError):
-            LayerProbe("x").merge(LayerProbe("y"))
-
     def test_ordering_invariant(self):
         p = LayerProbe("x")
         p.update([3.0, 1.0, 2.0])
@@ -66,10 +50,6 @@ class TestLayerProbe:
         p.update([1.0, 2.0])
         p.update([np.nan, 3.0])
         assert math.isnan(p.avg) and math.isnan(p.max) and math.isnan(p.min)
-        q = LayerProbe("x")
-        q.update([1.0, 2.0])
-        merged = q.merge(p)
-        assert math.isnan(merged.max) and math.isnan(merged.min)
 
 
 class TestProfile:

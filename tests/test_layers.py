@@ -9,7 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from biasloss import _kernels as K
 from biasloss import autodiff as ad
 from biasloss import layers as L
-from fdcheck import assert_grads_close
+from fdcheck import assert_grads_close, dot
 
 
 def run(node):
@@ -70,7 +70,7 @@ def conv_grads(x, w, g, stride, pad, groups):
     """(out, dx, dw) of conv2d, backpropagating g from its output."""
     xn, wn = ad.parameter(x), ad.parameter(w)
     y = L.conv2d(xn, wn, stride=stride, padding=pad, groups=groups)
-    root = ad.sum_(ad.mul(y, ad.constant(g)))
+    root = dot(y, g)
     run(root)
     grads = ad.backward(root)
     return y.value, grads[xn], grads[wn]
@@ -187,9 +187,8 @@ class TestConv2d:
         rng = np.random.default_rng(1)
         x = ad.parameter(rng.normal(size=(2, 4, 5, 5)))
         w = ad.parameter(rng.normal(size=(4, 1, 3, 3)) * 0.5)
-        weight = ad.constant(rng.normal(size=(2, 4, 3, 3)))
-        root = ad.sum_(ad.mul(
-            L.conv2d(x, w, stride=2, padding=1, groups=4), weight))
+        weight = rng.normal(size=(2, 4, 3, 3))
+        root = dot(L.conv2d(x, w, stride=2, padding=1, groups=4), weight)
         assert_grads_close(root, [x, w], eps=1e-5, rtol=1e-4)
 
 
@@ -271,8 +270,7 @@ class TestBatchNorm:
                 bn.gamma.value = rng.normal(2.5, 0.2, size=3)
                 bn.beta.value = rng.normal(size=3)
                 x = ad.parameter(rng.normal(size=(4, 3, 4, 4)))
-                root = ad.sum_(ad.mul(
-                    bn(x), ad.constant(rng.normal(size=(4, 3, 4, 4)))))
+                root = dot(bn(x), rng.normal(size=(4, 3, 4, 4)))
                 assert_grads_close(root, [x, bn.gamma, bn.beta],
                                    eps=1e-5, rtol=1e-4)
 
@@ -291,7 +289,7 @@ class TestBatchNorm:
         xv *= rng.choice([-1.0, 1.0], size=xv.shape)
         xv[0, 0, 0, 0] = 3e-6
         x = ad.parameter(xv)
-        root = ad.sum_(ad.mul(bn(x), ad.constant(rng.normal(size=xv.shape))))
+        root = dot(bn(x), rng.normal(size=xv.shape))
         _, skipped = assert_grads_close(root, [x], eps=1e-5, rtol=1e-4)
         assert skipped == 1 / xv.size
 
@@ -351,8 +349,7 @@ class TestAdaptiveAvgPool:
     def test_gradients(self, hw, out):
         rng = np.random.default_rng(3)
         x = ad.parameter(rng.normal(size=(2, 2) + hw))
-        root = ad.sum_(ad.mul(L.adaptive_avg_pool(x, out),
-                              ad.constant(rng.normal(size=(2, 2) + out))))
+        root = dot(L.adaptive_avg_pool(x, out), rng.normal(size=(2, 2) + out))
         assert_grads_close(root, [x], eps=1e-5, rtol=1e-4)
 
     # the model's two pools: the skip block's and the global pool before
@@ -376,7 +373,7 @@ class TestAdaptiveAvgPool:
                                              / ((r1 - r0) * (c1 - c0)))
         xn = ad.parameter(x)
         y = L.adaptive_avg_pool(xn, out)
-        root = ad.sum_(ad.mul(y, ad.constant(g)))
+        root = dot(y, g)
         run(root)
         dx = ad.backward(root)[xn]
         for got, want in ((y.value, ref), (dx, dref)):
@@ -532,7 +529,7 @@ class TestDropout:
     def test_gradient_respects_mask(self):
         layer = L.Dropout(0.5, seed=2)
         x = ad.parameter(np.ones((16, 16), dtype=np.float64))
-        y = ad.sum_(layer(x))
+        y = dot(layer(x), np.ones((16, 16)))
         run(y)
         g = ad.backward(y)[x]
         # dropped entries contribute 0, kept ones exactly 1/(1-rate)
@@ -712,7 +709,7 @@ class TestEvalFold:
         x = ad.parameter(rng.normal(size=(2, 4, 6, 6)))
         y = blk(x, *size)
         run(y)
-        root = ad.sum_(ad.mul(y, ad.constant(rng.normal(size=y.value.shape))))
+        root = dot(y, rng.normal(size=y.value.shape))
         params = [x] + [p.node for p in blk.parameters()]
         assert len(params) == 10
         assert_grads_close(root, params, eps=1e-5, rtol=1e-4, sample=8,
@@ -725,11 +722,11 @@ class TestEvalFold:
         perturb_bn(blk, rng)
         blk.eval()
         x = ad.parameter(rng.normal(size=(3, 4, 5, 5)))
-        g = ad.constant(rng.normal(size=(3, 4, 5, 5)))
+        g = rng.normal(size=(3, 4, 5, 5))
         grads = []
         for build in (contextlib.nullcontext, unfolded):
             with build():
-                root = ad.sum_(ad.mul(blk(x), g))
+                root = dot(blk(x), g)
             run(root)
             store = ad.backward(root)
             grads.append([store[n] for n in

@@ -289,6 +289,74 @@ class TestBiasLoss:
         loss, _ = bias_loss(logits, labels, fm, cfg)
         assert_grads_close(loss, [fm], eps=1e-5, rtol=1e-4)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_detach_changes_only_the_gradient(self, dtype):
+        # one weight computation: the loss value and the record are the
+        # same bytes whether or not the weights take a gradient
+        rng = np.random.default_rng(9)
+        fm = (rng.normal(size=(32, 8, 5, 5))
+              * rng.uniform(0.5, 2.0, size=(32, 1, 1, 1))).astype(dtype)
+        logits = rng.normal(size=(32, 10)).astype(dtype)
+        labels = rng.integers(0, 10, size=32)
+        runs = [bias_loss(logits, labels, ad.parameter(fm),
+                          BiasLossConfig(detach_weight=detach))
+                for detach in (True, False)]
+        (loss_d, rec_d), (loss_a, rec_a) = runs
+        assert loss_a.value.dtype == loss_d.value.dtype == dtype
+        assert loss_a.value.tobytes() == loss_d.value.tobytes()
+        assert (rec_a.batch_min, rec_a.batch_max) == (rec_d.batch_min,
+                                                      rec_d.batch_max)
+        for name in ("raw", "scaled", "weight", "clamped_lo", "clamped_hi"):
+            a, d = getattr(rec_a, name), getattr(rec_d, name)
+            assert a.dtype == d.dtype and np.array_equal(a, d), name
+
+    @staticmethod
+    def attached_grad_oracle(logits, labels, fm, cfg):
+        """dL/d(feature map) of the attached loss in f64, by hand: only the
+        weights depend on the map, through the unbiased variances with the
+        batch min and max frozen."""
+        x = fm.astype(np.float64).reshape(len(fm), -1)
+        n = x.shape[1]
+        centered = x - x.mean(axis=1, keepdims=True)
+        v = (centered ** 2).sum(axis=1) / (n - 1)
+        spread = v.max() - v.min()
+        e = np.exp(cfg.alpha * (v - v.min()) / spread)
+        z = e - cfg.beta
+        inside = (z >= cfg.clamp_lo) & (z <= cfg.clamp_hi)
+        ce = np.array([naive_softmax_ce(logits[i:i + 1], labels[i:i + 1])
+                       for i in range(len(labels))])
+        dv = ce / len(ce) * inside * cfg.alpha * e / spread
+        return (dv[:, None] * 2.0 * centered / (n - 1)).reshape(fm.shape)
+
+    @pytest.mark.parametrize("cfg,any_clamped", [
+        (BiasLossConfig(detach_weight=False), False),
+        (BiasLossConfig(alpha=2.0, clamp_lo=0.9, clamp_hi=1.1,
+                        detach_weight=False), True)],
+        ids=["interior", "clamped"])
+    def test_attached_f32_gradient_matches_f64_oracle(self, cfg,
+                                                      any_clamped):
+        rng = np.random.default_rng(10)
+        fm = (rng.normal(1.0, 1.0, size=(128, 64, 7, 7))
+              * rng.uniform(0.5, 2.0, size=(128, 1, 1, 1))).astype(np.float32)
+        logits = rng.normal(size=(128, 10)).astype(np.float32)
+        labels = rng.integers(0, 10, size=128)
+        node = ad.parameter(fm)
+        loss, record = bias_loss(ad.constant(logits), labels, node, cfg)
+        got = ad.backward(loss)[node]
+        want = self.attached_grad_oracle(logits, labels, fm, cfg)
+        assert got.dtype == np.float32
+        clamped = record.clamped_lo | record.clamped_hi
+        assert clamped.any() == any_clamped and not clamped.all()
+        assert not got[clamped].any()
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    def test_attached_degenerate_batch_has_no_feature_gradient(self):
+        fm = ad.parameter(np.ones((4, 2, 3, 3), np.float32))
+        loss, _ = bias_loss(ad.constant(np.zeros((4, 3), np.float32)),
+                            np.arange(4) % 3, fm,
+                            BiasLossConfig(detach_weight=False))
+        np.testing.assert_array_equal(ad.backward(loss)[fm], 0.0)
+
     def test_weight_bounds_always_hold(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
@@ -383,7 +451,8 @@ class TestClampedSamples:
     def test_bounds_that_are_not_float32_numbers(self, detach):
         # z = exp(2v) - 0.3 is 0.7, 1.03, 1.47, ... 7.1: clamp 0.9/1.1
         # bounds the sample at v = 0 below and those at v >= 2/7 above. The
-        # graph clamps in float32, where 0.9 and 1.1 are inexact.
+        # batch is float32, where 0.9 and 1.1 are inexact; the record
+        # clamps in float64 either way.
         cfg = BiasLossConfig(alpha=2.0, clamp_lo=0.9, clamp_hi=1.1,
                              detach_weight=detach)
         _, record = bias_loss(*self.batch(), cfg)

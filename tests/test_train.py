@@ -213,6 +213,7 @@ class TestConfig:
         ("schedule", ((1, -1.0),)), ("schedule", ((1, 0.0),)),
         ("schedule", ((1, float("nan")),)), ("schedule", ((1, float("inf")),)),
         ("schedule", ((-1, 0.2),)), ("width_multiplier", float("inf")),
+        ("width_multiplier", 1e300), ("width_multiplier", 17.0),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -227,6 +228,7 @@ class TestConfig:
                           weight_decay=0.0, lr0=1e10)
         assert cfg.schedule == ()
         assert TrainConfig(schedule=((0, 1e-3),)).schedule == ((0, 1e-3),)
+        assert TrainConfig(width_multiplier=16.0).width_multiplier == 16.0
 
     def test_hash_stable_and_sensitive(self):
         a = TrainConfig(seed=1)
