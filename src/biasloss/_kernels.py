@@ -4,14 +4,16 @@ Depthwise convolution and batch normalization with its activation take
 most of a training step in the compact networks built here. Batch
 normalization and the relu or hard-swish after it run as one op: the
 forward normalizes and applies the activation in the same walk over each
-block, and the backward recomputes the pre-activation from the stored conv
-output with the forward's own operations (bit-identical to the forward's,
-so it is never stored) and applies the activation's derivative in the
-first of its two sweeps. The batch mean is a float64 sum; the other
-per-channel sums are per-(sample, channel) row partials from one GEMV
-against a ones vector, added over the batch in float64. Per-channel
-operands are expanded to one contiguous sample [1, c, h, w], which
-numpy's binary loops take faster than a broadcast [1, c, 1, 1].
+block, and the backward applies the activation's derivative in the first
+of its two sweeps. For relu that derivative is read from the op's kept
+output, [y > 0], since relu(z) > 0 exactly when z > 0 (neither holds for
+NaN); otherwise the backward recomputes the pre-activation from the
+stored conv output with the forward's own operations (bit-identical to
+the forward's, so it is never stored). The batch mean is a float64 sum;
+the other per-channel sums are per-(sample, channel) row partials from
+one GEMV against a ones vector, added over the batch in float64.
+Per-channel operands are expanded to one contiguous sample [1, c, h, w],
+which numpy's binary loops take faster than a broadcast [1, c, 1, 1].
 
 Depthwise convolution runs as small BLAS GEMMs: each kernel row is one
 banded [W, ow] matrix, and every (sample, channel) pair multiplies its
@@ -20,16 +22,27 @@ horizontal padding, and kernel rows skip the output rows whose input row
 would be vertical padding, so the kernels take the unpadded input and no
 padded copy is made. Each GEMM (about 23k multiply-adds at 28x28) stays
 below OpenBLAS's threading cutoff, so it runs on the calling thread and
-OpenBLAS's worker is never woken to spin on a core the pool needs.
-Every other conv is dense: one GEMM per sample on im2col columns, walked
-in the same blocks. Both conv kernels take an optional epilogue,
-a per-channel shift and an activation, applied to each output block right
-after its GEMMs; an eval-mode batch norm folded into the conv runs there,
-while the block is still in cache.
+OpenBLAS's worker is never woken to spin on a core the pool needs. The
+kernel rows' products are summed into their rows by a plan made once per
+call (_gemm_plan): the first product of each row class is written
+through matmul's out=, and later ones are added as whole blocks, since
+numpy adds two row slices of a block several times slower than the whole
+blocks. The weight gradient reads each kernel row's kw diagonals with one
+gather. Every other conv is dense: one GEMM per sample on im2col columns,
+walked in the same blocks, forward and backward; only the backward's
+float64 batch sum of weight partials runs on the caller. Both conv
+forwards take an optional epilogue, a per-channel shift and an
+activation, applied to each output block right after its GEMMs; an
+eval-mode batch norm folded into the conv runs there, while the block is
+still in cache.
 
 The kernels walk the batch in blocks of about _BLOCK_BYTES, so that every
 pass after the first re-reads cache rather than memory, and they write
-into preallocated buffers instead of chaining temporaries.
+into preallocated buffers instead of chaining temporaries. Their cost
+on the pool scales with the numpy calls per block more than with the
+bytes: on 2 vCPUs, 256 KiB blocks made a batch-128 train step take
+265 ms, against 227 ms at 512 KiB and 229 ms at 1 MiB (medians of five
+12-step runs).
 
 The calling thread works through the blocks itself, alongside up to
 _HELPERS threads of _POOL: one fewer than the cores this process may use
@@ -218,25 +231,70 @@ def _kernel_rows(kh, stride, pad, h, oh):
     return rows
 
 
-def _gemm_rows(dst, scratch, terms):
-    """dst[:, :, rows] = the sum of a @ b over the (rows, a, b) of terms;
-    rows that no term reaches are 0.
+def _row_slices(rows, n, step):
+    """The set rows of range(n) as slices, each a run of rows step apart
+    within one class (rows congruent mod step)."""
+    out = []
+    for c in range(step):
+        start = None
+        for r in range(c, n + step, step):
+            inside = r < n and r in rows
+            if inside and start is None:
+                start = r
+            elif not inside and start is not None:
+                out.append(np.s_[start:r:step])
+                start = None
+    return out
 
-    A term that covers all of dst's rows goes first and is written, not
-    added; without one, dst starts from zero.
+
+def _gemm_plan(rows, n, step=1):
+    """(writes, zeros, adds): how _gemm_rows sums the products of terms
+    whose destination rows are the slices rows, in order, into n rows.
+
+    The rows fall into step classes, rows congruent mod step, and each
+    slice of rows lies in one class. A term that covers all n rows goes
+    first. In each class the first term is written through matmul's out=
+    (writes: term index, rows) and the rows no first term reaches are
+    zeroed (zeros: row slices). Every other term is an add (term index,
+    rows, clear): its product goes into its rows of a scratch buffer of
+    dst's shape, the other rows (clear) are zeroed, and the whole buffer is
+    added to dst. So each row is its terms' products summed in term order,
+    plus zeros that change nothing (a GEMM writes no -0): the bytes of
+    zero-filling dst and adding each product to its rows. numpy adds two
+    whole blocks several times faster than two row slices of them, whose
+    rows it walks one (sample, channel) at a time.
     """
-    n = dst.shape[2]
-    terms = sorted(terms, key=lambda t: t[1].shape[2] != n)
-    if terms and terms[0][1].shape[2] == n:
-        _, a, b = terms.pop(0)
-        np.matmul(a, b, out=dst)
-    else:
-        dst.fill(0)
-    for rows, a, b in terms:
-        t = scratch[:, :, :a.shape[2]]
-        np.matmul(a, b, out=t)
-        d = dst[:, :, rows]
-        np.add(d, t, out=d)
+    def span(r):
+        return range(*r.indices(n))
+
+    order = sorted(range(len(rows)), key=lambda t: len(span(rows[t])) != n)
+    writes, zeros, adds = [], set(range(n)), []
+    for c in range(step):
+        ts = [t for t in order if span(rows[t])[0] % step == c]
+        if ts:
+            writes.append((ts[0], rows[ts[0]]))
+            zeros -= set(span(rows[ts[0]]))
+            adds += [(t, rows[t],
+                      _row_slices(set(range(n)) - set(span(rows[t])), n,
+                                  step))
+                     for t in ts[1:]]
+    return writes, _row_slices(zeros, n, step), adds
+
+
+def _gemm_rows(dst, scratch, terms, plan):
+    """Sums the products a @ b of terms, (a, b) pairs, into rows of dst
+    [n, c, rows, cols] as plan (_gemm_plan) says, with scratch a buffer of
+    dst's shape."""
+    writes, zeros, adds = plan
+    for t, rows in writes:
+        np.matmul(*terms[t], out=dst[:, :, rows])
+    for rows in zeros:
+        dst[:, :, rows] = 0
+    for t, rows, clear in adds:
+        np.matmul(*terms[t], out=scratch[:, :, rows])
+        for r in clear:
+            scratch[:, :, r] = 0
+        np.add(dst, scratch, out=dst)
 
 
 def _epilogue(o, shift, act):
@@ -282,18 +340,39 @@ def dw_conv_fwd(x, w, stride, pad, shift=None, act=None):
     oh, ow = conv_out_size(h, kh, stride, pad), conv_out_size(wd, kw, stride, pad)
     band = _band(w, _band_entries(kw, stride, pad, wd, ow), wd, ow, x.dtype)
     rows = _kernel_rows(kh, stride, pad, h, oh)
+    plan = _gemm_plan([ro for _, ro, _ in rows], oh)
     out = np.empty((b, c, oh, ow), dtype=x.dtype)
     shift = None if shift is None else _channel(shift, out)
 
     def block(s):
         xs, o = x[s], out[s]
         _gemm_rows(o, np.empty_like(o),
-                   [(ro, xs[:, :, ri], band[:, ki]) for ki, ro, ri in rows])
+                   [(xs[:, :, ri], band[:, ki]) for ki, _, ri in rows], plan)
         _epilogue(o, shift, act)
 
     with np.errstate(invalid="ignore"):  # 0 * Inf, see the module docstring
         _map_blocks(block, x)
     return out
+
+
+def _diagonals(entries, width):
+    """(R, J) [n, kw] indices of dw_conv_bwd's kw weight-gradient diagonals
+    in D [width + 1, ow], whose last row is zero: column kj holds kernel
+    column kj's (r, j) entries in order, padded to the longest diagonal with
+    the zero row.
+
+    numpy lays out D[..., R, J] with the diagonal axis outermost, so a sum
+    over that axis adds each diagonal's entries one after another (not
+    pairwise); the padding then adds only zeros, and each sum has the bytes
+    of summing that diagonal alone.
+    """
+    n = max(len(r) for _, r, _ in entries)
+    rows = np.full((n, len(entries)), width)
+    cols = np.zeros((n, len(entries)), dtype=np.intp)
+    for kj, r, j in entries:
+        rows[:len(r), kj] = r
+        cols[:len(j), kj] = j
+    return rows, cols
 
 
 def dw_conv_bwd(x, w, g, stride, pad):
@@ -302,7 +381,9 @@ def dw_conv_bwd(x, w, g, stride, pad):
 
     dx sums g's rows times each transposed band. dw[c, ki, kj] is the
     (j*stride + kj - pad, j) diagonal of D = x[rows]^T @ g[rows], summed
-    into per-sample partials in x's dtype that are added in float64.
+    into per-sample partials in x's dtype that are added in float64. Each
+    kernel row reads its kw diagonals with one gather, one sum in x's dtype
+    and one float64 reduce (_diagonals).
     """
     _, c, h, wd = x.shape
     kh, kw = w.shape[1:]
@@ -311,27 +392,55 @@ def dw_conv_bwd(x, w, g, stride, pad):
     bandt = np.ascontiguousarray(
         _band(w, entries, wd, ow, x.dtype).swapaxes(2, 3))
     rows = _kernel_rows(kh, stride, pad, h, oh)
+    plan = _gemm_plan([ri for _, _, ri in rows], h, stride)
+    diag_r, diag_j = _diagonals(entries, wd)
     dx = np.empty_like(x)
 
     def block(s):
         xs, gs, ds = x[s], g[s], dx[s]
-        _gemm_rows(ds, np.empty((len(xs), c, min(h, oh), wd), x.dtype),
-                   [(ri, gs[:, :, ro], bandt[:, ki]) for ki, ro, ri in rows])
-        d = np.empty((len(xs), c, wd, ow), dtype=x.dtype)
-        dw = np.zeros((kh, kw, c))
+        n = len(xs)
+        _gemm_rows(ds, np.empty_like(ds),
+                   [(gs[:, :, ro], bandt[:, ki]) for ki, ro, _ in rows], plan)
+        d = np.empty((n, c, wd + 1, ow), dtype=x.dtype)
+        d[:, :, wd] = 0  # what the padding of _diagonals reads
+        dw = np.zeros((c, kh, kw))
         for ki, ro, ri in rows:
-            np.matmul(xs[:, :, ri].swapaxes(2, 3), gs[:, :, ro], out=d)
-            for kj, r, j in entries:
-                dw[ki, kj] = np.add.reduce(d[:, :, r, j].sum(axis=2), axis=0,
-                                           dtype=np.float64)
+            np.matmul(xs[:, :, ri].swapaxes(2, 3), gs[:, :, ro],
+                      out=d[:, :, :wd])
+            np.add.reduce(d[:, :, diag_r, diag_j].sum(axis=2), axis=0,
+                          dtype=np.float64, out=dw[:, ki])
         return dw
 
-    dw = np.zeros((kh, kw, c))
+    dw = np.zeros((c, kh, kw))
     with np.errstate(invalid="ignore"):  # 0 * Inf, see the module docstring
         parts = _map_blocks(block, x)
     for part in parts:
         dw += part
-    return dx, dw.transpose(2, 0, 1).astype(w.dtype)
+    return dx, dw.astype(w.dtype)
+
+
+def gemm_conv_bwd(w, cols, g, need_dx=True):
+    """Returns (dcol, dw) for gemm_conv_fwd's conv, with g [b, m, p] the
+    gradient of its output: dcol[i] = w^T @ g[i] [k, p] per sample (None
+    without need_dx) and dw [m, k] the per-sample partials g[i] @ cols[i]^T
+    summed over the batch in float64.
+
+    Each block of the batch runs its GEMMs into its slices of dcol and of
+    the partials; only the float64 sum runs on the caller, in sample order.
+    """
+    b, m, p = g.shape
+    k = cols.shape[1]
+    parts = np.empty((b, m, k), dtype=np.result_type(g, cols))
+    dcol = np.empty((b, k, p), dtype=np.result_type(w, g)) if need_dx else None
+    wt = w.T  # a view: a contiguous copy of w^T gives dcol other bytes
+
+    def block(s):
+        np.matmul(g[s], cols[s].swapaxes(1, 2), out=parts[s])
+        if need_dx:
+            np.matmul(wt, g[s], out=dcol[s])
+
+    _map_blocks(block, g if m >= k else cols)
+    return dcol, np.add.reduce(parts, axis=0, dtype=np.float64).astype(w.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -468,23 +577,29 @@ def bn_normalize(x, mean, invstd, gamma, beta, act=None):
     return out
 
 
-def _act_grad_sums(x, g, mean, invstd, gamma, beta, act):
+def _act_grad_sums(x, g, mean, invstd, gamma, beta, act, y=None):
     """Sweep 1 of the backward: (m, gz, sum gz, sum gz * (x - m)) with m the
     centre of _affine, gz = g * act'(z) and the sums per channel in f64
     from row partials.
 
-    The pre-activation z is recomputed from x as bn_normalize builds it;
-    gz is g itself when act is None and a new array otherwise.
+    For relu with its output y given, act'(z) is read as [y > 0]: relu(z)
+    > 0 exactly when z > 0, and neither holds for NaN. Otherwise the
+    pre-activation z is recomputed from x as bn_normalize builds it. gz is
+    g itself when act is None and a new array otherwise.
     """
     _check_act(act)
     m, scale, shift = _affine(x, mean, invstd, gamma, beta)
     ones = _ones(x)
     gz = g if act is None else np.empty_like(x)
+    from_y = act == "relu" and y is not None
 
     def sweep(s):
         o = gz[s]
         t = np.subtract(x[s], m)
-        if act is not None:
+        if from_y:
+            np.greater(y[s], 0, out=o)
+            np.multiply(g[s], o, out=o)
+        elif act is not None:
             np.multiply(t, scale, out=o)
             np.add(o, shift, out=o)
             _act_grad(o, g[s], act)
@@ -499,16 +614,17 @@ def _act_grad_sums(x, g, mean, invstd, gamma, beta, act):
     return m, gz, sum_g, sum_gx
 
 
-def bn_bwd_train(x, g, mean, invstd, gamma, beta, act=None):
+def bn_bwd_train(x, g, mean, invstd, gamma, beta, act=None, y=None):
     """Returns (dx, dgamma, dbeta) for train-mode batch normalization
-    followed by act, with g the gradient of act's output.
+    followed by act, with g the gradient of act's output and y, when
+    given, that output (relu reads its derivative from it).
 
     Two sweeps: the first writes g * act'(z) into dx and sums it, the
     second finishes dx in place.
     """
     count = x.shape[0] * x.shape[2] * x.shape[3]
     m, gz, sum_g, sum_gx = _act_grad_sums(x, g, mean, invstd, gamma, beta,
-                                          act)
+                                          act, y)
     # x is centred on the mean rounded to x's dtype; the rounding residual
     # d is folded back in f64
     d = mean - mean.astype(x.dtype)

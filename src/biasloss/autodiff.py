@@ -16,7 +16,9 @@ activations are the frontier of the walk plus the named nodes'.
 The registered ops are exactly those that the network and its three
 losses run; layers adds the conv, batchnorm, pooling and dropout ops, and
 losses the ``bias_weight`` op of the attached variance weights. A
-value that must take no gradient enters the graph as a constant.
+value that must take no gradient enters the graph as a constant; a
+Python scalar in an arithmetic expression becomes a ``scalar`` node that
+takes its partner's dtype when the pass computes the partner.
 
 A graph instance is single-threaded: a pass writes its nodes' values and
 ctx. Distinct graphs are independent and parameters (leaf nodes) may be
@@ -105,7 +107,7 @@ class Node:
         shp = "unset" if self.value is None else "x".join(map(str, self.value.shape))
         return f"Node<{tag} #{self.id} {shp}>"
 
-    # operator sugar; python scalars are lifted to constants of our dtype
+    # operator sugar; python scalars are lifted to nodes of our dtype (_lift)
     def __add__(self, other):
         return add(self, _lift(other, self))
 
@@ -136,10 +138,19 @@ def constant(value, name=None):
 
 
 def _lift(other, like):
+    """other as a node: a Python scalar becomes a "scalar" node on like,
+    which takes like's dtype when a pass computes like, so a scalar lifted
+    before like has a value still matches it."""
     if isinstance(other, Node):
         return other
-    dtype = like.value.dtype if like.value is not None else np.float32
-    return constant(np.asarray(other, dtype=dtype))
+    return Node("scalar", [like], attrs={"value": other})
+
+
+def _scalar_fwd(node, xs):
+    return np.asarray(node.attrs["value"], dtype=xs[0].dtype)
+
+
+register_op("scalar", _scalar_fwd, lambda node, g: [None])
 
 
 def _node(op, inputs, attrs=None):

@@ -7,19 +7,24 @@ the padding lives in the band, so no padded copy is made. A dense conv
 (1x1 and the stem) is one GEMM per sample on im2col columns, W
 [cout, cin*kh*kw] @ cols[i] [cin*kh*kw, oh*ow]. For a 1x1 kernel at
 stride 1 the columns are the NCHW activation itself, with no layout
-copy. Adaptive average pooling is one GEMM per sample against an
-averaging matrix built once per shape. Each of these GEMMs is small
-enough that OpenBLAS runs it on the calling thread; a multithreaded BLAS
-call would leave OpenBLAS's worker spinning between calls on a core the
-kernel pool needs. Weight gradients sum the per-sample partials in
-float64. A conv whose input needs no gradient (the stem's images) skips
-its dx. Convs have no bias: the BN after each one carries the shift.
+copy. The dense backward runs on the same block walk: each block's
+weight-gradient partials and column gradients are its own GEMMs. Adaptive
+average pooling is one GEMM per sample against an averaging matrix built
+once per shape; the global pool's backward is g times the matrix's one
+row, the same products without a K=1 GEMM per sample. Each of these GEMMs
+is small enough that OpenBLAS runs it on the calling thread; a
+multithreaded BLAS call would leave OpenBLAS's worker spinning between
+calls on a core the kernel pool needs. Weight gradients sum the
+per-sample partials in float64. A conv whose input needs no gradient (the
+stem's images) skips its dx. Convs have no bias: the BN after each one
+carries the shift.
 
 Batch normalization and the activation after it (relu or hard-swish) are
 one "batchnorm" op with an act attribute, so a conv -> BN -> act unit adds
 two graph nodes, not three. In train mode the op keeps the conv output in
 its ctx and the activation output as its value; the backward recomputes
-the BN output from the conv output instead of storing it.
+the BN output from the conv output instead of storing it, and a relu
+layer reads its derivative from the kept activation output.
 
 In eval mode the conv node of a ConvBnAct, which holds its BatchNorm2d,
 folds the BN into itself: it computes act(conv(x, w * s) + t) with
@@ -163,14 +168,12 @@ def _conv2d_bwd(node, g):
         dx, dw = K.dw_conv_bwd(np.ascontiguousarray(x), w[:, 0],
                                np.ascontiguousarray(g), stride, pad)
     else:
-        gm = g.reshape(b, cout, oh * ow)
-        # per-sample weight-gradient partials, summed over the batch in f64
-        dw = np.add.reduce(np.matmul(gm, cols.swapaxes(1, 2)), axis=0,
-                           dtype=np.float64).astype(w.dtype)
-        dx = None  # an input without gradient, like the stem's images
-        if node.inputs[0].requires_grad:
-            dcol = np.matmul(w.reshape(cout, -1).T, gm)
-            dx = _col2im(dcol, x.shape, w.shape[2], w.shape[3], stride, pad)
+        # an input without gradient, like the stem's images, skips its dx
+        dcol, dw = K.gemm_conv_bwd(w.reshape(cout, -1), cols,
+                                   g.reshape(b, cout, oh * ow),
+                                   node.inputs[0].requires_grad)
+        dx = (None if dcol is None else
+              _col2im(dcol, x.shape, w.shape[2], w.shape[3], stride, pad))
     return [dx, dw.reshape(w.shape)]
 
 
@@ -242,12 +245,15 @@ def bn_input(node):
 
 
 def _batchnorm_bwd(node, g):
-    # the BN output before act is not kept; the kernel recomputes it from x
+    # the BN output before act is not kept; the kernel recomputes it from x,
+    # and in train mode relu reads its derivative from the kept output
     mode, x, m, invstd = bn_input(node)
-    bwd = K.bn_bwd_train if mode == "train" else K.bn_bwd_eval
     gamma, beta = node.inputs[1].value, node.inputs[2].value
-    return list(bwd(x, np.ascontiguousarray(g), m, invstd, gamma, beta,
-                    node.attrs["act"]))
+    args = (x, np.ascontiguousarray(g), m, invstd, gamma, beta,
+            node.attrs["act"])
+    if mode == "eval":
+        return list(K.bn_bwd_eval(*args))
+    return list(K.bn_bwd_train(*args, node.value))
 
 
 register_op("batchnorm", _batchnorm_fwd, _batchnorm_bwd)
@@ -290,7 +296,12 @@ def _adaptive_pool_fwd(node, xs):
 
 def _adaptive_pool_bwd(node, g):
     b, c, h, w = node.inputs[0].value.shape
-    return [np.matmul(g.reshape(b, c, -1), node.ctx).reshape(b, c, h, w)]
+    p = node.ctx
+    # a global pool's gradient is g times P's one row: the GEMM's products
+    # without its K=1 GEMM per sample
+    dx = (np.multiply(g.reshape(b, c, 1), p) if len(p) == 1
+          else np.matmul(g.reshape(b, c, -1), p))
+    return [dx.reshape(b, c, h, w)]
 
 
 register_op("adaptive_avg_pool", _adaptive_pool_fwd, _adaptive_pool_bwd)

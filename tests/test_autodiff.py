@@ -329,6 +329,22 @@ class TestDtypeDiscipline:
         ad.forward(y)
         assert y.value.dtype == np.float64
 
+    def test_scalar_lifted_before_a_value_takes_its_dtype(self):
+        # a scalar lifted against a leaf that has no value yet is cast to
+        # the leaf's dtype at forward time, not rounded to float32
+        x = ad.leaf()
+        y, z, d = x * 0.3, 0.3 - x, x + 0.1
+        x.set(np.ones(2))
+        for node, want in ((y, 0.3), (z, 0.3 - 1.0), (d, 1.0 + 0.1)):
+            ad.forward(node)
+            assert node.value.dtype == np.float64
+            assert node.value.tolist() == [want, want]
+        x.set(np.ones(2, dtype=np.float32))
+        ad.forward(y)
+        assert y.value.dtype == np.float32
+        assert y.value.tobytes() == (np.ones(2, np.float32)
+                                     * np.float32(0.3)).tobytes()
+
 
 class TestOpRegistry:
     def test_engine_graphs_reach_every_registered_op(self):

@@ -133,6 +133,77 @@ def test_dw_conv_matches_oracle(dtype, stride, batch):
                                    atol=tol(dtype)["atol"] * oh * ow * batch)
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("h", [7, 8, 14, 15])
+def test_dw_conv_bwd_stride_2_matches_oracle(dtype, h):
+    """At stride 2 the kernel rows reach alternate input rows; some rows of
+    a class are reached by one kernel row only, and at even heights the
+    last row by the third kernel row alone."""
+    rng = np.random.default_rng(10)
+    c = -(-K._BLOCK_BYTES // (8 * np.dtype(dtype).itemsize * h * h))
+    x = rng.normal(size=(19, c, h, h)).astype(dtype)
+    w = rng.normal(size=(c, 3, 3)).astype(dtype)
+    o = (h + 2 - 3) // 2 + 1
+    g = rng.normal(size=(19, c, o, o)).astype(dtype)
+    assert ragged(x)
+    _, dx, dw = dw_oracle(x, w, g, 2, 1)
+    gdx, gdw = K.dw_conv_bwd(x, w, g, 2, 1)
+    np.testing.assert_allclose(gdx, dx, **tol(dtype))
+    np.testing.assert_allclose(gdw, dw, rtol=tol(dtype)["rtol"],
+                               atol=tol(dtype)["atol"] * o * o * 19)
+
+
+# (kernel, stride, pad, height) of the depthwise kernels' row terms
+GEMM_ROW_GEOMETRIES = [(3, 1, 1, 28), (3, 2, 1, 28), (3, 2, 1, 15),
+                       (3, 1, 2, 7), (5, 2, 2, 9), (3, 3, 0, 11),
+                       (3, 2, 0, 8)]
+
+
+@pytest.mark.parametrize("k,stride,pad,h", GEMM_ROW_GEOMETRIES)
+def test_gemm_rows_match_zero_fill_and_add(k, stride, pad, h):
+    """_gemm_rows gives the bytes of zero-filling dst and adding each
+    term's product to its rows, a term covering every row first: the
+    forward's output rows and the backward's input rows."""
+    rng = np.random.default_rng(11)
+    oh = K.conv_out_size(h, k, stride, pad)
+    for n, rows, step in (
+            (oh, [ro for _, ro, _ in K._kernel_rows(k, stride, pad, h, oh)],
+             1),
+            (h, [ri for _, _, ri in K._kernel_rows(k, stride, pad, h, oh)],
+             stride)):
+        terms = [(rng.normal(size=(3, 4, len(range(*r.indices(n))), 6)),
+                  rng.normal(size=(4, 6, 5))) for r in rows]
+        want = np.zeros((3, 4, n, 5))
+        for t in sorted(range(len(rows)),
+                        key=lambda t: terms[t][0].shape[2] != n):
+            want[:, :, rows[t]] += terms[t][0] @ terms[t][1]
+        dst = np.full((3, 4, n, 5), np.nan)
+        K._gemm_rows(dst, np.full_like(dst, np.nan), terms,
+                     K._gemm_plan(rows, n, step))
+        assert dst.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("batch", [1, 19])
+def test_gemm_conv_bwd_matches_oracle(dtype, batch):
+    rng = np.random.default_rng(12)
+    w = rng.normal(size=(24, 12)).astype(dtype)
+    cols = rng.normal(size=(batch, 12, 784)).astype(dtype)
+    g = rng.normal(size=(batch, 24, 784)).astype(dtype)
+    assert batch == 1 or ragged(g)
+    w64, c64, g64 = (a.astype(np.float64) for a in (w, cols, g))
+    dcol, dw = K.gemm_conv_bwd(w, cols, g)
+    assert dcol.dtype == dw.dtype == dtype
+    np.testing.assert_allclose(dcol, np.einsum("mk,bmp->bkp", w64, g64),
+                               **tol(dtype))
+    # dw sums batch * 784 products
+    np.testing.assert_allclose(dw, np.einsum("bmp,bkp->mk", g64, c64),
+                               rtol=tol(dtype)["rtol"],
+                               atol=tol(dtype)["atol"] * 784 * batch)
+    none, dw2 = K.gemm_conv_bwd(w, cols, g, need_dx=False)
+    assert none is None and dw2.tobytes() == dw.tobytes()
+
+
 def test_dw_conv_inf_warns_nothing():
     """0 * Inf in the band's structural zeros is not reported; Inf still
     reaches the outputs."""
@@ -212,6 +283,31 @@ def test_bn_mean_far_above_std(dtype):
     gdx, gdg, _ = K.bn_bwd_train(x, g, gm, invstd, gamma, beta)
     np.testing.assert_allclose(gdx, dx, rtol=1e-4, atol=1e-5 * np.abs(dx).max())
     np.testing.assert_allclose(gdg, dgamma, rtol=1e-4, atol=1e-3)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_relu_from_output_matches_recompute(dtype):
+    """bn_bwd_train reading relu's derivative from the kept output gives
+    the bytes of recomputing the pre-activation, with NaN and +-Inf in
+    the input and the gradient; bn_bwd_eval, which recomputes, agrees."""
+    rng = np.random.default_rng(13)
+    x = rng.normal(1.0, 2.0, size=(37, 12, 28, 28)).astype(dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
+    gamma = rng.normal(1.0, 0.1, size=12).astype(dtype)
+    beta = rng.normal(size=12).astype(dtype)
+    mean, var = K.bn_stats(x)
+    invstd = 1.0 / np.sqrt(var + 1e-5)
+    x[3, 2, 4, 4], x[30, 3, 2, 2], x[20, 5, 1, 1] = np.nan, np.inf, -np.inf
+    g[7, 7, 7, 7], g[8, 1, 0, 0] = np.nan, -np.inf
+    assert ragged(x)
+    with np.errstate(invalid="ignore"):
+        y = K.bn_normalize(x, mean, invstd, gamma, beta, "relu")
+        got = K.bn_bwd_train(x, g, mean, invstd, gamma, beta, "relu", y)
+        want = K.bn_bwd_train(x, g, mean, invstd, gamma, beta, "relu")
+        ev = K.bn_bwd_eval(x, g, mean, invstd, gamma, beta, "relu")
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert np.isnan(got[0][3, 2]).all() and np.isnan(got[1][2])
+    assert ev[2].tobytes() == got[2].tobytes()
 
 
 @pytest.mark.parametrize("fn", [K.bn_normalize, K.bn_bwd_train,
@@ -305,20 +401,25 @@ def test_concurrent_callers_match_one_worker(monkeypatch):
     xp = rng.normal(size=(19, 16, 30, 30)).astype(np.float32)
     x = np.ascontiguousarray(xp[:, :, 1:29, 1:29])
     g = rng.normal(size=x.shape).astype(np.float32)
+    g2 = rng.normal(size=(19, 16, 15, 15)).astype(np.float32)
+    g1 = rng.normal(size=(19, 24, 784)).astype(np.float32)
     w = rng.normal(size=(16, 3, 3)).astype(np.float32)
+    w1 = rng.normal(size=(24, 16)).astype(np.float32)
     gamma = rng.normal(1.0, 0.1, size=16).astype(np.float32)
     beta = rng.normal(size=16).astype(np.float32)
-    assert ragged(xp) and ragged(x)
+    assert ragged(xp) and ragged(x) and ragged(g1)
 
     def run_all():
         mean, var = K.bn_stats(x)
         invstd = 1.0 / np.sqrt(var + 1e-5)
         outs = [K.dw_conv_fwd(xp, w, 1, 0), *K.dw_conv_bwd(xp, w, g, 1, 0),
                 K.dw_conv_fwd(x, w, 1, 1), *K.dw_conv_bwd(x, w, g, 1, 1),
-                mean, var]
+                *K.dw_conv_bwd(xp, w, g2, 2, 1),
+                *K.gemm_conv_bwd(w1, x.reshape(19, 16, -1), g1), mean, var]
         for act in ACTS:
-            outs += [K.bn_normalize(x, mean, invstd, gamma, beta, act),
-                     *K.bn_bwd_train(x, g, mean, invstd, gamma, beta, act),
+            y = K.bn_normalize(x, mean, invstd, gamma, beta, act)
+            outs += [y,
+                     *K.bn_bwd_train(x, g, mean, invstd, gamma, beta, act, y),
                      *K.bn_bwd_eval(x, g, mean, invstd, gamma, beta, act)]
         return [a.tobytes() for a in outs]
 
@@ -372,7 +473,8 @@ def test_inline_blocks_match_pooled(monkeypatch):
     gamma = rng.normal(1.0, 0.1, size=12).astype(np.float32)
     beta = rng.normal(size=12).astype(np.float32)
     shift = rng.normal(size=24).astype(np.float32)
-    assert ragged(x)
+    g1 = rng.normal(size=(37, 24, 784)).astype(np.float32)
+    assert ragged(x) and ragged(g1)
 
     def run_all():
         mean, var = K.bn_stats(x)
@@ -380,10 +482,11 @@ def test_inline_blocks_match_pooled(monkeypatch):
         outs = [K.dw_conv_fwd(x, w, 2, 1, beta, "hswish"),
                 *K.dw_conv_bwd(x, w, g2, 2, 1),
                 K.gemm_conv_fwd(w1, x.reshape(37, 12, -1), shift, "relu"),
-                mean, var]
+                *K.gemm_conv_bwd(w1, x.reshape(37, 12, -1), g1), mean, var]
         for act in ACTS:
-            outs += [K.bn_normalize(x, mean, invstd, gamma, beta, act),
-                     *K.bn_bwd_train(x, g, mean, invstd, gamma, beta, act),
+            y = K.bn_normalize(x, mean, invstd, gamma, beta, act)
+            outs += [y,
+                     *K.bn_bwd_train(x, g, mean, invstd, gamma, beta, act, y),
                      *K.bn_bwd_eval(x, g, mean, invstd, gamma, beta, act)]
         return [a.tobytes() for a in outs]
 

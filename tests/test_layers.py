@@ -381,6 +381,20 @@ class TestAdaptiveAvgPool:
             np.testing.assert_allclose(got, want, rtol=1e-6,
                                        atol=1e-6 * np.abs(want).max())
 
+    @pytest.mark.parametrize("out", [(1, 1), (7, 7)], ids=["global", "7x7"])
+    def test_backward_has_the_gemms_bytes(self, out):
+        """The global pool's backward multiplies g by P's one row: the
+        product the K=1 GEMM per sample computed; other sizes run the
+        GEMM."""
+        rng = np.random.default_rng(10)
+        x = ad.parameter(rng.normal(size=(16, 64, 14, 14)).astype(np.float32))
+        g = rng.normal(size=(16, 64) + out).astype(np.float32)
+        root = dot(L.adaptive_avg_pool(x, out), g)
+        run(root)
+        p = L._pool_operator(14, 14, *out, np.float32)
+        gemm = np.matmul(g.reshape(16, 64, -1), p).reshape(x.value.shape)
+        assert ad.backward(root)[x].tobytes() == gemm.tobytes()
+
     def test_pool_operator_built_once_per_shape(self):
         x = np.random.default_rng(5).normal(size=(2, 3, 9, 6))
         outs = []
