@@ -13,7 +13,7 @@ from .autodiff import GradStore, Node, backward, forward
 from .layers import MicroNetSpec, SkipblockNetMicro
 from .losses import (BiasLossConfig, VarianceRecord, batch_variances,
                      bias_loss, bias_weight, cross_entropy, focal_loss,
-                     minmax_scale, sample_variance)
+                     minmax_scale)
 from .train import TrainConfig, evaluate, train_run
 
 __version__ = "0.1.0"
@@ -24,6 +24,6 @@ __all__ = [
     "MicroNetSpec", "SkipblockNetMicro",
     "BiasLossConfig", "VarianceRecord",
     "batch_variances", "bias_loss", "bias_weight", "cross_entropy",
-    "focal_loss", "minmax_scale", "sample_variance",
+    "focal_loss", "minmax_scale",
     "TrainConfig", "evaluate", "train_run",
 ]

@@ -5,11 +5,12 @@ most of a training step in the compact networks built here. Batch
 normalization and the relu or hard-swish after it run as one op: the
 forward normalizes and applies the activation in the same walk over each
 block, and the backward applies the activation's derivative in the first
-of its two sweeps. For relu that derivative is read from the op's kept
-output, [y > 0], since relu(z) > 0 exactly when z > 0 (neither holds for
-NaN); otherwise the backward recomputes the pre-activation from the
-stored conv output with the forward's own operations (bit-identical to
-the forward's, so it is never stored). The batch mean is a float64 sum;
+of its two sweeps. Both backwards, train and eval mode, take the op's
+output y. Relu's derivative is read from it, [y > 0], since relu(z) > 0
+exactly when z > 0 (neither holds for NaN). Hard-swish's is taken at the
+pre-activation, which the backward recomputes from the stored conv
+output with the forward's own operations (bit-identical to the forward's,
+so it is never stored). The batch mean is a float64 sum;
 the other per-channel sums are per-(sample, channel) row partials from
 one GEMV against a ones vector, added over the batch in float64.
 Per-channel operands are expanded to one contiguous sample [1, c, h, w],
@@ -532,26 +533,22 @@ def _act(o, act):
         np.divide(o, 6.0, out=o)
 
 
-def _act_grad(o, gs, act):
-    """o holds the pre-activation z; overwrites it with gs * act'(z), for
-    act "relu" or "hswish".
+def _hswish_grad(o, gs):
+    """o holds the pre-activation z; overwrites it with gs * hswish'(z).
 
-    relu' is [z > 0]. With c = clip(z, -3, 3), hswish' is
-    (c + c * [|c| < 3] + 3) / 6: 0 for z <= -3, 1 for z >= 3 and
-    (2z + 3) / 6 between, with no masked assignment (numpy's is several
-    times slower than arithmetic), and NaN stays NaN.
+    With c = clip(z, -3, 3), hswish' is (c + c * [|c| < 3] + 3) / 6: 0 for
+    z <= -3, 1 for z >= 3 and (2z + 3) / 6 between, with no masked
+    assignment (numpy's is several times slower than arithmetic), and NaN
+    stays NaN.
     """
-    if act == "relu":
-        np.greater(o, 0, out=o)
-    elif act == "hswish":
-        t = np.empty_like(o)
-        np.clip(o, -3.0, 3.0, out=o)
-        np.abs(o, out=t)
-        np.less(t, 3.0, out=t)
-        np.multiply(o, t, out=t)
-        np.add(o, t, out=o)
-        np.add(o, 3.0, out=o)
-        np.divide(o, 6.0, out=o)
+    t = np.empty_like(o)
+    np.clip(o, -3.0, 3.0, out=o)
+    np.abs(o, out=t)
+    np.less(t, 3.0, out=t)
+    np.multiply(o, t, out=t)
+    np.add(o, t, out=o)
+    np.add(o, 3.0, out=o)
+    np.divide(o, 6.0, out=o)
     np.multiply(gs, o, out=o)
 
 
@@ -577,13 +574,13 @@ def bn_normalize(x, mean, invstd, gamma, beta, act=None):
     return out
 
 
-def _act_grad_sums(x, g, mean, invstd, gamma, beta, act, y=None):
+def _act_grad_sums(x, y, g, mean, invstd, gamma, beta, act):
     """Sweep 1 of the backward: (m, gz, sum gz, sum gz * (x - m)) with m the
     centre of _affine, gz = g * act'(z) and the sums per channel in f64
     from row partials.
 
-    For relu with its output y given, act'(z) is read as [y > 0]: relu(z)
-    > 0 exactly when z > 0, and neither holds for NaN. Otherwise the
+    Relu's act'(z) is read from its output y as [y > 0]: relu(z) > 0
+    exactly when z > 0, and neither holds for NaN. For hswish the
     pre-activation z is recomputed from x as bn_normalize builds it. gz is
     g itself when act is None and a new array otherwise.
     """
@@ -591,18 +588,17 @@ def _act_grad_sums(x, g, mean, invstd, gamma, beta, act, y=None):
     m, scale, shift = _affine(x, mean, invstd, gamma, beta)
     ones = _ones(x)
     gz = g if act is None else np.empty_like(x)
-    from_y = act == "relu" and y is not None
 
     def sweep(s):
         o = gz[s]
         t = np.subtract(x[s], m)
-        if from_y:
+        if act == "relu":
             np.greater(y[s], 0, out=o)
             np.multiply(g[s], o, out=o)
-        elif act is not None:
+        elif act == "hswish":
             np.multiply(t, scale, out=o)
             np.add(o, shift, out=o)
-            _act_grad(o, g[s], act)
+            _hswish_grad(o, g[s])
         np.multiply(t, o, out=t)
         return _row_sums(o, ones), _row_sums(t, ones)
 
@@ -614,17 +610,16 @@ def _act_grad_sums(x, g, mean, invstd, gamma, beta, act, y=None):
     return m, gz, sum_g, sum_gx
 
 
-def bn_bwd_train(x, g, mean, invstd, gamma, beta, act=None, y=None):
+def bn_bwd_train(x, y, g, mean, invstd, gamma, beta, act=None):
     """Returns (dx, dgamma, dbeta) for train-mode batch normalization
-    followed by act, with g the gradient of act's output and y, when
-    given, that output (relu reads its derivative from it).
+    followed by act, with y act's output and g its gradient.
 
     Two sweeps: the first writes g * act'(z) into dx and sums it, the
     second finishes dx in place.
     """
     count = x.shape[0] * x.shape[2] * x.shape[3]
-    m, gz, sum_g, sum_gx = _act_grad_sums(x, g, mean, invstd, gamma, beta,
-                                          act, y)
+    m, gz, sum_g, sum_gx = _act_grad_sums(x, y, g, mean, invstd, gamma,
+                                          beta, act)
     # x is centred on the mean rounded to x's dtype; the rounding residual
     # d is folded back in f64
     d = mean - mean.astype(x.dtype)
@@ -649,11 +644,12 @@ def bn_bwd_train(x, g, mean, invstd, gamma, beta, act=None, y=None):
     return dx, dgamma.astype(gamma.dtype), dbeta.astype(gamma.dtype)
 
 
-def bn_bwd_eval(x, g, mean, invstd, gamma, beta, act=None):
+def bn_bwd_eval(x, y, g, mean, invstd, gamma, beta, act=None):
     """Returns (dx, dgamma, dbeta) for eval-mode batch normalization, where
-    mean and invstd are constants, followed by act."""
-    _, gz, sum_g, sum_gx = _act_grad_sums(x, g, mean, invstd, gamma, beta,
-                                          act)
+    mean and invstd are constants, followed by act, with y act's output
+    and g its gradient."""
+    _, gz, sum_g, sum_gx = _act_grad_sums(x, y, g, mean, invstd, gamma,
+                                          beta, act)
     dgamma = (sum_gx - (mean - mean.astype(x.dtype)) * sum_g) * invstd
     dx = np.multiply(gz, _channel(gamma * invstd, x))
     return dx, dgamma.astype(gamma.dtype), sum_g.astype(gamma.dtype)

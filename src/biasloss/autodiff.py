@@ -98,10 +98,6 @@ class Node:
             raise UninitializedValueError("node has no value; run forward first")
         return float(self.value)
 
-    @property
-    def shape(self):
-        return None if self.value is None else self.value.shape
-
     def __repr__(self):
         tag = self.name or self.op
         shp = "unset" if self.value is None else "x".join(map(str, self.value.shape))

@@ -22,9 +22,10 @@ carries the shift.
 Batch normalization and the activation after it (relu or hard-swish) are
 one "batchnorm" op with an act attribute, so a conv -> BN -> act unit adds
 two graph nodes, not three. In train mode the op keeps the conv output in
-its ctx and the activation output as its value; the backward recomputes
-the BN output from the conv output instead of storing it, and a relu
-layer reads its derivative from the kept activation output.
+its ctx and the activation output as its value. The backward has one
+rule for relu in both modes: its derivative is [y > 0], read from the
+op's output y. A hard-swish layer's backward recomputes the BN output
+from the conv output instead of storing it.
 
 In eval mode the conv node of a ConvBnAct, which holds its BatchNorm2d,
 folds the BN into itself: it computes act(conv(x, w * s) + t) with
@@ -34,7 +35,8 @@ kernels add t and apply act to each block right after its GEMMs. The BN
 node then returns its input unchanged, so the graph keeps the same two
 nodes in both modes. An eval-mode backward recomputes the unfolded conv
 output and runs the BN's eval backward on it, then the conv's own
-backward. A BatchNorm2d used on its own still normalizes.
+backward; its relu mask comes from the values the folded conv returned.
+A BatchNorm2d used on its own still normalizes.
 
 Layer objects own their parameter nodes; calling a layer on an input node
 extends the graph, so one set of weights can back several graphs.
@@ -245,15 +247,13 @@ def bn_input(node):
 
 
 def _batchnorm_bwd(node, g):
-    # the BN output before act is not kept; the kernel recomputes it from x,
-    # and in train mode relu reads its derivative from the kept output
+    # relu reads its derivative from the kept output; the BN output before
+    # act is not kept, and the kernel recomputes it from x for hswish
     mode, x, m, invstd = bn_input(node)
     gamma, beta = node.inputs[1].value, node.inputs[2].value
-    args = (x, np.ascontiguousarray(g), m, invstd, gamma, beta,
-            node.attrs["act"])
-    if mode == "eval":
-        return list(K.bn_bwd_eval(*args))
-    return list(K.bn_bwd_train(*args, node.value))
+    bwd = K.bn_bwd_eval if mode == "eval" else K.bn_bwd_train
+    return list(bwd(x, node.value, np.ascontiguousarray(g), m, invstd, gamma,
+                    beta, node.attrs["act"]))
 
 
 register_op("batchnorm", _batchnorm_fwd, _batchnorm_bwd)
@@ -521,16 +521,15 @@ class ConvBnAct(Module):
 
 
 class InvertedResidual(Module):
-    """expand 1x1 -> depthwise kxk -> linear project 1x1, with residual
+    """expand 1x1 -> depthwise 3x3 -> linear project 1x1, with residual
     when stride is 1 and channel counts match."""
 
-    def __init__(self, cin, expand, cout, stride=1, kernel=3, act="relu",
-                 rng=None, dtype=np.float32, name="block"):
-        pad = kernel // 2
+    def __init__(self, cin, expand, cout, stride=1, act="relu", rng=None,
+                 dtype=np.float32, name="block"):
         self.expand = ConvBnAct(cin, expand, 1, act=act, rng=rng, dtype=dtype,
                                 name=f"{name}.expand")
-        self.depthwise = ConvBnAct(expand, expand, kernel, stride=stride,
-                                   padding=pad, groups=expand, act=act,
+        self.depthwise = ConvBnAct(expand, expand, 3, stride=stride,
+                                   padding=1, groups=expand, act=act,
                                    rng=rng, dtype=dtype, name=f"{name}.depthwise")
         self.project = ConvBnAct(expand, cout, 1, act=None, rng=rng,
                                  dtype=dtype, name=f"{name}.project")
@@ -581,7 +580,9 @@ class MicroNetSpec:
     width scaling. Skip insertions are (source, destination) indices into
     the unit list where index 0 is the stem and 1..len(stages) are the
     inverted residual blocks; the skip block's output is added element-wise
-    to the destination unit's input.
+    to the destination unit's input. The stem and every depthwise conv are
+    3x3 with padding 1, and a skip block expands its source's channels
+    x2 (at least 4).
     """
 
     in_channels: int = 1
@@ -592,10 +593,8 @@ class MicroNetSpec:
                      (36, 12, 1, "relu"), (48, 24, 2, "hswish"),
                      (72, 24, 1, "hswish"))
     skip_insertions: tuple = ((0, 5),)
-    skip_expand_ratio: int = 2
     head_channels: int = 64
     dropout: float = 0.2
-    kernel: int = 3
 
     def __post_init__(self):
         # the comparisons also reject NaN; at the top width the widest
@@ -684,9 +683,8 @@ class SkipblockNetMicro(Module):
         s = self.spec
         m = s.width_multiplier
         stem_c = scale_channels(s.stem_channels, m)
-        self.stem = ConvBnAct(s.in_channels, stem_c, s.kernel, stride=1,
-                              padding=s.kernel // 2, act="hswish", rng=rng,
-                              dtype=dtype, name="stem")
+        self.stem = ConvBnAct(s.in_channels, stem_c, 3, stride=1, padding=1,
+                              act="hswish", rng=rng, dtype=dtype, name="stem")
         self.blocks = []
         channels = [stem_c]   # channels at each unit's output
         for bi, (expand, cout, stride, act) in enumerate(s.stages, start=1):
@@ -697,7 +695,7 @@ class SkipblockNetMicro(Module):
             channels.append(c)
         self.skips = []
         for src, dst in s.skip_insertions:
-            expand = max(4, s.skip_expand_ratio * channels[src])
+            expand = max(4, 2 * channels[src])
             self.skips.append((src, dst, SkipBlock(
                 channels[src], expand, channels[dst - 1], rng=rng,
                 dtype=dtype, name=f"skip{src}_{dst}")))

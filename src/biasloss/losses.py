@@ -70,14 +70,6 @@ def _as_node(x):
 # ---------------------------------------------------------------------------
 # variance machinery (numpy side)
 
-def sample_variance(row):
-    """Unbiased variance of a flat signal: sum((t - mean)^2) / (n - 1)."""
-    row = np.asarray(row)
-    if row.size < 2:
-        raise ValueError("variance needs at least 2 values (n - 1 > 0)")
-    return float(np.var(row, ddof=1))
-
-
 def batch_variances(feature_map):
     """Per-sample unbiased variance over each sample's unfolded activation.
 

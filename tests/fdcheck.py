@@ -12,6 +12,13 @@ activation lands on for the +eps and -eps evaluations and skips entries
 whose signatures differ. A bounded fraction of entries may be skipped; a
 genuine backward bug shows up on the crossing-free entries.
 
+The batchnorm op's backward has one rule for relu in both modes: its
+derivative is [y > 0], read from the op's output y. For a BN folded into
+its conv, y is the folded conv's output, while the checker's kink
+signature recomputes the unfolded pre-activation; the two can differ in
+sign only within rounding of the kink, where the secant crosses it and
+the entry is skipped anyway.
+
 The oracle re-runs forward on the *same* graph, so detached subgraphs
 (e.g. frozen loss weights) stay frozen, matching the semantics backward
 implements.

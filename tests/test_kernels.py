@@ -229,7 +229,8 @@ def run_bn(x, g, gamma, beta, act=None):
     mean, var = K.bn_stats(x)
     invstd = 1.0 / np.sqrt(var + 1e-5)
     y = K.bn_normalize(x, mean, invstd, gamma, beta, act)
-    dx, dgamma, dbeta = K.bn_bwd_train(x, g, mean, invstd, gamma, beta, act)
+    dx, dgamma, dbeta = K.bn_bwd_train(x, y, g, mean, invstd, gamma, beta,
+                                       act)
     return mean, var, invstd, y, dx, dgamma, dbeta
 
 
@@ -278,18 +279,41 @@ def test_bn_mean_far_above_std(dtype):
     gm, gv = K.bn_stats(x)
     np.testing.assert_allclose(gm, mean, rtol=1e-12)
     np.testing.assert_allclose(gv, var, rtol=1e-6)
-    np.testing.assert_allclose(K.bn_normalize(x, gm, invstd, gamma, beta), y,
-                               rtol=1e-5, atol=1e-5)
-    gdx, gdg, _ = K.bn_bwd_train(x, g, gm, invstd, gamma, beta)
+    gy = K.bn_normalize(x, gm, invstd, gamma, beta)
+    np.testing.assert_allclose(gy, y, rtol=1e-5, atol=1e-5)
+    gdx, gdg, _ = K.bn_bwd_train(x, gy, g, gm, invstd, gamma, beta)
     np.testing.assert_allclose(gdx, dx, rtol=1e-4, atol=1e-5 * np.abs(dx).max())
     np.testing.assert_allclose(gdg, dgamma, rtol=1e-4, atol=1e-3)
 
 
+def masked_bn_bwd_oracle(x, g, mask, mean, invstd, gamma, training):
+    """float64 (dx, dgamma, dbeta) of batch normalization with the given
+    statistics followed by an activation whose derivative is mask."""
+    gz = g.astype(np.float64) * mask
+    xc = x.astype(np.float64) - mean[:, None, None]
+    count = x.shape[0] * x.shape[2] * x.shape[3]
+    dbeta = gz.sum(axis=(0, 2, 3))
+    dgamma = (gz * xc).sum(axis=(0, 2, 3)) * invstd
+    k = (gamma.astype(np.float64) * invstd)[:, None, None]
+    if not training:
+        return gz * k, dgamma, dbeta
+    dx = k * (gz - (dbeta / count)[:, None, None]
+              - xc * (invstd * dgamma / count)[:, None, None])
+    return dx, dgamma, dbeta
+
+
+def assert_close_where_finite(got, want, **kw):
+    """got is non-finite exactly where want is, and close to it elsewhere."""
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(np.isfinite(got), finite)
+    np.testing.assert_allclose(got[finite], want[finite], **kw)
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_relu_from_output_matches_recompute(dtype):
-    """bn_bwd_train reading relu's derivative from the kept output gives
-    the bytes of recomputing the pre-activation, with NaN and +-Inf in
-    the input and the gradient; bn_bwd_eval, which recomputes, agrees."""
+    """Both backwards read relu's derivative from its output and match
+    the float64 oracle of g * [z > 0], with z recomputed, with NaN and
+    +-Inf planted in the input and the gradient."""
     rng = np.random.default_rng(13)
     x = rng.normal(1.0, 2.0, size=(37, 12, 28, 28)).astype(dtype)
     g = rng.normal(size=x.shape).astype(dtype)
@@ -300,21 +324,49 @@ def test_relu_from_output_matches_recompute(dtype):
     x[3, 2, 4, 4], x[30, 3, 2, 2], x[20, 5, 1, 1] = np.nan, np.inf, -np.inf
     g[7, 7, 7, 7], g[8, 1, 0, 0] = np.nan, -np.inf
     assert ragged(x)
+    # dgamma and dbeta sum 29k terms of order 1
+    sums = (dict(rtol=1e-4, atol=1e-3) if dtype == np.float32
+            else dict(rtol=1e-10, atol=1e-9))
     with np.errstate(invalid="ignore"):
         y = K.bn_normalize(x, mean, invstd, gamma, beta, "relu")
-        got = K.bn_bwd_train(x, g, mean, invstd, gamma, beta, "relu", y)
-        want = K.bn_bwd_train(x, g, mean, invstd, gamma, beta, "relu")
-        ev = K.bn_bwd_eval(x, g, mean, invstd, gamma, beta, "relu")
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    assert np.isnan(got[0][3, 2]).all() and np.isnan(got[1][2])
-    assert ev[2].tobytes() == got[2].tobytes()
+        z = K.bn_normalize(x, mean, invstd, gamma, beta)
+        runs = [(fn(x, y, g, mean, invstd, gamma, beta, "relu"),
+                 masked_bn_bwd_oracle(x, g, z > 0, mean, invstd, gamma,
+                                      fn is K.bn_bwd_train))
+                for fn in (K.bn_bwd_train, K.bn_bwd_eval)]
+    for got, want in runs:
+        assert_close_where_finite(got[0], want[0], **tol(dtype))
+        assert_close_where_finite(got[1], want[1], **sums)
+        assert_close_where_finite(got[2], want[2], **sums)
+        for c in (1, 2, 3, 5, 7):  # every planted channel
+            assert not np.isfinite(got[1][c])
+
+
+@pytest.mark.parametrize("fn", [K.bn_bwd_train, K.bn_bwd_eval])
+def test_relu_bwd_reads_the_given_output(fn):
+    """The relu mask is [y > 0] of the y passed in, not a recomputed
+    pre-activation: a y that disagrees with relu(z) moves the gradient."""
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(19, 4, 16, 16))
+    g = rng.normal(size=x.shape)
+    gamma, beta = rng.normal(1.0, 0.1, size=4), rng.normal(size=4)
+    mean, var = K.bn_stats(x)
+    invstd = 1.0 / np.sqrt(var + 1e-5)
+    z = K.bn_normalize(x, mean, invstd, gamma, beta)
+    y = np.where(rng.random(x.shape) < 0.3, 1.0, 0.0)  # unrelated to z
+    assert ((y > 0) != (z > 0)).any()
+    got = fn(x, y, g, mean, invstd, gamma, beta, "relu")
+    want = masked_bn_bwd_oracle(x, g, y > 0, mean, invstd, gamma,
+                                fn is K.bn_bwd_train)
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("fn", [K.bn_normalize, K.bn_bwd_train,
                                 K.bn_bwd_eval])
 def test_bn_unknown_activation(fn):
     x = np.ones((2, 3, 4, 4), dtype=np.float32)
-    args = (x, x) if fn is not K.bn_normalize else (x,)
+    args = (x, x, x) if fn is not K.bn_normalize else (x,)
     with pytest.raises(ValueError, match="swish"):
         fn(*args, *identity_bn(3), "swish")
 
@@ -333,7 +385,8 @@ def test_hswish_matches_oracle(dtype, shape):
     x4, g4 = (a.reshape(shape + (1,) * (4 - len(shape))) for a in (x, g))
     ident = identity_bn(x4.shape[1])
     gy = K.bn_normalize(x4, *ident, "hswish").reshape(shape)
-    gdx = K.bn_bwd_eval(x4, g4, *ident, "hswish")[0].reshape(shape)
+    gdx = K.bn_bwd_eval(x4, gy.reshape(x4.shape), g4, *ident,
+                        "hswish")[0].reshape(shape)
     assert gy.dtype == gdx.dtype == dtype
     assert gy.shape == gdx.shape == shape
     np.testing.assert_allclose(gy, y, rtol=1e-6, atol=1e-7)
@@ -365,19 +418,23 @@ def test_nan_propagates(dtype):
     mean, var = K.bn_stats(x)
     invstd = 1.0 / np.sqrt(var + 1e-5)
     for act in ACTS:
-        y = K.bn_normalize(xn, mean, invstd, gamma, beta, act)
-        assert np.isnan(y[17, 2, 5, 5]) and np.isfinite(y).sum() == y.size - 1
-        dx, dgamma, dbeta = K.bn_bwd_train(x, gn, mean, invstd, gamma, beta,
-                                           act)
+        yn = K.bn_normalize(xn, mean, invstd, gamma, beta, act)
+        assert np.isnan(yn[17, 2, 5, 5]) and np.isfinite(yn).sum() == yn.size - 1
+        y = K.bn_normalize(x, mean, invstd, gamma, beta, act)
+        dx, dgamma, dbeta = K.bn_bwd_train(x, y, gn, mean, invstd, gamma,
+                                           beta, act)
         assert (np.isnan(dx[:, 2]).all() and np.isnan(dgamma[2])
                 and np.isnan(dbeta[2]))
-        dx, dgamma, _ = K.bn_bwd_train(xn, g, mean, invstd, gamma, beta, act)
+        dx, dgamma, _ = K.bn_bwd_train(xn, yn, g, mean, invstd, gamma, beta,
+                                       act)
         assert np.isnan(dx[17, 2, 5, 5]) and np.isnan(dgamma[2])
 
     ident = identity_bn(4)
-    assert np.isnan(K.bn_normalize(xn, *ident, "hswish")[17, 2, 5, 5])
-    assert np.isnan(K.bn_bwd_eval(xn, g, *ident, "hswish")[0][17, 2, 5, 5])
-    assert np.isnan(K.bn_bwd_eval(x, gn, *ident, "hswish")[0][17, 2, 5, 5])
+    yn = K.bn_normalize(xn, *ident, "hswish")
+    assert np.isnan(yn[17, 2, 5, 5])
+    y = K.bn_normalize(x, *ident, "hswish")
+    assert np.isnan(K.bn_bwd_eval(xn, yn, g, *ident, "hswish")[0][17, 2, 5, 5])
+    assert np.isnan(K.bn_bwd_eval(x, y, gn, *ident, "hswish")[0][17, 2, 5, 5])
 
 
 def test_inf_propagates():
@@ -419,8 +476,8 @@ def test_concurrent_callers_match_one_worker(monkeypatch):
         for act in ACTS:
             y = K.bn_normalize(x, mean, invstd, gamma, beta, act)
             outs += [y,
-                     *K.bn_bwd_train(x, g, mean, invstd, gamma, beta, act, y),
-                     *K.bn_bwd_eval(x, g, mean, invstd, gamma, beta, act)]
+                     *K.bn_bwd_train(x, y, g, mean, invstd, gamma, beta, act),
+                     *K.bn_bwd_eval(x, y, g, mean, invstd, gamma, beta, act)]
         return [a.tobytes() for a in outs]
 
     with ThreadPoolExecutor(1) as serial, monkeypatch.context() as m:
@@ -486,8 +543,8 @@ def test_inline_blocks_match_pooled(monkeypatch):
         for act in ACTS:
             y = K.bn_normalize(x, mean, invstd, gamma, beta, act)
             outs += [y,
-                     *K.bn_bwd_train(x, g, mean, invstd, gamma, beta, act, y),
-                     *K.bn_bwd_eval(x, g, mean, invstd, gamma, beta, act)]
+                     *K.bn_bwd_train(x, y, g, mean, invstd, gamma, beta, act),
+                     *K.bn_bwd_eval(x, y, g, mean, invstd, gamma, beta, act)]
         return [a.tobytes() for a in outs]
 
     with ThreadPoolExecutor(1) as pool, monkeypatch.context() as m:

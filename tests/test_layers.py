@@ -275,8 +275,8 @@ class TestBatchNorm:
                                    eps=1e-5, rtol=1e-4)
 
     def test_unknown_activation(self):
-        with pytest.raises(ValueError, match="swish"):
-            L.BatchNorm2d(3, act="swish")
+        with pytest.raises(ValueError, match=r"^head\.bn: .*'swish'"):
+            L.BatchNorm2d(3, act="swish", name="head.bn")
 
     def test_fdcheck_skips_secant_across_fused_relu(self):
         # x[0, 0, 0, 0] sits 0.3 eps above relu's kink in an identity BN,
@@ -619,6 +619,14 @@ class TestMicroNet:
             L.MicroNetSpec(skip_insertions=((3, 2),))
         with pytest.raises(ValueError):
             L.MicroNetSpec(skip_insertions=((0, 9),))
+
+    def test_swish_stage_names_its_layer(self):
+        spec = L.MicroNetSpec(stages=((16, 8, 1, "relu"),
+                                      (24, 12, 2, "swish")),
+                              skip_insertions=())
+        with pytest.raises(ValueError,
+                           match=r"^block2\.expand\.bn: .*'swish'"):
+            L.SkipblockNetMicro(spec)
 
     def test_logits_shape_any_spec(self):
         spec = L.MicroNetSpec(in_channels=3, num_classes=7,

@@ -11,7 +11,7 @@ from biasloss import autodiff as ad
 from biasloss import losses
 from biasloss.losses import (BiasLossConfig, batch_variances, bias_loss,
                              bias_weight, cross_entropy, focal_loss,
-                             minmax_scale, sample_variance)
+                             minmax_scale)
 from fdcheck import assert_grads_close
 
 
@@ -38,19 +38,6 @@ def two_pass_variance(row):
     return acc / (len(row) - 1)
 
 
-class TestSampleVariance:
-    def test_constant_signal(self):
-        assert sample_variance([5, 5, 5, 5]) == 0.0
-
-    def test_hand_oracle(self):
-        # mean 1; ((0-1)^2 + (2-1)^2) / 1
-        assert sample_variance([0, 2]) == 2.0
-
-    def test_single_value_error(self):
-        with pytest.raises(ValueError):
-            sample_variance([7])
-
-
 class TestBatchVariances:
     def test_constant_maps(self):
         fm = np.ones((2, 1, 2, 2))
@@ -61,6 +48,10 @@ class TestBatchVariances:
                        [[[1.0, 1.0], [1.0, 1.0]]]])
         np.testing.assert_allclose(batch_variances(fm), [4.0 / 3.0, 0.0],
                                    rtol=1e-15)
+
+    def test_single_scalar_error(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            batch_variances(np.ones((2, 1, 1, 1)))
 
     @given(hnp.arrays(np.float64, st.tuples(
         st.integers(1, 6), st.integers(1, 4), st.integers(1, 4),
