@@ -1,4 +1,4 @@
-"""Dataset ingestion, deterministic augmentation and batching.
+"""Dataset ingestion, deterministic augmentation and batching, in numpy only.
 
 Readers parse the MNIST IDX and CIFAR-10 binary formats bit-exactly;
 matching writers exist so fixtures round-trip. All augmentation randomness
@@ -8,10 +8,16 @@ whether prefetching is on. A sample's stream is built only when its spec
 draws from it (a random flip or a rotation range), so evaluation batches
 build none.
 
-A batch is assembled in two steps: each image is flipped and rotated on
-its own by ``augment``, only when the spec flips or rotates at all, and
-the stacked batch is then normalized once. The default ``AugmentSpec()``
-does neither, so its batches hold the dataset's images.
+A batch is assembled in three steps: each image draws its own flip and
+angle, only when the spec flips or rotates at all; the batch is flipped
+and rotated at once; and it is then normalized once. The default
+``AugmentSpec()`` does neither, so its batches hold the dataset's images.
+
+``rotate`` equals ``scipy.ndimage.rotate(image, angle, axes=(2, 1),
+reshape=False, order=1, mode="constant", cval=0.0, prefilter=False)`` bit
+for bit, NaN and infinite pixels included. It treats each image on its
+own, so a batch holds the same bytes as stacking ``augment`` over its
+images.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -271,24 +276,139 @@ def _normalize(images, normalize):
     return (images - mean) / std
 
 
-def augment(image, spec: AugmentSpec, rng_key, seed=0):
-    """Randomly flip/rotate one [c,h,w] image; spec.normalize is not
-    applied here, but once to the assembled batch.
+# Cephes sindg/cosdg: polynomials in z*z on one 45-degree octant, z in
+# radians, highest power first
+_SINDG_COEF = (1.5896230157221844e-10, -2.5050747762850355e-08,
+               2.7557313621385676e-06, -1.984126982958954e-04,
+               8.333333333322118e-03, -1.666666666666663e-01)
+_COSDG_COEF = (1.1367817138204455e-11, -2.0875883375768363e-09,
+               2.7557315542981663e-07, -2.480158729361863e-05,
+               1.3888888888880667e-03, -4.166666666666664e-02, 0.5)
+_PI180 = 1.74532925199432957692e-2
+_DG_LOSS = 1.0e14  # beyond this many degrees both read 0, as in cephes
 
-    rng_key is (epoch, sample index); together with the global seed it
-    fully determines the output, independent of scheduling. The generator
-    is built only when spec draws from it.
+_ROTATE_CHUNK = 16  # images per pass: about 3 MB of float64 temporaries
+
+
+def _polevl(x, coef):
+    """Horner's rule in cephes' order of operations, which the bits of
+    _sincosdg depend on."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _sincosdg(degrees):
+    """(sin, cos) of an array of angles in degrees, float64, equal bit for
+    bit to cephes' sindg and cosdg (scipy.special.sindg and cosdg): exact
+    zeros and ones at multiples of 90 degrees."""
+    deg = np.asarray(degrees, dtype=np.float64)
+    neg = deg < 0
+    x = np.where(neg, -deg, deg)
+    y = np.floor(x / 45.0)
+    j = (y - 16.0 * np.floor(y / 16.0)).astype(np.int64)
+    odd = (j & 1) == 1  # map zeros to the origin
+    j = (j + odd) & 7
+    y = y + odd
+    lower = j > 3  # reflect in the x axis
+    j = np.where(lower, j - 4, j)
+    z = (x - y * 45.0) * _PI180
+    zz = z * z
+    sin_poly = z + z * (zz * _polevl(zz, _SINDG_COEF))
+    cos_poly = 1.0 - zz * _polevl(zz, _COSDG_COEF)
+    swap = (j == 1) | (j == 2)
+    sin = np.where(swap, cos_poly, sin_poly)
+    cos = np.where(swap, sin_poly, cos_poly)
+    sin = np.where(neg != lower, -sin, sin)
+    cos = np.where(lower != (j > 1), -cos, cos)
+    lost = x > _DG_LOSS
+    return np.where(lost, 0.0, sin), np.where(lost, 0.0, cos)
+
+
+def rotate(images, angles):
+    """Each [c,h,w] image of a float batch [n,c,h,w] turned about its
+    centre by its angle in degrees (counter-clockwise with row 0 at the
+    top), interpolated bilinearly, 0 outside; same shape and dtype.
+
+    Equal bit for bit to scipy.ndimage.rotate(image, angle, axes=(2, 1),
+    reshape=False, order=1, mode="constant", cval=0.0, prefilter=False) on
+    each image, angle 0 and NaN or infinite pixels included. As there, in
+    float64: an output pixel's source coordinate is (offset + row * m[:, 0])
+    + col * m[:, 1] with m = [[cos, sin], [-sin, cos]]; a coordinate outside
+    [0, size-1] on either axis reads 0; otherwise the taps (y0,x0),
+    (y0,x1), (y1,x0), (y1,x1) are summed in that order from 0 as (pixel *
+    y weight) * x weight, a tap past the last row or column reading row or
+    column size-2. Images go through in chunks of 16, their coordinates
+    shared across channels.
     """
+    images = np.asarray(images)
+    n, c, h, w = images.shape
+    hw = h * w
+    sin, cos = _sincosdg(angles)
+    mats = np.stack([np.stack([cos, sin], -1), np.stack([-sin, cos], -1)], -2)
+    half = (np.array([h, w]) - 1) / 2
+    offsets = half - mats @ half
+    rows = np.arange(h, dtype=np.float64)[:, None]
+    cols = np.arange(w, dtype=np.float64)
+    out = np.empty_like(images)
+    for start in range(0, n, _ROTATE_CHUNK):
+        part = slice(start, start + _ROTATE_CHUNK)
+        m = mats[part, :, :, None, None]
+        coords = ((offsets[part, :, None, None] + rows * m[:, :, 0])
+                  + cols * m[:, :, 1])  # [k, 2, h, w]
+        k = len(coords)
+        cy, cx = coords.reshape(k, 2, hw).transpose(1, 0, 2)
+        outside = (cy < 0) | (cy > h - 1) | (cx < 0) | (cx > w - 1)
+        fy, fx = np.floor(cy), np.floor(cx)
+        wy0, wx0 = 1.0 - (cy - fy), 1.0 - (cx - fx)
+        y0, x0 = fy.astype(np.intp), fx.astype(np.intp)
+        # flat source positions within the chunk; those of outside pixels
+        # are clipped by take and their sums overwritten
+        base = np.arange(0, k * hw, hw)[:, None]
+        row0 = y0 * w + base
+        row1 = np.where(y0 == h - 1, max(h - 2, 0), y0 + 1) * w + base
+        col1 = np.where(x0 == w - 1, max(w - 2, 0), x0 + 1)
+        src = np.ascontiguousarray(images[part].transpose(1, 0, 2, 3),
+                                   dtype=np.float64).reshape(c, k * hw)
+        acc = np.zeros((c, k, hw))
+        with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf
+            for row, wy in ((row0, wy0), (row1, 1.0 - wy0)):
+                for col, wx in ((x0, wx0), (col1, 1.0 - wx0)):
+                    tap = src.take(row + col, axis=1, mode="clip")
+                    tap *= wy
+                    tap *= wx
+                    acc += tap
+        acc[:, outside] = 0.0
+        out[part] = acc.reshape(c, k, h, w).transpose(1, 0, 2, 3)
+    return out
+
+
+def _draw(spec, rng_key, seed):
+    """(flip, angle in degrees) of one image under spec. The generator is
+    built only when spec draws from it."""
     lo, hi = spec.rotate_deg
     rng = (_rng_for(seed, _DOMAIN_AUGMENT, *rng_key)
            if spec.hflip or hi > lo else None)
-    out = image
-    if spec.hflip and rng.random() < 0.5:
-        out = out[:, :, ::-1]
+    flip = spec.hflip and rng.random() < 0.5
     angle = float(rng.uniform(lo, hi)) if hi > lo else float(lo)
+    return flip, angle
+
+
+def augment(image, spec: AugmentSpec, rng_key, seed=0):
+    """Randomly flip/rotate one [c,h,w] image; spec.normalize is not
+    applied here, but once to the assembled batch. An angle of exactly 0
+    leaves the image as it is; any other goes through ``rotate``, numpy
+    code equal bit for bit to scipy.ndimage.rotate with order=1,
+    reshape=False, mode="constant" and prefilter=False.
+
+    rng_key is (epoch, sample index); together with the global seed it
+    fully determines the output, independent of scheduling.
+    """
+    flip, angle = _draw(spec, rng_key, seed)
+    out = image[:, :, ::-1] if flip else image
     if angle != 0.0:
-        out = ndimage.rotate(out, angle, axes=(2, 1), reshape=False, order=1,
-                             mode="constant", cval=0.0, prefilter=False)
+        out = rotate(out[None], [angle])[0]
     return np.ascontiguousarray(out, dtype=image.dtype)
 
 
@@ -300,14 +420,18 @@ class Batch:
 
 
 def _assemble(ds, idx, spec, epoch, seed):
-    """The batch of dataset positions idx: where spec flips or rotates any
-    image, each image goes through augment on its own; the stack is then
-    normalized at once."""
+    """The batch of dataset positions idx: where spec flips or rotates,
+    each image draws its flip and angle as augment does, the batch is
+    flipped and rotated at once, and then normalized at once. Its bytes
+    are those of stacking augment over idx."""
+    images = ds.images[idx]
     if spec.hflip or any(spec.rotate_deg):
-        images = np.stack([augment(ds.images[i], spec, (epoch, int(i)), seed)
-                           for i in idx])
-    else:
-        images = ds.images[idx]
+        flips, angles = zip(*(_draw(spec, (epoch, int(i)), seed)
+                              for i in idx))
+        flip = np.flatnonzero(flips)
+        images[flip] = images[flip, :, :, ::-1]
+        turn = np.flatnonzero(angles)
+        images[turn] = rotate(images[turn], np.asarray(angles)[turn])
     return Batch(_normalize(images, spec.normalize), ds.labels[idx], idx)
 
 

@@ -164,10 +164,24 @@ class TestAugment:
                            normalize=None)
 
     def test_zero_rotation_identity(self):
-        img = np.random.default_rng(0).random((1, 8, 8)).astype(np.float32)
-        spec = AugmentSpec(hflip=False, rotate_deg=(0.0, 0.0), normalize=None)
-        out = augment(img, spec, (0, 0), seed=0)
-        np.testing.assert_array_equal(out, img)
+        # rotate at 0 degrees is not the identity next to an inf pixel
+        # (inf * 0 weights give NaN), so an angle of 0 must not rotate
+        img = np.random.default_rng(0).random((3, 6, 6)).astype(np.float32)
+        img[0, 2, 3], img[1, 5, 5], img[2, 0, 0] = np.inf, -np.inf, np.nan
+        assert np.isnan(data.rotate(img[None], [0.0])).sum() > 1
+        spec = AugmentSpec(hflip=True, rotate_deg=(0.0, 0.0), normalize=None)
+        ds = Dataset(np.stack([img] * 12), np.zeros(12, np.int64), "x",
+                     "train")
+        flips = 0
+        for b in batches(ds, 12, augment_spec=spec):
+            for out, i in zip(b.images, b.indices):
+                one = augment(img, spec, (0, int(i)), seed=0)
+                assert one.tobytes() == out.tobytes()
+                flipped = out.tobytes() != img.tobytes()
+                flips += flipped
+                if flipped:
+                    assert out.tobytes() == img[:, :, ::-1].tobytes()
+        assert 0 < flips < 12
 
     def test_normalization_applied(self):
         # augment leaves normalization to the batch
@@ -342,10 +356,11 @@ class TestAssembly:
     @pytest.mark.parametrize("name", list(ASSEMBLY_SPECS))
     def test_batches_equal_stacked_augment(self, name, prefetch):
         kind, spec = ASSEMBLY_SPECS[name]
-        ds = data.make_synthetic(kind, 21, seed=2)
-        got = list(batches(ds, 8, seed=5, epoch=3, augment_spec=spec,
+        # batches of 20 span two of rotate's 16-image chunks
+        ds = data.make_synthetic(kind, 45, seed=2)
+        got = list(batches(ds, 20, seed=5, epoch=3, augment_spec=spec,
                            prefetch=prefetch))
-        assert [len(b.labels) for b in got] == [8, 8, 5]
+        assert [len(b.labels) for b in got] == [20, 20, 5]
         for b in got:
             want = normalized(np.stack([augment(ds.images[i], spec,
                                                 (3, int(i)), seed=5)

@@ -1,6 +1,7 @@
 """tools/step_profile.py: a one-step table at batch 8 books every op kind
 of the train step and leaves the dispatch tables as it found them."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,14 +21,17 @@ def test_one_step_table():
          "8", "--steps", "1", "--warmup", "0"],
         capture_output=True, text=True, timeout=120, check=True)
     lines = proc.stdout.splitlines()
-    kinds = {line.split()[0] for line in lines[1:-2]}
+    kinds = {line.split()[0] for line in lines[1:-3]}
     assert {"conv2d.dw", "conv2d.1x1", "conv2d.im2col",
             "batchnorm.train.relu", "batchnorm.train.hswish",
             "batchnorm.train.none", "adaptive_avg_pool"} <= kinds
     assert "8x1x28x28" in proc.stdout  # the stem's input
-    fwd, bwd = map(float, lines[-2].split()[-2:])
-    assert lines[-2].startswith("all ops") and fwd > 0 and bwd > 0
-    assert lines[-1].startswith("step wall ms")
+    fwd, bwd = map(float, lines[-3].split()[-2:])
+    assert lines[-3].startswith("all ops") and fwd > 0 and bwd > 0
+    assert lines[-2].startswith("step wall ms")
+    assembly = re.fullmatch(r"batch assembly ms (\S+) \(mean of 1 steps\)",
+                            lines[-1])
+    assert assembly and float(assembly[1]) > 0
 
 
 def test_timer_books_calls_and_restores_tables():

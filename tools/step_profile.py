@@ -15,7 +15,9 @@ and input shape. Convs are split into depthwise (conv2d.dw), 1x1
 (conv2d.1x1) and im2col (conv2d.im2col) kinds, batch norms by mode and
 activation (batchnorm.train.relu, ...). The table gives each row's calls,
 forward ms and backward ms per step, largest first, then the totals over
-all ops and the mean wall ms of a step.
+all ops, the mean wall ms of a step and, on the last line, the mean ms of
+assembling a step's batch (rotation and normalization, inline), which the
+step's wall time does not include.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ def dispatch_timer(ad, totals):
 
 
 def profile(batch, steps, warmup, seed):
-    """(totals, step seconds): dispatch totals over the counted steps and
-    the wall seconds of each counted step."""
+    """(totals, step seconds, assembly seconds): dispatch totals over the
+    counted steps, and the wall seconds of each counted step and of
+    assembling its batch."""
     from biasloss import autodiff as ad, data, layers, train
     cfg = train.TrainConfig(dataset="mnist", loss="bias", batch_size=batch,
                             seed=seed, prefetch=False)
@@ -79,11 +82,15 @@ def profile(batch, steps, warmup, seed):
     model = layers.SkipblockNetMicro(cfg.model_spec(), seed=cfg.seed)
     params, cache, state = model.parameters(), layers.GraphCache(model), {}
     totals = collections.defaultdict(lambda: [0.0, 0])
-    walls = []
-    for i, b in enumerate(data.batches(ds, batch, seed=seed,
-                                       augment_spec=data.default_augment(
-                                           "mnist"))):
+    walls, assembly = [], []
+    stream = data.batches(ds, batch, seed=seed,
+                          augment_spec=data.default_augment("mnist"))
+    for i in range(warmup + steps):
         counted = i >= warmup
+        t0 = time.perf_counter()
+        b = next(stream)
+        if counted:
+            assembly.append(time.perf_counter() - t0)
         with (dispatch_timer(ad, totals) if counted
               else contextlib.nullcontext()):
             t0 = time.perf_counter()
@@ -96,10 +103,10 @@ def profile(batch, steps, warmup, seed):
                            cfg.weight_decay)
             if counted:
                 walls.append(time.perf_counter() - t0)
-    return totals, walls
+    return totals, walls, assembly
 
 
-def table(totals, walls):
+def table(totals, walls, assembly):
     """The printed report: one row per (kind, shape), then totals."""
     n = len(walls)
     rows = collections.defaultdict(lambda: [0, 0.0, 0.0])  # calls, fwd, bwd
@@ -121,6 +128,8 @@ def table(totals, walls):
     lines.append(f"{'all ops':<22} {'':<16} {'':>5} {fwd:>8.2f} {bwd:>8.2f}")
     lines.append(f"step wall ms {sum(walls) * 1e3 / n:.2f} (mean of {n} "
                  f"steps)")
+    lines.append(f"batch assembly ms {sum(assembly) * 1e3 / n:.2f} (mean of "
+                 f"{n} steps)")
     return "\n".join(lines)
 
 
