@@ -2,10 +2,11 @@
 
 The config flags of train, eval, profile and sweep are built from
 TrainConfig's fields (name, type and help text), so they mirror the
-config-file keys one-to-one; precedence is CLI flag over config file over
+config-file keys one-to-one, except that sweep has no flag for the loss,
+alpha and beta its grid sets; precedence is CLI flag over config file over
 built-in default. All outputs land under --out. Exit codes: 0 success,
-2 usage/config problems and unreadable paths, 3 a non-finite loss or
-profiled variance.
+2 usage/config problems, unreadable paths and oversized outputs, 3 a
+non-finite loss or profiled variance.
 """
 
 from __future__ import annotations
@@ -25,9 +26,22 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-def _add_config_flags(p):
+# the fields each sweep cell sets, which sweep therefore takes no flag for
+SWEEP_FIELDS = ("loss", "alpha", "beta")
+MAX_CURVE_ROWS = 1_000_000
+# flag -> (data writer, directory, format, cap: the real training set's size)
+SYNTHETIC = {
+    "synthetic_mnist": (datamod.write_synthetic_mnist, "synthetic-mnist",
+                        "MNIST", 60_000),
+    "synthetic_cifar": (datamod.write_synthetic_cifar10, "synthetic-cifar10",
+                        "CIFAR", 50_000)}
+
+
+def _add_config_flags(p, omit=()):
     p.add_argument("--config", help="key=value config file")
     for f in fields(TrainConfig):
+        if f.name in omit:
+            continue
         # bools and the schedule reach build_config as text and are
         # parsed there, like config-file values
         p.add_argument(f"--{f.name}",
@@ -36,7 +50,7 @@ def _add_config_flags(p):
 
 
 def _gather_config(args, **fixed):
-    overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig)}
+    overrides = {f.name: vars(args).get(f.name) for f in fields(TrainConfig)}
     return trainmod.build_config(args.config, overrides | fixed)
 
 
@@ -81,8 +95,8 @@ def cmd_profile(args):
     norm = datamod.default_augment(cfg.dataset).normalize
     prof = diagnostics.profile(model, ds, layers, batch_size=cfg.batch_size,
                                normalize=norm, loss_id=cfg.loss)
-    out = _out_dir(args) / "profile.csv"
-    out.write_text(prof.to_csv())
+    trainmod.write_atomic(_out_dir(args) / "profile.csv",
+                          prof.to_csv().encode())
     if not args.quiet:
         sys.stdout.write(prof.to_csv())
     return EXIT_OK
@@ -101,15 +115,12 @@ def _parse_grid(text, what):
 def cmd_sweep(args):
     alphas = _parse_grid(args.alphas, "alpha")
     betas = _parse_grid(args.betas, "beta")
-    cfg = _gather_config(args)
-    if cfg.epochs < 1:
-        # each cell reports its last val row, which needs an epoch
-        raise ConfigError(f"sweep needs epochs >= 1, got {cfg.epochs}")
     # every cell's config is built, and each cell's directory checked to
     # be its own, before anything is written
     cells = {}
     for a in alphas:
         for b in betas:
+            cfg = _gather_config(args, loss="bias", alpha=a, beta=b)
             name = f"a{a:g}_b{b:g}"
             if name in cells:
                 a0, b0, _ = cells[name]
@@ -117,8 +128,11 @@ def cmd_sweep(args):
                     f"sweep cells alpha={a0!r} beta={b0!r} and alpha={a!r} "
                     f"beta={b!r} would share the directory "
                     f"{Path(args.out) / name}")
-            cells[name] = (a, b, _gather_config(args, loss="bias", alpha=a,
-                                                beta=b))
+            cells[name] = (a, b, cfg)
+    # the cells differ only in loss, alpha and beta: any holds the rest
+    if cfg.epochs < 1:
+        # each cell reports its last val row, which needs an epoch
+        raise ConfigError(f"sweep needs epochs >= 1, got {cfg.epochs}")
     out = _out_dir(args)
     train_ds = trainmod.load_split(cfg, "train")
     val_ds = trainmod.load_split(cfg, "test")
@@ -136,7 +150,8 @@ def cmd_sweep(args):
             # a one-word status: the error message holds commas
             top1, loss, status = float("nan"), float("nan"), "nonfinite"
         lines.append(f"{a!r},{b!r},{top1!r},{loss!r},{status}")
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    trainmod.write_atomic(out / "sweep.csv",
+                          ("\n".join(lines) + "\n").encode())
     if not args.quiet:
         print("\n".join(lines))
     return EXIT_OK
@@ -147,6 +162,10 @@ def cmd_curve(args):
     betas = _parse_grid(args.beta, "beta")
     if args.samples < 1:
         raise ConfigError(f"samples must be >= 1, got {args.samples}")
+    n_rows = len(alphas) * len(betas) * args.samples
+    if n_rows > MAX_CURVE_ROWS:
+        raise ConfigError(f"curve of {n_rows} rows (alphas x betas x "
+                          f"samples) exceeds {MAX_CURVE_ROWS}")
     try:
         rows = diagnostics.bias_curve(alphas, betas, samples=args.samples,
                                       clamp_lo=args.clamp_lo,
@@ -155,7 +174,7 @@ def cmd_curve(args):
         # BiasLossConfig states the rules of alpha, beta and the clamp
         raise ConfigError(str(e)) from None
     out = _out_dir(args) / "curve.csv"
-    out.write_text(diagnostics.curve_csv(rows))
+    trainmod.write_atomic(out, diagnostics.curve_csv(rows).encode())
     if not args.quiet:
         print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
@@ -166,6 +185,10 @@ def cmd_fixtures(args):
         if getattr(args, name) < 0:
             raise ConfigError(f"{name} must be >= 0, got "
                               f"{getattr(args, name)}")
+    for name, (*_, cap) in SYNTHETIC.items():
+        if getattr(args, name) > cap:
+            raise ConfigError(f"{name} must be <= {cap}, the real training "
+                              f"set's size, got {getattr(args, name)}")
     if 0 < args.synthetic_cifar < 5:
         # each of the five data_batch files needs an image
         raise ConfigError(f"synthetic_cifar must be 0 or >= 5, got "
@@ -181,18 +204,11 @@ def cmd_fixtures(args):
     cimg = np.arange(3 * 32 * 32, dtype=np.uint8).reshape(1, 3, 32, 32) % 251
     datamod.write_cifar10(out / "fixture-cifar.bin", cimg, np.array([7]))
     msg = [f"wrote format fixtures under {out}"]
-    if args.synthetic_mnist:
-        datamod.write_synthetic_mnist(out / "synthetic-mnist",
-                                      args.synthetic_mnist,
-                                      max(args.synthetic_mnist // 2, 16),
-                                      seed=args.seed)
-        msg.append(f"synthetic MNIST-format dataset: {out / 'synthetic-mnist'}")
-    if args.synthetic_cifar:
-        datamod.write_synthetic_cifar10(out / "synthetic-cifar10",
-                                        args.synthetic_cifar,
-                                        max(args.synthetic_cifar // 2, 16),
-                                        seed=args.seed)
-        msg.append(f"synthetic CIFAR-format dataset: {out / 'synthetic-cifar10'}")
+    for name, (write, sub, fmt, _) in SYNTHETIC.items():
+        n = getattr(args, name)
+        if n:
+            write(out / sub, n, max(n // 2, 16), seed=args.seed)
+            msg.append(f"synthetic {fmt}-format dataset: {out / sub}")
     if not args.quiet:
         print("\n".join(msg))
     return EXIT_OK
@@ -228,8 +244,13 @@ def build_parser():
     p.add_argument("--out", default=".")
     p.set_defaults(fn=cmd_profile)
 
-    p = sub.add_parser("sweep", help="grid of short runs over alpha x beta")
-    _add_config_flags(p)
+    # no abbreviations, or --alpha would stand for --alphas
+    p = sub.add_parser(
+        "sweep", help="grid of short runs over alpha x beta",
+        allow_abbrev=False, description="One bias-loss run per (alpha, "
+        "beta) cell, whose values replace a --config file's loss, alpha "
+        "and beta; sweep has no --loss, --alpha or --beta flag.")
+    _add_config_flags(p, omit=SWEEP_FIELDS)
     p.add_argument("--alphas", default="0.1,0.3,0.5")
     p.add_argument("--betas", default="0.1,0.3,0.5")
     p.add_argument("--out", required=True)

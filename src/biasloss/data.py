@@ -8,18 +8,15 @@ whether prefetching is on. A sample's stream is built only when its spec
 draws from it (a random flip or a rotation range), so evaluation batches
 build none.
 
-A batch is assembled in three steps: each image draws its own flip and
+``_assemble`` is the one code path that flips, rotates and normalizes. A
+batch is assembled in three steps: each image draws its own flip and
 angle, only when the spec flips or rotates at all; the batch is flipped
-and rotated at once; and it is then normalized once. The default
-``AugmentSpec()`` does neither, so its batches hold the dataset's images.
-
-``rotate`` equals ``scipy.ndimage.rotate(image, angle, axes=(2, 1),
-reshape=False, order=1, mode="constant", cval=0.0, prefilter=False)`` bit
-for bit, NaN and infinite pixels included. It treats each image on its
-own, so a batch holds the same bytes as stacking ``augment`` over its
-images.
+and rotated at once; and it is then normalized once. An image's bytes
+depend on (seed, epoch, index) only, never on which batch, chunk or
+thread assembles it. The default ``AugmentSpec()`` does neither, so its
+batches hold the dataset's images. ``rotate`` is numpy code equal bit for
+bit to ``scipy.ndimage.rotate`` with linear interpolation.
 """
-
 from __future__ import annotations
 
 import gzip
@@ -35,6 +32,7 @@ import numpy as np
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
 CIFAR_RECORD = 3073  # 1 label byte + 3*32*32 pixel bytes
+NUM_CLASSES = 10  # of MNIST and CIFAR-10 alike
 
 # per-channel pixel mean and population std of each training set
 MNIST_MEAN, MNIST_STD = (0.1307,), (0.3081,)
@@ -64,7 +62,6 @@ class Dataset:
     labels: np.ndarray  # [N] int64
     name: str
     split: str
-    num_classes: int = 10
 
     def __post_init__(self):
         if self.images.ndim != 4 or self.images.shape[0] != self.labels.shape[0]:
@@ -76,9 +73,9 @@ class Dataset:
             raise FormatError(f"{self.name} {self.split}: images have no "
                               f"pixels, got shape {self.images.shape}")
         if self.labels.size and (self.labels.min() < 0
-                                 or self.labels.max() >= self.num_classes):
+                                 or self.labels.max() >= NUM_CLASSES):
             raise FormatError(f"{self.name} {self.split}: labels must lie "
-                              f"in [0, {self.num_classes})")
+                              f"in [0, {NUM_CLASSES})")
 
     def __len__(self):
         return self.images.shape[0]
@@ -88,7 +85,7 @@ class Dataset:
         if n is None or n >= len(self):
             return self
         return Dataset(self.images[:n], self.labels[:n], self.name,
-                       self.split, self.num_classes)
+                       self.split)
 
 
 def require_samples(ds):
@@ -395,23 +392,6 @@ def _draw(spec, rng_key, seed):
     return flip, angle
 
 
-def augment(image, spec: AugmentSpec, rng_key, seed=0):
-    """Randomly flip/rotate one [c,h,w] image; spec.normalize is not
-    applied here, but once to the assembled batch. An angle of exactly 0
-    leaves the image as it is; any other goes through ``rotate``, numpy
-    code equal bit for bit to scipy.ndimage.rotate with order=1,
-    reshape=False, mode="constant" and prefilter=False.
-
-    rng_key is (epoch, sample index); together with the global seed it
-    fully determines the output, independent of scheduling.
-    """
-    flip, angle = _draw(spec, rng_key, seed)
-    out = image[:, :, ::-1] if flip else image
-    if angle != 0.0:
-        out = rotate(out[None], [angle])[0]
-    return np.ascontiguousarray(out, dtype=image.dtype)
-
-
 @dataclass
 class Batch:
     images: np.ndarray
@@ -420,10 +400,12 @@ class Batch:
 
 
 def _assemble(ds, idx, spec, epoch, seed):
-    """The batch of dataset positions idx: where spec flips or rotates,
-    each image draws its flip and angle as augment does, the batch is
-    flipped and rotated at once, and then normalized at once. Its bytes
-    are those of stacking augment over idx."""
+    """The batch of dataset positions idx: where spec flips or rotates, each
+    image draws its flip and angle from its own (seed, epoch, index)
+    stream, the batch is flipped and its images of nonzero angle rotated
+    at once, and then it is normalized at once. Under one spec an image's
+    bytes depend on (seed, epoch, index) only, never on which batch, chunk
+    or thread assembles it."""
     images = ds.images[idx]
     if spec.hflip or any(spec.rotate_deg):
         flips, angles = zip(*(_draw(spec, (epoch, int(i)), seed)
@@ -487,17 +469,17 @@ def make_synthetic(kind, n, seed=0, split="train"):
     learns it within an epoch or two.
     """
     if kind == "mnist":
-        c, h, w, classes = 1, 28, 28, 10
+        c, h, w = 1, 28, 28
     elif kind == "cifar10":
-        c, h, w, classes = 3, 32, 32, 10
+        c, h, w = 3, 32, 32
     else:
         raise ValueError(f"unknown synthetic kind {kind!r}")
     rng = _rng_for(seed, 0x5E, 0 if split == "train" else 1)
     yy, xx = np.mgrid[0:h, 0:w]
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     templates = []
-    for k in range(classes):
-        theta = np.pi * k / classes
+    for k in range(NUM_CLASSES):
+        theta = np.pi * k / NUM_CLASSES
         u = (xx - cx) * np.cos(theta) + (yy - cy) * np.sin(theta)
         v = -(xx - cx) * np.sin(theta) + (yy - cy) * np.cos(theta)
         ridge = np.exp(-(u / (0.45 * w)) ** 2 - (v / (0.12 * h)) ** 2)
@@ -505,7 +487,7 @@ def make_synthetic(kind, n, seed=0, split="train"):
                         + (yy - cy - 0.25 * h * np.sin(2 * theta)) ** 2)
                       / (0.02 * h * w))
         templates.append(0.8 * ridge + 0.6 * bump)
-    labels = rng.integers(0, classes, size=n)
+    labels = rng.integers(0, NUM_CLASSES, size=n)
     images = np.empty((n, c, h, w), dtype=np.float32)
     for i in range(n):
         t = templates[labels[i]]

@@ -134,8 +134,8 @@ class TrainConfig:
                               self.clamp_hi, detach_weight=self.detach_weight)
 
     def model_spec(self):
-        in_ch = 3 if self.dataset == "cifar10" else 1
-        return MicroNetSpec(in_channels=in_ch, num_classes=10,
+        return MicroNetSpec(in_channels=3 if self.dataset == "cifar10" else 1,
+                            num_classes=datamod.NUM_CLASSES,
                             width_multiplier=self.width_multiplier,
                             dropout=self.dropout)
 
@@ -288,9 +288,6 @@ class RunLog:
     def to_csv(self):
         return "\n".join([RUNLOG_HEADER] + [r.csv() for r in self.rows]) + "\n"
 
-    def write(self, path):
-        Path(path).write_text(self.to_csv())
-
     def last(self, split):
         for row in reversed(self.rows):
             if row.split == split:
@@ -299,7 +296,22 @@ class RunLog:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints
+# checkpoints and other run outputs
+
+def write_atomic(path, *chunks):
+    """Write the byte chunks to a temp file beside path and rename it over
+    path: a failed write leaves the previous file whole, and no temp."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
 
 def _state_entries(model):
     for p in model.parameters():
@@ -321,9 +333,7 @@ def save_checkpoint(path, model, cfg_hash=b""):
     if cfg_hash:
         entries.append(("__config_hash__",
                         np.frombuffer(cfg_hash, dtype=np.uint8).copy()))
-    lines = []
-    blobs = []
-    offset = 0
+    lines, blobs, offset = [], [], 0
     for name, arr in entries:
         dt = _DTYPE_NAMES[np.dtype(arr.dtype)]
         raw = np.ascontiguousarray(arr, dtype=_DTYPES[dt]).tobytes()
@@ -332,22 +342,9 @@ def save_checkpoint(path, model, cfg_hash=b""):
         blobs.append(raw)
         offset += len(raw)
     manifest = ("\n".join(lines) + "\n").encode("utf-8")
-    # written beside the target and renamed over it, so a failed or
-    # interrupted write leaves the previous file whole
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            f.write(struct.pack("<Q", len(manifest)))
-            f.write(manifest)
-            for raw in blobs:
-                f.write(raw)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, CHECKPOINT_MAGIC,
+                 struct.pack("<I", CHECKPOINT_VERSION),
+                 struct.pack("<Q", len(manifest)), manifest, *blobs)
 
 
 def load_checkpoint(path):
@@ -485,15 +482,14 @@ def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
               progress=None):
     """Run the full training recipe; returns (RunLog, model).
 
-    Datasets may be passed directly (tests) or loaded from cfg.data_dir.
-    With out_dir set, writes runlog.csv, best.ckpt and final.ckpt there.
+    A dataset passed in is limited and checked; one left out is read with
+    load_split. Writes runlog.csv, best.ckpt and final.ckpt to out_dir if set.
     """
-    if train_ds is None or val_ds is None:
-        train_ds = load_split(cfg, "train")
-        val_ds = load_split(cfg, "test")
-    else:
-        train_ds = datamod.require_samples(train_ds.take(cfg.train_limit))
-        val_ds = datamod.require_samples(val_ds.take(cfg.val_limit))
+    train_ds, val_ds = (
+        load_split(cfg, split) if ds is None
+        else datamod.require_samples(ds.take(limit))
+        for split, ds, limit in (("train", train_ds, cfg.train_limit),
+                                 ("test", val_ds, cfg.val_limit)))
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -534,7 +530,7 @@ def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
             save_checkpoint(out_dir / "best.ckpt", model, cfg.config_hash())
 
     if out_dir is not None:
-        log.write(out_dir / "runlog.csv")
+        write_atomic(out_dir / "runlog.csv", log.to_csv().encode())
         save_checkpoint(out_dir / "final.ckpt", model, cfg.config_hash())
     return log, model
 

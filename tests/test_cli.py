@@ -263,8 +263,14 @@ def verb_parsers():
 class TestConfigFlags:
     @pytest.mark.parametrize("verb", ["train", "eval", "profile", "sweep"])
     def test_every_field_is_a_flag_with_its_help(self, verb):
+        # sweep's cells set the loss, alpha and beta, so it has no flag
+        # for them
+        omitted = cli.SWEEP_FIELDS if verb == "sweep" else ()
         actions = {a.dest: a for a in verb_parsers()[verb]._actions}
         for f in dataclasses.fields(train.TrainConfig):
+            if f.name in omitted:
+                assert f.name not in actions
+                continue
             action = actions[f.name]
             assert action.option_strings == [f"--{f.name}"]
             assert action.help == f.metadata["help"]
@@ -333,6 +339,33 @@ class TestCurve:
         assert not (tmp_path / "curve.csv").exists()
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--samples", "1000001"],
+        ["--alpha", "0.1,0.2", "--samples", "500001"],
+        ["--alpha", "0.1,0.2", "--beta", "0.1,0.2,0.3,0.4",
+         "--samples", "125001"],
+    ], ids=["samples", "alphas", "grid"])
+    def test_curve_over_a_million_rows_exits_two(self, tmp_path, capsys,
+                                                 monkeypatch, flags):
+        def not_called(*args, **kwargs):
+            raise AssertionError("bias_curve called past the row cap")
+
+        monkeypatch.setattr(diagnostics, "bias_curve", not_called)
+        code = main(["curve", "--out", str(tmp_path / "c")] + flags)
+        err = assert_config_error(code, capsys)
+        assert "rows (alphas x betas x samples) exceeds 1000000" in err
+        assert not (tmp_path / "c").exists()
+
+    def test_curve_of_a_million_rows_is_accepted(self, tmp_path,
+                                                 monkeypatch):
+        calls = []
+        monkeypatch.setattr(diagnostics, "bias_curve",
+                            lambda *a, **kw: calls.append(kw) or [])
+        assert main(["--quiet", "curve", "--samples", "1000000",
+                     "--out", str(tmp_path)]) == 0
+        assert calls[0]["samples"] == 1_000_000
+
+
 class TestFixtures:
     def test_writes_parseable_fixtures(self, tmp_path):
         assert main(["--quiet", "fixtures", "--out", str(tmp_path)]) == 0
@@ -381,6 +414,21 @@ class TestFixtures:
         assert not (tmp_path / "f").exists()
         with pytest.raises(ValueError, match="n_train must be >= 5"):
             data.write_synthetic_cifar10(tmp_path / "g", n_train=n)
+
+    @pytest.mark.parametrize("flag,writer,cap", [
+        ("--synthetic_mnist", "write_synthetic_mnist", 60_000),
+        ("--synthetic_cifar", "write_synthetic_cifar10", 50_000)])
+    def test_synthetic_size_over_the_real_set_exits_two(
+            self, tmp_path, capsys, monkeypatch, flag, writer, cap):
+        def not_called(*args, **kwargs):
+            raise AssertionError(f"{writer} called past the size cap")
+
+        monkeypatch.setattr(data, writer, not_called)
+        code = main(["fixtures", "--out", str(tmp_path / "f"),
+                     flag, str(cap + 1)])
+        assert (f"{flag[2:]} must be <= {cap}, the real training set's "
+                f"size, got {cap + 1}") in assert_config_error(code, capsys)
+        assert not (tmp_path / "f").exists()
 
     def test_negative_seed_exits_two(self, tmp_path, capsys):
         code = main(["fixtures", "--out", str(tmp_path / "f"),
@@ -599,6 +647,36 @@ class TestSweep:
         assert cell[3] == ce_val[2]  # loss
         assert cell[4] == "ok"
 
+    @pytest.mark.parametrize("flag", ["--loss", "--alpha", "--beta"])
+    def test_grid_fields_are_usage_errors(self, synth_dir, tmp_path, capsys,
+                                          flag):
+        # every cell sets these, so sweep takes no flag for them
+        value = "ce" if flag == "--loss" else "0.9"
+        code = main(["sweep", "--data_dir", str(synth_dir), flag, value,
+                     "--alphas", "0.1", "--betas", "0.2",
+                     "--out", str(tmp_path / "sweep")] + TRAIN_ARGS)
+        assert code == 2
+        assert (f"unrecognized arguments: {flag} {value}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "sweep").exists()
+
+    def test_config_file_grid_keys_are_replaced(self, synth_dir, tmp_path):
+        # a config file's loss, alpha and beta give way to each cell's,
+        # even where the file's alpha would be rejected
+        cfg = tmp_path / "focal.cfg"
+        cfg.write_text("loss=focal\nalpha=-1\nbeta=0.9\n")
+        code = main(["--quiet", "sweep", "--config", str(cfg), "--data_dir",
+                     str(synth_dir), "--alphas", "0.1", "--betas", "0.2",
+                     "--out", str(tmp_path / "sweep")] + TRAIN_ARGS)
+        assert code == 0
+        ref = tmp_path / "ref"
+        assert main(["--quiet", "train", "--data_dir", str(synth_dir),
+                     "--loss", "bias", "--alpha", "0.1", "--beta", "0.2",
+                     "--out", str(ref)] + TRAIN_ARGS) == 0
+        cell = tmp_path / "sweep" / "a0.1_b0.2"
+        assert ((cell / "final.ckpt").read_bytes()
+                == (ref / "final.ckpt").read_bytes())
+
     def test_zero_epochs_exits_two(self, synth_dir, tmp_path, capsys):
         code = main(["sweep", "--data_dir", str(synth_dir), "--epochs", "0",
                      "--out", str(tmp_path / "sweep")])
@@ -654,3 +732,44 @@ class TestSweep:
         assert code == 0
         rows = list(csv.reader(io.StringIO((out / "sweep.csv").read_text())))
         assert rows[1] == ["0.3", "0.3", "nan", "nan", "nonfinite"]
+
+
+class TestAtomicOutputs:
+    """A failed write of a run output leaves the previous file whole."""
+
+    @pytest.mark.parametrize("verb,name", [
+        ("train", "runlog.csv"), ("sweep", "sweep.csv"),
+        ("profile", "profile.csv"), ("curve", "curve.csv")])
+    def test_failed_rename_keeps_previous_file(self, synth_dir, tmp_path,
+                                               monkeypatch, capsys, verb,
+                                               name):
+        out = tmp_path / "out"
+        data_args = ["--data_dir", str(synth_dir)] + TRAIN_ARGS
+        ckpt = tmp_path / "run" / "final.ckpt"
+        if verb == "profile":
+            assert main(["--quiet", "train", "--out", str(ckpt.parent)]
+                        + data_args) == 0
+        argv = {"train": ["train"] + data_args,
+                "sweep": ["sweep", "--alphas", "0.1", "--betas", "0.2"]
+                         + data_args,
+                "profile": ["profile", "--ckpt", str(ckpt)] + data_args,
+                "curve": ["curve"]}[verb]
+        # the second run's values differ, so a write that went through
+        # would change the file
+        second = {"train": ["--seed", "2"], "sweep": ["--seed", "2"],
+                  "profile": ["--layers", "stem"],
+                  "curve": ["--samples", "7"]}[verb]
+        assert main(["--quiet"] + argv + ["--out", str(out)]) == 0
+        before = (out / name).read_bytes()
+        replace = os.replace
+
+        def fail_on_target(src, dst):
+            if Path(dst).name == name:
+                raise OSError(28, "No space left on device")
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_target)
+        code = main(["--quiet"] + argv + second + ["--out", str(out)])
+        assert "No space left on device" in assert_config_error(code, capsys)
+        assert (out / name).read_bytes() == before
+        assert not list(tmp_path.rglob("*.tmp"))

@@ -1,5 +1,4 @@
 import gzip
-import hashlib
 import struct
 import subprocess
 import sys
@@ -9,8 +8,8 @@ import numpy as np
 import pytest
 
 from biasloss import data
-from biasloss.data import (AugmentSpec, Dataset, FormatError, augment,
-                           batches, read_cifar10, read_idx)
+from biasloss.data import (AugmentSpec, Dataset, FormatError, batches,
+                           read_cifar10, read_idx)
 
 
 def make_idx_image_bytes():
@@ -158,7 +157,18 @@ class TestDataset:
         assert ds.take(None) is ds
 
 
+def assembled(ds, spec, seed=0, epoch=0, batch_size=None):
+    """Each image of ds as batches assembles it, in dataset order."""
+    out = np.empty_like(ds.images)
+    for b in batches(ds, batch_size or len(ds), seed=seed, epoch=epoch,
+                     augment_spec=spec):
+        out[b.indices] = b.images
+    return out
+
+
 class TestAugment:
+    """Flip, rotation and normalization as batches apply them."""
+
     def spec(self):
         return AugmentSpec(hflip=True, rotate_deg=(-15.0, 15.0),
                            normalize=None)
@@ -173,21 +183,16 @@ class TestAugment:
         ds = Dataset(np.stack([img] * 12), np.zeros(12, np.int64), "x",
                      "train")
         flips = 0
-        for b in batches(ds, 12, augment_spec=spec):
-            for out, i in zip(b.images, b.indices):
-                one = augment(img, spec, (0, int(i)), seed=0)
-                assert one.tobytes() == out.tobytes()
-                flipped = out.tobytes() != img.tobytes()
-                flips += flipped
-                if flipped:
-                    assert out.tobytes() == img[:, :, ::-1].tobytes()
+        for out in assembled(ds, spec):
+            flipped = out.tobytes() != img.tobytes()
+            flips += flipped
+            if flipped:
+                assert out.tobytes() == img[:, :, ::-1].tobytes()
         assert 0 < flips < 12
 
     def test_normalization_applied(self):
-        # augment leaves normalization to the batch
         img = np.full((2, 4, 4), 0.5, dtype=np.float32)
         spec = AugmentSpec(normalize=((0.25, 0.5), (0.5, 1.0)))
-        np.testing.assert_array_equal(augment(img, spec, (0, 0), seed=0), img)
         ds = Dataset(img[None], np.array([0]), "x", "train")
         (out,) = (b.images[0] for b in batches(ds, 1, augment_spec=spec))
         np.testing.assert_allclose(out[0], 0.5, rtol=1e-6)
@@ -207,40 +212,46 @@ class TestAugment:
             data.default_augment("svhn")
 
     def test_flip_involution(self):
-        # find a key whose draw triggers the flip, then flipping the flipped
-        # image with the same key restores the original
-        img = np.random.default_rng(1).random((1, 6, 6)).astype(np.float32)
+        # a flip-only spec mirrors some images; assembling the assembled
+        # images again with the same keys restores every original
+        ds = data.make_synthetic("cifar10", 16, seed=1)
         spec = AugmentSpec(hflip=True, rotate_deg=(0.0, 0.0), normalize=None)
-        key = None
-        for idx in range(50):
-            if not np.array_equal(augment(img, spec, (0, idx), seed=0), img):
-                key = (0, idx)
-                break
-        assert key is not None, "no flipping key found in 50 tries"
-        flipped = augment(img, spec, key, seed=0)
-        np.testing.assert_array_equal(flipped, img[:, :, ::-1])
-        np.testing.assert_array_equal(augment(flipped, spec, key, seed=0), img)
+        once = assembled(ds, spec, seed=4, epoch=2, batch_size=5)
+        mirrored = [not np.array_equal(o, i) for o, i in zip(once, ds.images)]
+        assert 0 < sum(mirrored) < len(ds)
+        for o, i, m in zip(once, ds.images, mirrored):
+            np.testing.assert_array_equal(o, i[:, :, ::-1] if m else i)
+        twice = assembled(Dataset(once, ds.labels, ds.name, ds.split), spec,
+                          seed=4, epoch=2, batch_size=5)
+        np.testing.assert_array_equal(twice, ds.images)
 
     def test_shape_preserved(self):
-        img = np.random.default_rng(2).random((3, 9, 9)).astype(np.float32)
-        out = augment(img, self.spec(), (4, 5), seed=1)
-        assert out.shape == img.shape and out.dtype == img.dtype
+        for dtype in (np.float32, np.float64):
+            images = np.random.default_rng(2).random((5, 3, 9, 7))
+            ds = Dataset(images.astype(dtype), np.arange(5), "x", "train")
+            for b in batches(ds, 3, seed=1, epoch=4,
+                             augment_spec=self.spec()):
+                assert b.images.shape == (len(b.indices), 3, 9, 7)
+                assert b.images.dtype == dtype
+                assert b.images.flags.c_contiguous
 
-    def test_deterministic_across_processes(self):
-        img = np.arange(64, dtype=np.float32).reshape(1, 8, 8) / 64.0
-        out = augment(img, self.spec(), (2, 11), seed=42)
-        digest = hashlib.sha256(out.tobytes()).hexdigest()
+    def test_deterministic_across_processes(self, capsys):
         code = (
-            "import numpy as np, hashlib\n"
-            "from biasloss.data import augment, AugmentSpec\n"
-            "img = np.arange(64, dtype=np.float32).reshape(1, 8, 8) / 64.0\n"
-            "spec = AugmentSpec(hflip=True, rotate_deg=(-15.0, 15.0), "
-            "normalize=None)\n"
-            "out = augment(img, spec, (2, 11), seed=42)\n"
-            "print(hashlib.sha256(out.tobytes()).hexdigest())\n")
+            "import hashlib, numpy as np\n"
+            "from biasloss.data import AugmentSpec, Dataset, batches\n"
+            "images = np.arange(12 * 64, dtype=np.float32)"
+            ".reshape(12, 1, 8, 8) / 768.0\n"
+            "ds = Dataset(images, np.zeros(12, np.int64), 'x', 'train')\n"
+            "spec = AugmentSpec(hflip=True, rotate_deg=(-15.0, 15.0))\n"
+            "h = hashlib.sha256()\n"
+            "for b in batches(ds, 5, seed=42, epoch=2, augment_spec=spec):\n"
+            "    h.update(b.indices.tobytes() + b.images.tobytes())\n"
+            "print(h.hexdigest())\n")
+        exec(code, {})
+        here = capsys.readouterr().out
         got = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True, check=True)
-        assert got.stdout.strip() == digest
+        assert got.stdout == here and len(here.strip()) == 64
 
 
 class TestBatches:
@@ -343,8 +354,9 @@ def normalized(images, normalize):
 
 
 class TestAssembly:
-    """A batch holds the bytes of stacking each image's own augment output
-    and normalizing the stack."""
+    """An image's bytes depend on (seed, epoch, index) only: batches of any
+    size, with prefetch on or off, hold each image as a batch of one does.
+    """
 
     @pytest.mark.parametrize("prefetch", [False, True])
     def test_default_spec_yields_raw_images(self, prefetch):
@@ -354,21 +366,42 @@ class TestAssembly:
 
     @pytest.mark.parametrize("prefetch", [False, True])
     @pytest.mark.parametrize("name", list(ASSEMBLY_SPECS))
-    def test_batches_equal_stacked_augment(self, name, prefetch):
+    def test_image_bytes_do_not_depend_on_batching(self, name, prefetch):
         kind, spec = ASSEMBLY_SPECS[name]
-        # batches of 20 span two of rotate's 16-image chunks
         ds = data.make_synthetic(kind, 45, seed=2)
-        got = list(batches(ds, 20, seed=5, epoch=3, augment_spec=spec,
-                           prefetch=prefetch))
-        assert [len(b.labels) for b in got] == [20, 20, 5]
-        for b in got:
-            want = normalized(np.stack([augment(ds.images[i], spec,
-                                                (3, int(i)), seed=5)
-                                        for i in b.indices]), spec.normalize)
-            assert b.images.dtype == want.dtype == np.float32
-            assert b.images.shape == want.shape
+        ones = {int(b.indices[0]): b.images[0] for b in batches(
+            ds, 1, seed=5, epoch=3, augment_spec=spec)}
+        assert sorted(ones) == list(range(45))
+        # a batch of 20 spans two of rotate's 16-image chunks
+        for size in (1, 7, 20):
+            got = list(batches(ds, size, seed=5, epoch=3, augment_spec=spec,
+                               prefetch=prefetch))
+            sizes = [len(b.labels) for b in got]
+            assert sizes[:-1] == [size] * (len(got) - 1) and sum(sizes) == 45
+            for b in got:
+                want = np.stack([ones[int(i)] for i in b.indices])
+                assert b.images.dtype == want.dtype == np.float32
+                assert b.images.shape == want.shape
+                assert b.images.tobytes() == want.tobytes()
+                np.testing.assert_array_equal(b.labels, ds.labels[b.indices])
+
+    @pytest.mark.parametrize("name", ["normalize_mnist", "flip_only",
+                                      "default_rotate_cifar"])
+    def test_batch_of_one_is_the_drawn_transform(self, name):
+        # the oracle above, spelled out: flip and rotate by the image's own
+        # draw, skip an angle of 0, then normalize
+        kind, spec = ASSEMBLY_SPECS[name]
+        ds = data.make_synthetic(kind, 6, seed=2)
+        for b in batches(ds, 1, seed=5, epoch=3, augment_spec=spec):
+            i = int(b.indices[0])
+            flip, angle = data._draw(spec, (3, i), 5)
+            want = ds.images[i:i + 1]
+            if flip:
+                want = want[:, :, :, ::-1]
+            if angle != 0.0:
+                want = data.rotate(want, [angle])
+            want = normalized(want, spec.normalize)
             assert b.images.tobytes() == want.tobytes()
-            np.testing.assert_array_equal(b.labels, ds.labels[b.indices])
 
     @pytest.mark.parametrize("kind", ["mnist", "cifar10"])
     def test_normalize_only_builds_no_generator(self, kind, monkeypatch):

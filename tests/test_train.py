@@ -668,6 +668,26 @@ class TestTrainRun:
             train_run(tiny_cfg(), train_ds=sets["train"],
                       val_ds=sets["test"])
 
+    def test_given_dataset_is_used_beside_data_dir(self, tmp_path,
+                                                   tiny_sets, monkeypatch):
+        # data_dir holds other images: a given dataset is trained on, and
+        # only the one left out is read from the files
+        tr, va = tiny_sets
+        root = tmp_path / "other"
+        data.write_synthetic_mnist(root, n_train=32, n_test=48, seed=7)
+        monkeypatch.delenv("DATA_DIR", raising=False)
+        cfg = tiny_cfg(data_dir=str(root))
+        files = {split: train.load_split(cfg, split)
+                 for split in ("train", "test")}
+
+        def rows(log):
+            return [strip_wall(r.csv()) for r in log.rows]
+
+        want, _ = train_run(tiny_cfg(), train_ds=tr, val_ds=files["test"])
+        assert rows(train_run(cfg, train_ds=tr)[0]) == rows(want)
+        want, _ = train_run(tiny_cfg(), train_ds=files["train"], val_ds=va)
+        assert rows(train_run(cfg, val_ds=va)[0]) == rows(want)
+
     def test_missing_dataset_config_error(self, monkeypatch):
         monkeypatch.delenv("DATA_DIR", raising=False)
         with pytest.raises(ConfigError):
