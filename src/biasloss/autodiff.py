@@ -24,7 +24,10 @@ A graph instance is single-threaded: a pass writes its nodes' values and
 ctx. Distinct graphs are independent and parameters (leaf nodes) may be
 shared between graphs over the same model weights, so threads that run
 passes at once each need a graph of their own, as the sample walk's
-slices have (layers.GraphCache.walk).
+slices have (layers.infer). A graph that a backward follows is worth
+keeping and refilling, since its retained values reuse memory from one
+pass to the next, as a train run's one graph does; an inference pass
+frees its values anyway, so its graph may be built per batch.
 """
 
 from __future__ import annotations

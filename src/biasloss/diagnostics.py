@@ -1,12 +1,13 @@
 """Per-layer activation-variance profiling and weight-curve emission.
 
 The profiler runs the model in eval mode on the sample walk
-(layers.GraphCache.walk): each batch is cut into one slice of samples per
-thread, and each slice runs an inference pass on a graph of its own that
-keeps only the probed activations. At each probed layer the slice takes
-the unbiased variance of every sample's unfolded activation, and the
-variances, not the activations, are joined in slice order and aggregated
-into average/max/min per layer. Probes are addressed by name so
+(layers.infer): each batch is cut into one slice of samples per thread,
+and each slice runs an inference pass on a graph built for that batch
+alone, which keeps only the probed activations; as the pass frees every
+other value, a graph kept across batches would save only its build. At
+each probed layer the slice takes the unbiased variance of every sample's
+unfolded activation, and the variances, not the activations, are joined
+in slice order and aggregated into average/max/min per layer. Probes are addressed by name so
 layer-counting conventions never enter the picture. A non-finite variance
 stops the profile with NonFiniteVarianceError, naming the first such
 probe in probe order, the batch, and the count over the whole batch.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as datamod
-from .layers import GraphCache
+from .layers import infer
 from .losses import BiasLossConfig, batch_variances, bias_weight
 
 PROFILE_HEADER = "layer,avg,max,min"
@@ -93,13 +94,13 @@ def profile(model, dataset, layer_names=None, batch_size=256,
 
     spec = datamod.AugmentSpec(normalize=normalize)
     probes = {name: LayerProbe(name) for name in layer_names}
-    cache = GraphCache(model)
     with model.evaluating():
         for i, b in enumerate(datamod.batches(dataset, batch_size,
                                               shuffle=False,
                                               augment_spec=spec)):
-            variances = cache.walk(
-                b.images, lambda out: [out.probes[n] for n in layer_names],
+            variances = infer(
+                model, b.images,
+                lambda out: [out.probes[n] for n in layer_names],
                 batch_variances)
             for name, v in zip(layer_names, variances):
                 bad = np.count_nonzero(~np.isfinite(v))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import data as datamod
-from .layers import GraphCache, MicroNetSpec, SkipblockNetMicro
+from .layers import MicroNetSpec, SkipblockNetMicro, infer
 from .losses import (BiasLossConfig, bias_loss, cross_entropy, focal_loss,
                      variance_record)
 
@@ -321,8 +321,7 @@ def _state_entries(model):
 
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8"), "u8": np.dtype("u1")}
-_DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64",
-                np.dtype(np.uint8): "u8"}
+_DTYPE_NAMES = {dt: name for name, dt in _DTYPES.items()}
 
 
 def save_checkpoint(path, model, cfg_hash=b""):
@@ -446,19 +445,18 @@ def _batch_loss(cfg, logits, feature_map, labels, stats, where):
 
 def _eval_epoch(model, dataset, cfg, where="eval"):
     """Loss and accuracy stats over dataset in eval mode, on the sample
-    walk of a GraphCache of its own; the loss is built on constants of
-    each batch's joined logits and feature map, so it holds no model
-    node."""
+    walk (layers.infer), which builds each batch's graphs for that batch
+    alone; the loss is built on constants of each batch's joined logits
+    and feature map, so it holds no model node."""
     spec = datamod.AugmentSpec(
         normalize=datamod.default_augment(cfg.dataset).normalize)
-    cache = GraphCache(model)
     stats = _epoch_stats()
     with model.evaluating():
         for i, b in enumerate(datamod.batches(
                 dataset, cfg.batch_size, shuffle=False, augment_spec=spec,
                 prefetch=cfg.prefetch)):
-            logits, fmap = cache.walk(b.images,
-                                      attrgetter("logits", "feature_map"))
+            logits, fmap = infer(model, b.images,
+                                 attrgetter("logits", "feature_map"))
             _batch_loss(cfg, ad.constant(logits), ad.constant(fmap),
                         b.labels, stats, f"{where} batch {i}")
     return stats
@@ -473,9 +471,8 @@ def load_split(cfg: TrainConfig, split):
     if not Path(root).exists():
         raise ConfigError(f"dataset root {root} does not exist")
     ds = datamod.load_dataset(cfg.dataset, root, split)
-    if not len(ds):
-        raise ConfigError(f"{cfg.dataset} {split} split under {root} is empty")
-    return ds.take(cfg.train_limit if split == "train" else cfg.val_limit)
+    return datamod.require_samples(
+        ds.take(cfg.train_limit if split == "train" else cfg.val_limit))
 
 
 def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
@@ -496,7 +493,14 @@ def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
 
     model = SkipblockNetMicro(cfg.model_spec(), seed=cfg.seed)
     params = model.parameters()
-    cache = GraphCache(model)
+    # The one train graph: only the spatial size shapes a graph, so it
+    # serves every batch, the ragged last one included, and each step
+    # refills its input. Refilling reuses the last step's memory: a graph
+    # built per step took 23.6-24.5k minor faults and 141-172 ms per
+    # batch-128 MNIST bias step, against 0.6-1.1k faults and 122-127 ms
+    # with this one (3 process pairs, seed 3, 2 cores); through
+    # tools/step_profile.py, setup included, 13-14k against 2.3-2.5k.
+    graph = model.build(ad.leaf(train_ds.images[:1], name="input"))
     aug = datamod.default_augment(cfg.dataset)
     if not cfg.augment:
         aug = datamod.AugmentSpec(normalize=aug.normalize)
@@ -511,9 +515,10 @@ def train_run(cfg: TrainConfig, out_dir=None, train_ds=None, val_ds=None,
         for step, b in enumerate(datamod.batches(
                 train_ds, cfg.batch_size, seed=cfg.seed, epoch=epoch,
                 augment_spec=aug, prefetch=cfg.prefetch)):
-            out = cache.get(b.images)
-            loss = _batch_loss(cfg, out.logits, out.feature_map, b.labels,
-                               stats, f"train epoch {epoch} step {step}")
+            graph.input.set(np.ascontiguousarray(b.images))
+            loss = _batch_loss(cfg, graph.logits, graph.feature_map,
+                               b.labels, stats,
+                               f"train epoch {epoch} step {step}")
             sgd_step(params, ad.backward(loss), opt_state, lr, cfg.momentum,
                      cfg.weight_decay)
         log.rows.append(_row(epoch, "train", stats, lr,

@@ -72,7 +72,7 @@ class TestInferencePass:
         model.eval()
         images = np.random.default_rng(0).normal(
             size=(16, 1, 28, 28)).astype(np.float32)
-        out = layers.GraphCache(model).get(images)
+        out = model.build(ad.leaf(images))
         ad.forward(out.logits)
         reads = {"logits": out.logits, "feature_map": out.feature_map,
                  **out.probes}
@@ -352,8 +352,8 @@ class TestOpRegistry:
         model = layers.SkipblockNetMicro(
             layers.MicroNetSpec(width_multiplier=0.25), seed=0)
         rng = np.random.default_rng(0)
-        out = layers.GraphCache(model).get(
-            rng.normal(size=(4, 1, 8, 8)).astype(np.float32))
+        out = model.build(ad.leaf(
+            rng.normal(size=(4, 1, 8, 8)).astype(np.float32)))
         labels = np.arange(4)
         reached = set()
         for loss, detach in (("ce", True), ("focal", True), ("bias", True),

@@ -167,7 +167,8 @@ class TestBadPaths:
         extra = (["--out", str(tmp_path / "run")] if verb == "train"
                  else ["--ckpt", str(tmp_path / "none.ckpt")])
         code = main([verb, "--data_dir", str(root)] + extra)
-        assert "test split" in assert_config_error(code, capsys)
+        assert assert_config_error(code, capsys) == (
+            "error: mnist test dataset has no samples\n")
 
     @pytest.mark.parametrize("verb", ["train", "eval", "profile"])
     @pytest.mark.parametrize("n_images,labels,msg", [

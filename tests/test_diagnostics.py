@@ -6,8 +6,7 @@ import pytest
 from biasloss import _kernels, autodiff as ad, data, diagnostics
 from biasloss.diagnostics import (LayerProbe, ProbeError, VarianceProfile,
                                   bias_curve, curve_csv, depth_trend, profile)
-from biasloss.layers import (BatchNorm2d, GraphCache, MicroNetSpec,
-                             SkipblockNetMicro)
+from biasloss.layers import BatchNorm2d, MicroNetSpec, SkipblockNetMicro
 from biasloss.losses import batch_variances
 
 
@@ -24,9 +23,9 @@ def dataset():
 def retaining_rows(model, dataset, names, batch_size):
     """profile's rows from retaining passes over whole batches."""
     model.eval()
-    cache, want = GraphCache(model), {}
+    want = {}
     for b in data.batches(dataset, batch_size, shuffle=False):
-        out = cache.get(b.images)
+        out = model.build(ad.leaf(b.images))
         for name in names or model.probe_names():
             want.setdefault(name, LayerProbe(name)).update(
                 batch_variances(ad.forward(out.probes[name])))

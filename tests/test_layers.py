@@ -765,7 +765,7 @@ class TestEvalFold:
         rng = np.random.default_rng(13)
         images = rng.normal(size=(8, 1, 28, 28)).astype(np.float32)
         labels = rng.integers(0, 10, size=8)
-        out = L.GraphCache(model).get(images)
+        out = model.build(ad.leaf(images))
         loss = ad.neg(ad.mean(ad.take_rows(ad.log_softmax(out.logits),
                                            labels)))
         seen = []
@@ -896,68 +896,52 @@ class TestModuleTree:
         assert [m.training for m in model.modules()] == before
 
 
-class TestGraphCache:
+class TestGraphLifetime:
     @staticmethod
-    def counted_cache(monkeypatch):
-        """A cache of a small eval-mode model, and the list of batch sizes
-        its network was built for."""
-        model = L.SkipblockNetMicro(L.MicroNetSpec(width_multiplier=0.25),
-                                    seed=0).eval()
-        builds = []
-        build = model.build
+    def small_model():
+        return L.SkipblockNetMicro(L.MicroNetSpec(width_multiplier=0.25),
+                                   seed=0).eval()
 
-        def counting(x):
-            builds.append(len(x.value))
-            return build(x)
-
-        monkeypatch.setattr(model, "build", counting)
-        return model, L.GraphCache(model), builds
-
-    def test_ragged_batch_reuses_the_graph(self, monkeypatch):
-        # only the spatial size enters a graph, not the batch size
-        model, cache, builds = self.counted_cache(monkeypatch)
+    def test_one_image_graph_serves_every_batch_size(self):
+        # only the spatial size enters a graph, not the batch size: the
+        # graph train_run builds from one image serves full and ragged
+        # batches, as a fresh build for each would
+        model = self.small_model()
         rng = np.random.default_rng(0)
         images = rng.normal(size=(128, 1, 8, 8)).astype(np.float32)
-        out = cache.get(images)
-        ad.forward(out.logits)
-        assert cache.get(images[:96]) is out
-        assert np.array_equal(ad.forward(out.logits),
-                              ad.forward(model.build(ad.leaf(images[:96]))
-                                         .logits))
-        assert cache.get(images[:96], slot=1) is not out
-        assert cache.get(np.zeros((96, 1, 12, 12), np.float32)) is not out
-        assert builds == [128, 96, 96, 96]
+        out = model.build(ad.leaf(images[:1]))
+        for n in (128, 96):
+            out.input.set(images[:n])
+            got = ad.forward(out.logits)
+            assert got.shape == (n, 10)
+            assert np.array_equal(
+                got, ad.forward(model.build(ad.leaf(images[:n])).logits))
 
-    def test_ragged_walk_reuses_each_slots_graph(self, monkeypatch,
-                                                 kernel_helpers):
-        # a batch of 40 then one of 21 and one of 2: the later walks run
-        # on graphs the first built, and join what a fresh cache would
-        model, cache, builds = self.counted_cache(monkeypatch)
+    def test_infer_matches_a_retaining_pass(self, kernel_helpers):
+        # batches of 40, 21 and 2, each on graphs built for it, join what a
+        # retaining pass over the whole batch gives
+        model = self.small_model()
         images = np.random.default_rng(1).normal(
             size=(40, 1, 8, 8)).astype(np.float32)
-        select = attrgetter("logits", "feature_map")
-        cache.walk(images, select)
-        slots = kernel_helpers + 1
-        assert len(builds) == slots
-        for n in (21, 2):
-            got = cache.walk(images[:n], select)
-            assert len(builds) == slots
-            want = L.GraphCache(model).walk(images[:n], select)
-            del builds[slots:]
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        for n in (40, 21, 2):
+            got = L.infer(model, images[:n],
+                          attrgetter("logits", "feature_map"))
+            out = model.build(ad.leaf(images[:n]))
+            ad.forward(out.logits)
             assert [len(g) for g in got] == [n, n]
+            assert np.array_equal(got[0], out.logits.value)
+            assert np.array_equal(got[1], out.feature_map.value)
 
     def test_graphs_of_two_sizes_keep_their_own_pooling(self):
         # building a graph writes no module state: a 20x20 graph built after
         # a 28x28 one leaves the first graph's skip pool and logits alone
-        model = L.SkipblockNetMicro(L.MicroNetSpec(width_multiplier=0.25),
-                                    seed=0).eval()
-        cache = L.GraphCache(model)
+        model = self.small_model()
         rng = np.random.default_rng(2)
         big = rng.normal(size=(4, 1, 28, 28)).astype(np.float32)
-        out28 = cache.get(big)
+        out28 = model.build(ad.leaf(big))
         before = ad.forward(out28.logits).copy()
-        out20 = cache.get(rng.normal(size=(4, 1, 20, 20)).astype(np.float32))
+        out20 = model.build(ad.leaf(
+            rng.normal(size=(4, 1, 20, 20)).astype(np.float32)))
         ad.forward(out20.logits)
 
         def pool_targets(out):
@@ -966,5 +950,4 @@ class TestGraphCache:
 
         assert pool_targets(out28) == [(7, 7)]
         assert pool_targets(out20) == [(5, 5)]
-        assert cache.get(big) is out28
         assert np.array_equal(ad.forward(out28.logits), before)

@@ -11,8 +11,7 @@ import pytest
 from biasloss import _kernels as K
 from biasloss import autodiff as ad
 from biasloss import data, diagnostics, losses, train
-from biasloss.layers import (GraphCache, MicroNetSpec, ParamInfo,
-                             SkipblockNetMicro)
+from biasloss.layers import MicroNetSpec, ParamInfo, SkipblockNetMicro
 from biasloss.train import (CheckpointError, ConfigError, RUNLOG_HEADER,
                             TrainConfig, load_checkpoint, lr_at,
                             save_checkpoint, sgd_step, train_run)
@@ -71,12 +70,12 @@ def retaining_stats(model, dataset, cfg):
     """_eval_epoch's stats from retaining passes over whole batches, the
     loss built on the graph's nodes."""
     model.eval()
-    cache, stats = GraphCache(model), train._epoch_stats()
+    stats = train._epoch_stats()
     spec = data.AugmentSpec(
         normalize=data.default_augment(cfg.dataset).normalize)
     for i, b in enumerate(data.batches(dataset, cfg.batch_size,
                                        shuffle=False, augment_spec=spec)):
-        out = cache.get(b.images)
+        out = model.build(ad.leaf(b.images))
         train._batch_loss(cfg, out.logits, out.feature_map, b.labels, stats,
                           f"retaining batch {i}")
     return stats
@@ -389,21 +388,38 @@ class TestTrainRun:
         cfg = tiny_cfg(batch_size=16, lr0=0.1)
         model = SkipblockNetMicro(cfg.model_spec(), seed=0)
         model.train()
-        cache = GraphCache(model)
+        out = model.build(ad.leaf(ds.images[:1]))
         state = {}
         batch_losses = []
         for b in data.batches(ds, 16, seed=0, epoch=0):
-            out = cache.get(b.images)
+            out.input.set(b.images)
             loss = losses.cross_entropy(out.logits, b.labels)
             batch_losses.append(loss.item())
             grads = ad.backward(loss)
             sgd_step(model.parameters(), grads, state, 0.1, 0.9, 0.0)
         # replay the first batch after the epoch of updates
         first = next(iter(data.batches(ds, 16, seed=0, epoch=0)))
-        out = cache.get(first.images)
+        out.input.set(first.images)
         model.eval()
         end_loss = losses.cross_entropy(out.logits, first.labels).item()
         assert end_loss < batch_losses[0]
+
+    def test_train_run_builds_one_train_graph(self, monkeypatch, tiny_sets):
+        # every train step, the ragged last one included, refills the graph
+        # built before the first; the val passes build their own in eval mode
+        modes = []
+        build = SkipblockNetMicro.build
+
+        def counting(model, x):
+            modes.append(model.training)
+            return build(model, x)
+
+        monkeypatch.setattr(SkipblockNetMicro, "build", counting)
+        tr, va = tiny_sets
+        log, _ = train_run(tiny_cfg(batch_size=40), train_ds=tr, val_ds=va)
+        assert len(tr) == 96 and len(log.rows) == 4  # 3 steps per epoch
+        assert modes[0] and modes.count(True) == 1
+        assert len(modes) > 1
 
     def test_runlog_header_and_row_format(self):
         # the column order is the RunRow field order; split is written raw
@@ -645,7 +661,8 @@ class TestTrainRun:
         write_empty_test_split(tmp_path)
         cfg = tiny_cfg(data_dir=str(tmp_path))
         assert len(train.load_split(cfg, "train")) == 16
-        with pytest.raises(ConfigError, match="mnist test split .* is empty"):
+        with pytest.raises(data.EmptyDatasetError,
+                           match="^mnist test dataset has no samples$"):
             train.load_split(cfg, "test")
 
     def test_empty_dataset_rejected_by_evaluate(self, tmp_path, tiny_sets):

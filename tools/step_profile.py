@@ -7,7 +7,8 @@
 Imports the engine from CHECKOUT/src (default: the checkout this script
 sits in) and runs train steps of the MNIST bias-loss recipe on synthetic
 data, as train_run's loop does: augmented batch, forward and loss on the
-cached graph, backward, SGD. The first --warmup steps are not counted.
+one train graph, refilled each step, backward, SGD. The first --warmup
+steps are not counted.
 
 Each op's forward and backward are timed at dispatch, by wrapping the
 entries of autodiff._FORWARD and _BACKWARD, and booked to the op's kind
@@ -28,6 +29,8 @@ import contextlib
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 
 def op_kind(node):
@@ -80,7 +83,9 @@ def profile(batch, steps, warmup, seed):
                             seed=seed, prefetch=False)
     ds = data.make_synthetic("mnist", batch * (warmup + steps), seed=seed)
     model = layers.SkipblockNetMicro(cfg.model_spec(), seed=cfg.seed)
-    params, cache, state = model.parameters(), layers.GraphCache(model), {}
+    params, state = model.parameters(), {}
+    # one graph refilled each step, as train_run keeps it
+    graph = model.build(ad.leaf(ds.images[:1], name="input"))
     totals = collections.defaultdict(lambda: [0.0, 0])
     walls, assembly = [], []
     stream = data.batches(ds, batch, seed=seed,
@@ -94,8 +99,8 @@ def profile(batch, steps, warmup, seed):
         with (dispatch_timer(ad, totals) if counted
               else contextlib.nullcontext()):
             t0 = time.perf_counter()
-            out = cache.get(b.images)
-            loss = train._batch_loss(cfg, out.logits, out.feature_map,
+            graph.input.set(np.ascontiguousarray(b.images))
+            loss = train._batch_loss(cfg, graph.logits, graph.feature_map,
                                      b.labels, train._epoch_stats(),
                                      f"step {i}")
             train.sgd_step(params, ad.backward(loss), state,
