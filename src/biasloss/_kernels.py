@@ -13,6 +13,12 @@ output with the forward's own operations (bit-identical to the forward's,
 so it is never stored). The batch mean is a float64 sum;
 the other per-channel sums are per-(sample, channel) row partials from
 one GEMV against a ones vector, added over the batch in float64.
+bn_normalize can write into its input (out=), as a conv that applies its
+own BN does, and adds an optional residual in the same walk. For a conv
+that applied its BN, x, the conv output before it, is not stored: the
+backwards take a block source (Blocks) in its place, which recomputes
+each block with the conv's per-sample GEMM whenever a sweep reads it, so
+the train-mode backward, with its two sweeps, computes each block twice.
 Per-channel operands are expanded to one contiguous sample [1, c, h, w],
 which numpy's binary loops take faster than a broadcast [1, c, 1, 1].
 
@@ -160,6 +166,23 @@ def _map_blocks(fn, a):
     """
     n = _block_len(a)
     return _drain(fn, [np.s_[s:s + n] for s in range(0, len(a), n)])
+
+
+class Blocks:
+    """A [b, ...] operand that is never stored whole: the kernels read it
+    one block of the batch at a time, and self[s] is fn(s), a new array,
+    for a slice s of the first axis. shape and dtype are those of the
+    array it stands for; the batch-norm backwards take one for x."""
+
+    def __init__(self, fn, shape, dtype):
+        self.fn, self.shape, self.dtype = fn, tuple(shape), np.dtype(dtype)
+        self.itemsize = self.dtype.itemsize
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, s):
+        return self.fn(s)
 
 
 def sample_slices(n):
@@ -552,16 +575,19 @@ def _hswish_grad(o, gs):
     np.multiply(gs, o, out=o)
 
 
-def bn_normalize(x, mean, invstd, gamma, beta, act=None):
-    """act((x - mean) * invstd * gamma + beta), centred per block, with act
-    None, "relu" or "hswish" applied in the same walk.
+def bn_normalize(x, mean, invstd, gamma, beta, act=None, residual=None,
+                 out=None):
+    """act((x - mean) * invstd * gamma + beta) + residual, centred per
+    block, with act None, "relu" or "hswish" applied and residual (None
+    adds nothing) added in the same walk; written into out, which may be x
+    itself, or into a new array.
 
     The pre-activation is (x - m) * scale + shift; the backward recomputes
     it with the same two operations, so its copy is bit-identical.
     """
     _check_act(act)
     m, scale, shift = _affine(x, mean, invstd, gamma, beta)
-    out = np.empty_like(x)
+    out = np.empty_like(x) if out is None else out
 
     def block(s):
         o = out[s]
@@ -569,6 +595,8 @@ def bn_normalize(x, mean, invstd, gamma, beta, act=None):
         np.multiply(o, scale, out=o)
         np.add(o, shift, out=o)
         _act(o, act)
+        if residual is not None:
+            np.add(o, residual[s], out=o)
 
     _map_blocks(block, x)
     return out
@@ -587,7 +615,7 @@ def _act_grad_sums(x, y, g, mean, invstd, gamma, beta, act):
     _check_act(act)
     m, scale, shift = _affine(x, mean, invstd, gamma, beta)
     ones = _ones(x)
-    gz = g if act is None else np.empty_like(x)
+    gz = g if act is None else np.empty(x.shape, x.dtype)
 
     def sweep(s):
         o = gz[s]
@@ -612,10 +640,12 @@ def _act_grad_sums(x, y, g, mean, invstd, gamma, beta, act):
 
 def bn_bwd_train(x, y, g, mean, invstd, gamma, beta, act=None):
     """Returns (dx, dgamma, dbeta) for train-mode batch normalization
-    followed by act, with y act's output and g its gradient.
+    followed by act, with y act's output and g its gradient. x is the
+    normalized input, an array or a Blocks source of it.
 
     Two sweeps: the first writes g * act'(z) into dx and sums it, the
-    second finishes dx in place.
+    second finishes dx in place. Each reads its block of x anew, so a
+    Blocks source computes every block twice and is never stored.
     """
     count = x.shape[0] * x.shape[2] * x.shape[3]
     m, gz, sum_g, sum_gx = _act_grad_sums(x, y, g, mean, invstd, gamma,
@@ -630,7 +660,7 @@ def bn_bwd_train(x, y, g, mean, invstd, gamma, beta, act=None):
     c2 = k * invstd * dgamma / count
     a = k * dbeta / count - d * c2
     k, a, c2 = (_channel(v, x) for v in (k, a, c2))
-    dx = np.empty_like(x) if act is None else gz
+    dx = np.empty(x.shape, x.dtype) if act is None else gz
 
     def grad(s):
         o = dx[s]
@@ -647,7 +677,7 @@ def bn_bwd_train(x, y, g, mean, invstd, gamma, beta, act=None):
 def bn_bwd_eval(x, y, g, mean, invstd, gamma, beta, act=None):
     """Returns (dx, dgamma, dbeta) for eval-mode batch normalization, where
     mean and invstd are constants, followed by act, with y act's output
-    and g its gradient."""
+    and g its gradient; x as in bn_bwd_train, read in one sweep."""
     _, gz, sum_g, sum_gx = _act_grad_sums(x, y, g, mean, invstd, gamma,
                                           beta, act)
     dgamma = (sum_gx - (mean - mean.astype(x.dtype)) * sum_g) * invstd

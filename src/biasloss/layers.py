@@ -25,18 +25,31 @@ two graph nodes, not three. In train mode the op keeps the conv output in
 its ctx and the activation output as its value. The backward has one
 rule for relu in both modes: its derivative is [y > 0], read from the
 op's output y. A hard-swish layer's backward recomputes the BN output
-from the conv output instead of storing it.
+from the conv output instead of storing it. A BN without activation takes
+an optional fourth input, a residual, which its normalizing walk adds and
+whose gradient is g: an inverted-residual block's project BN adds the
+block's input so, and no BN output that only an add would read is kept.
 
-In eval mode the conv node of a ConvBnAct, which holds its BatchNorm2d,
-folds the BN into itself: it computes act(conv(x, w * s) + t) with
-s = gamma * invstd and t = beta - running_mean * s, taken in float64 from
-the current parameters and running statistics on every forward, and the
-kernels add t and apply act to each block right after its GEMMs. The BN
-node then returns its input unchanged, so the graph keeps the same two
-nodes in both modes. An eval-mode backward recomputes the unfolded conv
-output and runs the BN's eval backward on it, then the conv's own
-backward; its relu mask comes from the values the folded conv returned.
-A BatchNorm2d used on its own still normalizes.
+The conv node of a ConvBnAct, which holds its BatchNorm2d, folds the BN
+into itself where folded_bn says so: always in eval mode, and in train
+mode for a widening 1x1 conv (more output channels than input: the
+expand convs, the skip block's expand and project, and the head), whose
+kept input is smaller than its output. In eval mode it computes
+act(conv(x, w * s) + t) with s = gamma * invstd and t = beta -
+running_mean * s, taken in float64 from the current parameters and
+running statistics on every forward, and the kernels add t and apply act
+to each block right after its GEMMs. In train mode it takes the batch
+statistics of its output, folds them into the running statistics, and
+normalizes and activates the output in place, with the BN op's own
+kernels and so to the same bytes. Either way the BN node then returns
+its input (plus its residual, if it has one), so the graph keeps the
+same two nodes in both modes and never the unfolded conv output. The
+backward recomputes that output from the conv's kept input, for a dense
+conv one block at a time with the forward's own per-sample GEMM (a
+_kernels.Blocks source, so it is never stored whole either), runs the
+BN's backward on it, then the conv's own backward; its relu mask comes
+from the values the folded conv returned. A BatchNorm2d used on its own
+still normalizes.
 
 Layer objects own their parameter nodes; calling a layer on an input node
 extends the graph, so one set of weights can back several graphs. A graph
@@ -92,17 +105,37 @@ def _conv2d_fwd(node, xs):
     if oh < 1 or ow < 1:
         raise ShapeError("kernel larger than padded input")
 
-    if groups == cin == cout:
-        node.ctx = None  # depthwise: the kernels read x itself
-    else:
-        # dense: one GEMM per sample, [cout, cin*kh*kw] @ [b, cin*kh*kw,
-        # oh*ow]
-        node.ctx = _im2col(x, kh, kw, stride, pad)
-    bn = node.attrs.get("bn")
-    if bn is None or bn.training:
+    # ctx is (columns, batch statistics): a depthwise conv's kernels read x
+    # itself (columns None); a dense one is a GEMM per sample,
+    # [cout, cin*kh*kw] @ [b, cin*kh*kw, oh*ow]
+    cols = None if groups == cin == cout else _im2col(x, kh, kw, stride, pad)
+    node.ctx = (cols, None)
+    bn = folded_bn(node)
+    if bn is None:
         return _conv(node, x, w)
-    w, shift = _fold(bn, w)
-    return _conv(node, x, w, shift, bn.act)
+    if not bn.training:
+        w, shift = _fold(bn, w)
+        return _conv(node, x, w, shift, bn.act)
+    # a widening 1x1 conv in train mode keeps only its BN's output: it
+    # normalizes and activates its own output in place, and keeps the batch
+    # statistics for the BN node to pass on
+    out = _conv(node, x, w)
+    m, invstd = _batch_stats(bn, out)
+    node.ctx = (cols, (m, invstd))
+    return K.bn_normalize(out, m, invstd, bn.gamma.value, bn.beta.value,
+                          bn.act, out=out)
+
+
+def folded_bn(conv):
+    """The BatchNorm2d that conv node's forward applies to its own output,
+    or None. A ConvBnAct's conv applies its BN in eval mode, and in train
+    mode too when it is a widening 1x1 conv, more output channels than
+    input, whose kept input is smaller than its output."""
+    bn = conv.attrs.get("bn")
+    if bn is None or not bn.training:
+        return bn
+    cout, cin, kh, kw = conv.inputs[1].value.shape
+    return bn if kh == kw == 1 and cout > cin else None
 
 
 def _conv(node, x, w, shift=None, act=None):
@@ -111,12 +144,13 @@ def _conv(node, x, w, shift=None, act=None):
     each block of the batch right after its GEMMs. A dense conv reads its
     columns from node.ctx."""
     stride, pad = node.attrs["stride"], node.attrs["padding"]
-    if node.ctx is None:
+    cols = node.ctx[0]
+    if cols is None:
         return K.dw_conv_fwd(np.ascontiguousarray(x), w[:, 0], stride, pad,
                              shift, act)
     b, _, h, wd = x.shape
     cout, _, kh, kw = w.shape
-    out = K.gemm_conv_fwd(w.reshape(cout, -1), node.ctx, shift, act)
+    out = K.gemm_conv_fwd(w.reshape(cout, -1), cols, shift, act)
     return out.reshape(b, cout, K.conv_out_size(h, kh, stride, pad),
                        K.conv_out_size(wd, kw, stride, pad))
 
@@ -168,7 +202,7 @@ def _conv2d_bwd(node, g):
     stride = node.attrs["stride"]
     pad = node.attrs["padding"]
     b, cout, oh, ow = g.shape
-    cols = node.ctx
+    cols = node.ctx[0]
     if cols is None:
         dx, dw = K.dw_conv_bwd(np.ascontiguousarray(x), w[:, 0],
                                np.ascontiguousarray(g), stride, pad)
@@ -190,8 +224,9 @@ def conv2d(x, weight, stride=1, padding=0, groups=1, bn=None):
     weight (groups 1) or a depthwise [cin,1,kh,kw] one (groups = cin).
 
     With bn, the BatchNorm2d applied to this conv's output, the conv
-    computes that BN and its activation itself whenever bn is in eval mode;
-    the BN's own node then passes the result through.
+    computes that BN and its activation itself whenever folded_bn says so:
+    in eval mode, and in train mode for a widening 1x1 conv. The BN's own
+    node then passes the result through.
     """
     return _node("conv2d", [x, weight],
                  {"stride": int(stride), "padding": int(padding),
@@ -202,35 +237,52 @@ def conv2d(x, weight, stride=1, padding=0, groups=1, bn=None):
 # batch normalization
 
 def _batchnorm_fwd(node, xs):
-    x, gamma, beta = xs
+    x, gamma, beta = xs[:3]
+    residual = xs[3] if len(xs) > 3 else None
     layer = node.attrs["layer"]
     if x.ndim != 4:
         raise ShapeError("batchnorm expects a 4-d input")
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"per-channel parameters must have length {c}")
-    eps = layer.eps
-    x = np.ascontiguousarray(x)
-    if layer.training:
-        m, v = K.bn_stats(x)
-        invstd = 1.0 / np.sqrt(v + eps)
-        n = x.shape[0] * x.shape[2] * x.shape[3]
-        unbiased = v * (n / (n - 1)) if n > 1 else v
-        mom = layer.momentum
-        layer.running_mean += mom * (m.astype(layer.running_mean.dtype)
-                                     - layer.running_mean)
-        layer.running_var += mom * (unbiased.astype(layer.running_var.dtype)
-                                    - layer.running_var)
-        node.ctx = ("train", x, m, invstd)
+    if residual is not None and residual.shape != x.shape:
+        raise ShapeError(f"residual {residual.shape} does not match the "
+                         f"input {x.shape}")
+    mode = "train" if layer.training else "eval"
+    conv = node.inputs[0]
+    folded = folded_bn(conv) is layer
+    if not folded:
+        x = np.ascontiguousarray(x)
+    if not layer.training:
+        m, invstd = layer.running_mean.astype(np.float64), _invstd(layer)
+    elif folded:
+        # the conv took the batch statistics; an inference pass has freed
+        # them with its ctx, and reads no more
+        m, invstd = conv.ctx[1] if conv.ctx else (None, None)
     else:
-        m = layer.running_mean.astype(np.float64)
-        invstd = _invstd(layer)
-        if node.inputs[0].attrs.get("bn") is layer:
-            # the conv before this node applied the BN and act already
-            node.ctx = ("eval", None, m, invstd)
-            return x
-        node.ctx = ("eval", x, m, invstd)
-    return K.bn_normalize(x, m, invstd, gamma, beta, node.attrs["act"])
+        m, invstd = _batch_stats(layer, x)
+    if folded:
+        # the conv before this node applied the BN and act already
+        node.ctx = (mode, None, m, invstd)
+        return x if residual is None else np.add(x, residual)
+    node.ctx = (mode, x, m, invstd)
+    return K.bn_normalize(x, m, invstd, gamma, beta, node.attrs["act"],
+                          residual)
+
+
+def _batch_stats(layer, x):
+    """(mean, invstd) of x's batch in float64, for train-mode BN layer;
+    folds them into the layer's running statistics."""
+    m, v = K.bn_stats(x)
+    invstd = 1.0 / np.sqrt(v + layer.eps)
+    n = x.shape[0] * x.shape[2] * x.shape[3]
+    unbiased = v * (n / (n - 1)) if n > 1 else v
+    mom = layer.momentum
+    layer.running_mean += mom * (m.astype(layer.running_mean.dtype)
+                                 - layer.running_mean)
+    layer.running_var += mom * (unbiased.astype(layer.running_var.dtype)
+                                - layer.running_var)
+    return m, invstd
 
 
 def _invstd(layer):
@@ -238,25 +290,43 @@ def _invstd(layer):
     return 1.0 / np.sqrt(layer.running_var.astype(np.float64) + layer.eps)
 
 
-def bn_input(node):
+def _bn_operands(node):
     """(mode, x, mean, invstd) of a batchnorm node's last forward, with x
     the input its kernels normalize. For a BN folded into its conv, x is
-    the unfolded conv output, recomputed from the conv's inputs."""
+    the unfolded conv output recomputed from the conv's inputs: for a
+    dense conv a K.Blocks source that runs the forward's per-sample GEMM
+    on the kept columns of each block it reads, for a depthwise conv
+    (folded in eval mode only) an array."""
     mode, x, m, invstd = node.ctx
     if x is None:
         conv = node.inputs[0]
-        x = _conv(conv, conv.inputs[0].value, conv.inputs[1].value)
+        cols = conv.ctx[0]
+        w = conv.inputs[1].value
+        if cols is None:
+            x = _conv(conv, conv.inputs[0].value, w)
+        else:
+            w2, shape = w.reshape(len(w), -1), conv.value.shape
+            x = K.Blocks(lambda s: np.matmul(w2, cols[s]).reshape(
+                (-1,) + shape[1:]), shape, np.result_type(w2, cols))
     return mode, x, m, invstd
+
+
+def bn_input(node):
+    """_bn_operands with x an array: a Blocks source is computed whole."""
+    mode, x, m, invstd = _bn_operands(node)
+    return mode, x[:] if isinstance(x, K.Blocks) else x, m, invstd
 
 
 def _batchnorm_bwd(node, g):
     # relu reads its derivative from the kept output; the BN output before
-    # act is not kept, and the kernel recomputes it from x for hswish
-    mode, x, m, invstd = bn_input(node)
+    # act is not kept, and the kernel recomputes it from x for hswish. A
+    # residual input's gradient is g itself.
+    mode, x, m, invstd = _bn_operands(node)
     gamma, beta = node.inputs[1].value, node.inputs[2].value
     bwd = K.bn_bwd_eval if mode == "eval" else K.bn_bwd_train
-    return list(bwd(x, node.value, np.ascontiguousarray(g), m, invstd, gamma,
-                    beta, node.attrs["act"]))
+    g = np.ascontiguousarray(g)
+    return [*bwd(x, node.value, g, m, invstd, gamma, beta,
+                 node.attrs["act"]), *[g] * (len(node.inputs) - 3)]
 
 
 register_op("batchnorm", _batchnorm_fwd, _batchnorm_bwd)
@@ -478,8 +548,14 @@ class BatchNorm2d(Module):
         self.name = name
         self.act = act
 
-    def __call__(self, x):
-        return _node("batchnorm", [x, self.gamma, self.beta],
+    def __call__(self, x, residual=None):
+        """The BN node of x; a residual node, for a BN without activation,
+        is added to its output in the same walk."""
+        if residual is not None and self.act is not None:
+            raise ValueError(f"{self.name}: a residual joins a batch norm "
+                             f"without activation only, not {self.act!r}")
+        extra = [] if residual is None else [residual]
+        return _node("batchnorm", [x, self.gamma, self.beta, *extra],
                      {"layer": self, "act": self.act})
 
 
@@ -510,8 +586,9 @@ class Dropout(Module):
 
 class ConvBnAct(Module):
     """conv -> BN -> optional activation, the workhorse sub-block. The
-    activation runs inside the BN op in train mode; in eval mode the conv
-    op computes BN and activation in its own block walk."""
+    activation runs inside the BN op; where the conv folds the BN
+    (folded_bn), the conv op computes BN and activation in its own block
+    walk. A residual goes to the BN (BatchNorm2d.__call__)."""
 
     def __init__(self, cin, cout, kernel, stride=1, padding=0, groups=1,
                  act="relu", rng=None, dtype=np.float32, name="cba"):
@@ -519,13 +596,14 @@ class ConvBnAct(Module):
                            rng=rng, dtype=dtype, name=f"{name}.conv")
         self.bn = BatchNorm2d(cout, dtype=dtype, name=f"{name}.bn", act=act)
 
-    def __call__(self, x):
-        return self.bn(self.conv(x, self.bn))
+    def __call__(self, x, residual=None):
+        return self.bn(self.conv(x, self.bn), residual)
 
 
 class InvertedResidual(Module):
     """expand 1x1 -> depthwise 3x3 -> linear project 1x1, with residual
-    when stride is 1 and channel counts match."""
+    when stride is 1 and channel counts match; the project BN adds the
+    residual, so no separate add node keeps the BN's output."""
 
     def __init__(self, cin, expand, cout, stride=1, act="relu", rng=None,
                  dtype=np.float32, name="block"):
@@ -540,8 +618,8 @@ class InvertedResidual(Module):
         self.cout, self.stride = cout, stride
 
     def __call__(self, x):
-        y = self.project(self.depthwise(self.expand(x)))
-        return ad.add(x, y) if self.use_residual else y
+        return self.project(self.depthwise(self.expand(x)),
+                            x if self.use_residual else None)
 
 
 class SkipBlock(InvertedResidual):

@@ -175,10 +175,16 @@ def focal_loss(logits, labels, gamma=2.0) -> Node:
 
 def _bias_weight_fwd(node, xs):
     """bias_weight of the input's variances, scaled by the frozen batch min
-    and max: on the record's own batch, record.weight in the input dtype."""
+    and max: on the record's own batch, record.weight in the input dtype.
+    The node's first forward, which bias_loss runs, reuses the record's
+    variances when its input is the very array they were taken from, and
+    drops them; every later forward, such as a finite-difference check's
+    re-forward of an input changed in place, takes its own."""
     a = node.attrs
-    node.ctx = scale_between(batch_variances(xs[0]), a["batch_min"],
-                             a["batch_max"])
+    source, raw = a.pop("record_of", (None, None))
+    if xs[0] is not source:
+        raw = batch_variances(xs[0])
+    node.ctx = scale_between(raw, a["batch_min"], a["batch_max"])
     return bias_weight(node.ctx, a["cfg"]).astype(xs[0].dtype)
 
 
@@ -228,5 +234,6 @@ def bias_loss(logits, labels, feature_map, cfg: BiasLossConfig = None):
         # min and max stay frozen (the scaling is non-smooth there)
         w_node = ad._node("bias_weight", [feature],
                           {"cfg": cfg, "batch_min": record.batch_min,
-                           "batch_max": record.batch_max})
+                           "batch_max": record.batch_max,
+                           "record_of": (feature.value, record.raw)})
     return _weighted_ce(logits, labels, fp, lambda _: w_node), record

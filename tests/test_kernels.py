@@ -448,6 +448,35 @@ def test_inf_propagates():
     assert np.isinf(K.bn_normalize(x, *identity_bn(3), "hswish")[1, 0, 2, 2])
 
 
+@pytest.mark.parametrize("act", ACTS)
+def test_blocks_source_reads_as_the_array(act):
+    # both backwards give x's bytes from a Blocks source of it, reading
+    # each block once per sweep, and bn_normalize into x with a residual
+    # gives a new array's bytes plus the residual's
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(37, 12, 28, 28)).astype(np.float32)
+    g = rng.normal(size=x.shape).astype(np.float32)
+    r = rng.normal(size=x.shape).astype(np.float32)
+    gamma = rng.normal(1.0, 0.1, size=12).astype(np.float32)
+    beta = rng.normal(size=12).astype(np.float32)
+    assert ragged(x)
+    mean, var = K.bn_stats(x)
+    invstd = 1.0 / np.sqrt(var + 1e-5)
+    y = K.bn_normalize(x, mean, invstd, gamma, beta, act)
+    reads = []
+    src = K.Blocks(lambda s: reads.append(s) or x[s].copy(), x.shape,
+                   x.dtype)
+    for fn, sweeps in ((K.bn_bwd_train, 2), (K.bn_bwd_eval, 1)):
+        reads.clear()
+        want = fn(x, y, g, mean, invstd, gamma, beta, act)
+        got = fn(src, y, g, mean, invstd, gamma, beta, act)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert len(reads) == sweeps * -(-len(x) // K._block_len(x))
+    z = x.copy()
+    assert K.bn_normalize(z, mean, invstd, gamma, beta, act, r, out=z) is z
+    assert z.tobytes() == (y + r).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # blocks on the worker pool
 

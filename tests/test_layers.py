@@ -674,12 +674,17 @@ def perturb_bn(module, rng):
         bn.beta.value = rng.normal(0.0, 0.3, c).astype(dtype)
 
 
+def _unfolded_call(self, x, residual=None):
+    y = self.bn(self.conv(x))
+    return y if residual is None else ad.add(residual, y)
+
+
 @contextlib.contextmanager
 def unfolded():
-    """Graphs built inside run every ConvBnAct's BN as its own op."""
+    """Graphs built inside run every ConvBnAct's BN as its own op, and a
+    residual as an add node after it."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(L.ConvBnAct, "__call__",
-                   lambda self, x: self.bn(self.conv(x)))
+        mp.setattr(L.ConvBnAct, "__call__", _unfolded_call)
         yield
 
 
@@ -795,6 +800,117 @@ class TestEvalFold:
         assert got.dtype == np.float32
         np.testing.assert_allclose(got, ref, rtol=0,
                                    atol=1e-6 * np.abs(ref).max())
+
+
+class TestTrainFold:
+    """In train mode a widening 1x1 conv applies its BN and act itself,
+    and a residual block's project BN adds the residual."""
+
+    SPEC = L.MicroNetSpec(
+        in_channels=2, num_classes=3, stem_channels=4,
+        stages=((8, 4, 1, "relu"), (8, 8, 2, "hswish"), (12, 8, 1, "hswish")),
+        skip_insertions=((0, 3),), head_channels=8, dropout=0.0)
+
+    @staticmethod
+    def train_step(model, images, labels, build=contextlib.nullcontext):
+        """(logits, gradients, running statistics) of one train step."""
+        with build():
+            out = model.build(ad.leaf(images))
+        root = ad.neg(ad.mean(ad.take_rows(ad.log_softmax(out.logits),
+                                           labels)))
+        run(root)
+        store = ad.backward(root)
+        return (out.logits.value, [store[p.node] for p in model.parameters()],
+                [b for _, b in model.buffers()])
+
+    def test_matches_unfolded_graph_byte_for_byte(self, kernel_helpers,
+                                                  monkeypatch):
+        # relu and hswish folds, a residual block and the skip block, with
+        # every op walking several kernel blocks of a few samples
+        monkeypatch.setattr(K, "_BLOCK_BYTES", 8192)
+        rng = np.random.default_rng(15)
+        images = rng.normal(size=(24, 2, 12, 12)).astype(np.float32)
+        labels = rng.integers(0, 3, size=24)
+        models = [L.SkipblockNetMicro(self.SPEC, seed=4) for _ in range(2)]
+        folded = models[0].build(ad.leaf(images))
+        acts = {L.folded_bn(n).act for n in ad.topo_order(folded.logits)
+                if n.op == "conv2d" and L.folded_bn(n) is not None}
+        assert acts == {"relu", "hswish"}
+        got = self.train_step(models[0], images, labels)
+        want = self.train_step(models[1], images, labels, unfolded)
+        assert got[0].tobytes() == want[0].tobytes()
+        for a, b in zip(got[1] + got[2], want[1] + want[2]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("act", ["relu", "hswish"])
+    def test_gradients(self, act):
+        # f64 finite differences through a train-mode residual block whose
+        # expand conv folds its BN
+        rng = np.random.default_rng(16)
+        blk = L.InvertedResidual(4, 8, 4, act=act, rng=rng, dtype=np.float64)
+        perturb_bn(blk, rng)
+        x = ad.parameter(rng.normal(size=(3, 4, 5, 5)))
+        y = blk(x)
+        run(y)
+        assert [L.folded_bn(n) for n in ad.topo_order(y)
+                if n.op == "conv2d"] == [blk.expand.bn, None, None]
+        root = dot(y, rng.normal(size=y.value.shape))
+        params = [x] + [p.node for p in blk.parameters()]
+        assert_grads_close(root, params, eps=1e-5, rtol=1e-4, sample=8,
+                           rng=np.random.default_rng(0))
+
+    def test_graph_keeps_no_unfolded_output(self):
+        model = L.SkipblockNetMicro(L.MicroNetSpec(), seed=0)
+        rng = np.random.default_rng(17)
+        out = model.build(ad.leaf(
+            rng.normal(size=(4, 1, 28, 28)).astype(np.float32)))
+        run(out.logits)
+        nodes = ad.topo_order(out.logits)
+        shapes = {n.id: n.inputs[1].value.shape for n in nodes
+                  if n.op == "conv2d"}
+        widening = [n for n in nodes if n.id in shapes
+                    and shapes[n.id][2:] == (1, 1)
+                    and shapes[n.id][0] > shapes[n.id][1]]
+        # five expands, the skip block's expand and project, and the head
+        assert len(widening) == 8
+        bns = {n.inputs[0].id: n for n in nodes if n.op == "batchnorm"}
+        values = [n.value for n in nodes if n.op != "leaf"]
+        for conv in widening:
+            bn = bns[conv.id]
+            assert conv.value is bn.value and bn.ctx[1] is None
+            unfolded_out = L.bn_input(bn)[1]
+            assert not any(v.shape == unfolded_out.shape
+                           and np.array_equal(v, unfolded_out)
+                           for v in values)
+        for i, blk in enumerate(model.blocks, start=1):
+            probe = out.probes[f"block{i}"]
+            assert probe.op == "batchnorm"
+            assert probe.attrs["layer"] is blk.project.bn
+            assert len(probe.inputs) == (4 if blk.use_residual else 3)
+        # the one 4-d add left is the skip block's, whose output the
+        # skip0_5 probe reads alone
+        adds = [n for n in nodes if n.op == "add" and n.value.ndim == 4]
+        assert [n.inputs[1] for n in adds] == [out.probes["skip0_5"]]
+
+    def test_inference_pass_in_train_mode(self):
+        # an inference pass frees the conv's ctx before its BN node runs;
+        # the fold still gives a retaining pass's values
+        rng = np.random.default_rng(18)
+        images = rng.normal(size=(6, 2, 12, 12)).astype(np.float32)
+        models = [L.SkipblockNetMicro(self.SPEC, seed=5) for _ in range(2)]
+        outs = [m.build(ad.leaf(images)) for m in models]
+        got = ad.ForwardPass(keep=(outs[0].logits,)).run(outs[0].logits)
+        assert got.tobytes() == ad.forward(outs[1].logits).tobytes()
+        for (_, a), (_, b) in zip(models[0].buffers(), models[1].buffers()):
+            assert a.tobytes() == b.tobytes()
+
+    def test_residual_needs_a_bn_without_activation(self):
+        bn = L.BatchNorm2d(3, act="relu", name="b.bn")
+        x = ad.constant(np.zeros((1, 3, 2, 2), np.float32))
+        with pytest.raises(ValueError, match=r"^b\.bn: a residual"):
+            bn(x, x)
+        with pytest.raises(ad.ShapeError, match="residual"):
+            run(L.BatchNorm2d(3)(x, ad.constant(np.zeros((1, 3, 2, 1)))))
 
 
 def cba_names(path):

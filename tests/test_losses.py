@@ -301,6 +301,33 @@ class TestBiasLoss:
             a, d = getattr(rec_a, name), getattr(rec_d, name)
             assert a.dtype == d.dtype and np.array_equal(a, d), name
 
+    @pytest.mark.parametrize("detach", [True, False])
+    def test_one_variance_pass_per_loss(self, monkeypatch, detach):
+        # the attached weight's first forward reuses the record's
+        # variances; a re-forward after the input changed in place takes
+        # its own, as a finite-difference check needs
+        calls = []
+        orig = losses.batch_variances
+        monkeypatch.setattr(losses, "batch_variances",
+                            lambda fm: calls.append(fm) or orig(fm))
+        rng = np.random.default_rng(11)
+        fm = ad.parameter(rng.normal(size=(6, 2, 3, 3)))
+        loss, record = bias_loss(rng.normal(size=(6, 4)),
+                                 rng.integers(0, 4, size=6), fm,
+                                 BiasLossConfig(detach_weight=detach))
+        assert len(calls) == 1
+        if detach:
+            return
+        (w,) = [n for n in ad.topo_order(loss) if n.op == "bias_weight"]
+        np.testing.assert_array_equal(w.value, record.weight)
+        fm.value[0] *= 3.0
+        ad.forward(loss)
+        assert len(calls) == 2
+        scaled = losses.scale_between(orig(fm.value), record.batch_min,
+                                      record.batch_max)
+        np.testing.assert_array_equal(w.value, bias_weight(scaled))
+        assert not np.array_equal(w.value, record.weight)
+
     @staticmethod
     def attached_grad_oracle(logits, labels, fm, cfg):
         """dL/d(feature map) of the attached loss in f64, by hand: only the

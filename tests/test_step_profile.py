@@ -1,5 +1,6 @@
 """tools/step_profile.py: a one-step table at batch 8 books every op kind
-of the train step and leaves the dispatch tables as it found them."""
+of the train step, ends with the retained graph's MB and leaves the
+dispatch tables as it found them."""
 
 import re
 import subprocess
@@ -21,17 +22,22 @@ def test_one_step_table():
          "8", "--steps", "1", "--warmup", "0"],
         capture_output=True, text=True, timeout=120, check=True)
     lines = proc.stdout.splitlines()
-    kinds = {line.split()[0] for line in lines[1:-3]}
+    kinds = {line.split()[0] for line in lines[1:-4]}
     assert {"conv2d.dw", "conv2d.1x1", "conv2d.im2col",
+            "conv2d.1x1+bn.train.relu", "conv2d.1x1+bn.train.hswish",
             "batchnorm.train.relu", "batchnorm.train.hswish",
             "batchnorm.train.none", "adaptive_avg_pool"} <= kinds
     assert "8x1x28x28" in proc.stdout  # the stem's input
-    fwd, bwd = map(float, lines[-3].split()[-2:])
-    assert lines[-3].startswith("all ops") and fwd > 0 and bwd > 0
-    assert lines[-2].startswith("step wall ms")
+    fwd, bwd = map(float, lines[-4].split()[-2:])
+    assert lines[-4].startswith("all ops") and fwd > 0 and bwd > 0
+    assert lines[-3].startswith("step wall ms")
     assembly = re.fullmatch(r"batch assembly ms (\S+) \(mean of 1 steps\)",
-                            lines[-1])
+                            lines[-2])
     assert assembly and float(assembly[1]) > 0
+    # a batch-8 train graph keeps 5.4 MB; it kept 7.5 MB when every BN
+    # kept its conv's output in train mode
+    retained = re.fullmatch(r"retained train graph MB (\S+)", lines[-1])
+    assert retained and 4.5 < float(retained[1]) < 6.5
 
 
 def test_timer_books_calls_and_restores_tables():
@@ -55,6 +61,7 @@ def test_op_kinds():
     kinds = {step_profile.op_kind(n) for n in ad.topo_order(out.logits)
              if n.op != "leaf"}
     assert {"conv2d.dw", "conv2d.1x1", "conv2d.im2col",
+            "conv2d.1x1+bn.train.relu", "conv2d.1x1+bn.train.hswish",
             "batchnorm.train.relu", "batchnorm.train.hswish",
             "batchnorm.train.none"} <= kinds
     with model.evaluating():

@@ -14,11 +14,16 @@ Each op's forward and backward are timed at dispatch, by wrapping the
 entries of autodiff._FORWARD and _BACKWARD, and booked to the op's kind
 and input shape. Convs are split into depthwise (conv2d.dw), 1x1
 (conv2d.1x1) and im2col (conv2d.im2col) kinds, batch norms by mode and
-activation (batchnorm.train.relu, ...). The table gives each row's calls,
-forward ms and backward ms per step, largest first, then the totals over
-all ops, the mean wall ms of a step and, on the last line, the mean ms of
+activation (batchnorm.train.relu, ...). A widening 1x1 conv that applies
+its train-mode BN itself is booked as conv2d.1x1+bn.train.<act>, so that
+the BN work it does is not read as conv time. The table gives each row's
+calls, forward ms and backward ms per step, largest first, then the
+totals over all ops, the mean wall ms of a step and the mean ms of
 assembling a step's batch (rotation and normalization, inline), which the
-step's wall time does not include.
+step's wall time does not include. The last line gives the MB (10^6
+bytes) that one retaining train forward at --batch keeps, measured with
+tracemalloc on a fresh graph: the activations and contexts a backward
+reads.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import collections
 import contextlib
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +46,14 @@ def op_kind(node):
         if node.attrs["groups"] > 1:
             return "conv2d.dw"
         kh, kw = node.inputs[1].value.shape[2:]
-        return "conv2d.1x1" if kh == kw == 1 else "conv2d.im2col"
+        if kh != 1 or kw != 1:
+            return "conv2d.im2col"
+        from biasloss import layers
+        # checkouts older than the train-mode fold have no folded_bn
+        bn = getattr(layers, "folded_bn", lambda conv: None)(node)
+        if bn is not None and bn.training:
+            return f"conv2d.1x1+bn.train.{bn.act or 'none'}"
+        return "conv2d.1x1"
     if node.op == "batchnorm":
         mode = "train" if node.attrs["layer"].training else "eval"
         return f"batchnorm.{mode}.{node.attrs['act'] or 'none'}"
@@ -111,8 +124,29 @@ def profile(batch, steps, warmup, seed):
     return totals, walls, assembly
 
 
-def table(totals, walls, assembly):
-    """The printed report: one row per (kind, shape), then totals."""
+def retained_mb(batch, seed):
+    """MB that one retaining train forward keeps: the bytes tracemalloc
+    traces after a train-mode forward and loss of a fresh graph on a
+    batch of batch images, less those before it."""
+    from biasloss import autodiff as ad, data, layers, train
+    cfg = train.TrainConfig(dataset="mnist", loss="bias", batch_size=batch,
+                            seed=seed, prefetch=False)
+    ds = data.make_synthetic("mnist", batch, seed=seed)
+    model = layers.SkipblockNetMicro(cfg.model_spec(), seed=cfg.seed)
+    graph = model.build(ad.leaf(np.ascontiguousarray(ds.images),
+                                name="input"))
+    tracemalloc.start()
+    try:
+        train._batch_loss(cfg, graph.logits, graph.feature_map, ds.labels,
+                          train._epoch_stats(), "retained")
+        return tracemalloc.get_traced_memory()[0] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def table(totals, walls, assembly, retained):
+    """The printed report: one row per (kind, shape), then totals and the
+    retained graph's MB."""
     n = len(walls)
     rows = collections.defaultdict(lambda: [0, 0.0, 0.0])  # calls, fwd, bwd
     for (kind, shape, phase), (seconds, calls) in totals.items():
@@ -122,19 +156,20 @@ def table(totals, walls, assembly):
             row[1] += seconds * 1e3 / n
         else:
             row[2] += seconds * 1e3 / n
-    lines = [f"{'op':<22} {'input shape':<16} {'calls':>5} {'fwd ms':>8} "
+    lines = [f"{'op':<26} {'input shape':<16} {'calls':>5} {'fwd ms':>8} "
              f"{'bwd ms':>8}"]
     for (kind, shape), (calls, fwd, bwd) in sorted(
             rows.items(), key=lambda kv: -(kv[1][1] + kv[1][2])):
-        lines.append(f"{kind:<22} {shape:<16} {calls / n:>5g} {fwd:>8.2f} "
+        lines.append(f"{kind:<26} {shape:<16} {calls / n:>5g} {fwd:>8.2f} "
                      f"{bwd:>8.2f}")
     fwd = sum(r[1] for r in rows.values())
     bwd = sum(r[2] for r in rows.values())
-    lines.append(f"{'all ops':<22} {'':<16} {'':>5} {fwd:>8.2f} {bwd:>8.2f}")
+    lines.append(f"{'all ops':<26} {'':<16} {'':>5} {fwd:>8.2f} {bwd:>8.2f}")
     lines.append(f"step wall ms {sum(walls) * 1e3 / n:.2f} (mean of {n} "
                  f"steps)")
     lines.append(f"batch assembly ms {sum(assembly) * 1e3 / n:.2f} (mean of "
                  f"{n} steps)")
+    lines.append(f"retained train graph MB {retained:.1f}")
     return "\n".join(lines)
 
 
@@ -156,7 +191,8 @@ def main(argv=None):
     if not (src / "biasloss" / "__init__.py").is_file():
         sys.exit(f"step_profile: no engine source under {src}")
     sys.path.insert(0, str(src))  # profile() imports the engine from here
-    print(table(*profile(args.batch, args.steps, args.warmup, args.seed)))
+    print(table(*profile(args.batch, args.steps, args.warmup, args.seed),
+                retained_mb(args.batch, args.seed)))
 
 
 if __name__ == "__main__":
