@@ -19,6 +19,16 @@ that applied its BN, x, the conv output before it, is not stored: the
 backwards take a block source (Blocks) in its place, which recomputes
 each block with the conv's per-sample GEMM whenever a sweep reads it, so
 the train-mode backward, with its two sweeps, computes each block twice.
+The other way round, a 1x1 conv can apply the train-mode BN of its
+input: it reads that input through a BNBlocks source, which normalizes
+and activates each block right before the block's GEMMs, so the BN
+output is never stored. Its backward (bn_gemm_bwd) rebuilds each block
+the same way and runs the BN backward's first sweep on the block's dy in
+the same walk; bn_bwd_train takes that FirstSweep in place of g and runs
+the second sweep alone. So in train mode a BN is applied by its own op
+(bn_normalize), by the conv before it (bn_normalize into the conv's
+output) or by the conv after it (BNBlocks); in eval mode always by the
+conv before it, as a conv epilogue (below).
 Per-channel operands are expanded to one contiguous sample [1, c, h, w],
 which numpy's binary loops take faster than a broadcast [1, c, 1, 1].
 
@@ -37,7 +47,9 @@ numpy adds two row slices of a block several times slower than the whole
 blocks. The weight gradient reads each kernel row's kw diagonals with one
 gather. Every other conv is dense: one GEMM per sample on im2col columns,
 walked in the same blocks, forward and backward; only the backward's
-float64 batch sum of weight partials runs on the caller. Both conv
+float64 batch sum of weight partials runs on the caller. The columns may
+be a Blocks source (the stem's im2col, or a BNBlocks), computed for each
+block as the GEMM reads it. Both conv
 forwards take an optional epilogue, a per-channel shift and an
 activation, applied to each output block right after its GEMMs; an
 eval-mode batch norm folded into the conv runs there, while the block is
@@ -172,7 +184,8 @@ class Blocks:
     """A [b, ...] operand that is never stored whole: the kernels read it
     one block of the batch at a time, and self[s] is fn(s), a new array,
     for a slice s of the first axis. shape and dtype are those of the
-    array it stands for; the batch-norm backwards take one for x."""
+    array it stands for. The batch-norm backwards take one for x, and the
+    dense conv kernels take one for their columns."""
 
     def __init__(self, fn, shape, dtype):
         self.fn, self.shape, self.dtype = fn, tuple(shape), np.dtype(dtype)
@@ -337,11 +350,15 @@ def gemm_conv_fwd(w, cols, shift=None, act=None):
     Each block of the batch runs its GEMMs into its slice of the output and
     then the epilogue, while that slice is still in cache. Blocked matmul
     calls the same GEMM per sample as a whole-batch one, so the GEMM
-    results are the same bytes.
+    results are the same bytes. cols may be a Blocks source (a BNBlocks
+    or per-block im2col columns); blocks are cut by the larger of the
+    output and the columns, as in gemm_conv_bwd, so a block of a source
+    stays in cache too.
     """
     _check_act(act)
-    b, _, p = cols.shape
-    out = np.empty((b, w.shape[0], p), dtype=np.result_type(w, cols))
+    b, k, p = cols.shape
+    m = w.shape[0]
+    out = np.empty((b, m, p), dtype=np.result_type(w.dtype, cols.dtype))
     shift = None if shift is None else _channel(shift, out)
 
     def block(s):
@@ -349,7 +366,7 @@ def gemm_conv_fwd(w, cols, shift=None, act=None):
         np.matmul(w, cols[s], out=o)
         _epilogue(o, shift, act)
 
-    _map_blocks(block, out)
+    _map_blocks(block, out if m >= k else cols)
     return out
 
 
@@ -451,10 +468,11 @@ def gemm_conv_bwd(w, cols, g, need_dx=True):
 
     Each block of the batch runs its GEMMs into its slices of dcol and of
     the partials; only the float64 sum runs on the caller, in sample order.
+    cols may be a Blocks source, read once per block.
     """
     b, m, p = g.shape
     k = cols.shape[1]
-    parts = np.empty((b, m, k), dtype=np.result_type(g, cols))
+    parts = np.empty((b, m, k), dtype=np.result_type(g.dtype, cols.dtype))
     dcol = np.empty((b, k, p), dtype=np.result_type(w, g)) if need_dx else None
     wt = w.T  # a view: a contiguous copy of w^T gives dcol other bytes
 
@@ -591,15 +609,101 @@ def bn_normalize(x, mean, invstd, gamma, beta, act=None, residual=None,
 
     def block(s):
         o = out[s]
-        np.subtract(x[s], m, out=o)
-        np.multiply(o, scale, out=o)
-        np.add(o, shift, out=o)
-        _act(o, act)
+        _bn_act(np.subtract(x[s], m, out=o), scale, shift, act)
         if residual is not None:
             np.add(o, residual[s], out=o)
 
     _map_blocks(block, x)
     return out
+
+
+def _bn_act(t, scale, shift, act):
+    """t holds a block's x - m; overwrites it with act(t * scale + shift),
+    as bn_normalize and BNBlocks form the BN output (bn_gemm_bwd does the
+    same operations), so that each copy has the same bytes. Returns t."""
+    np.multiply(t, scale, out=t)
+    np.add(t, shift, out=t)
+    _act(t, act)
+    return t
+
+
+class BNBlocks(Blocks):
+    """act(bn(x)) for x [b, c, ...], as a Blocks source: each block a
+    kernel reads is normalized and activated then, with bn_normalize's
+    operations and so its bytes, and the whole output is never stored. A
+    1x1 conv reads its input's train-mode BN through one (gemm_conv_fwd),
+    and bn_gemm_bwd rebuilds each block from x the same way."""
+
+    def __init__(self, x, mean, invstd, gamma, beta, act):
+        _check_act(act)
+        self.x, self.act = x, act
+        self.affine = _affine(x, mean, invstd, gamma, beta)
+        m, scale, shift = self.affine
+        super().__init__(
+            lambda s: _bn_act(np.subtract(x[s], m), scale, shift, act),
+            x.shape, x.dtype)
+
+
+class FirstSweep:
+    """Sweep 1 of a train-mode BN backward (_act_grad_sums), finished by
+    the op that reads the BN's output: gz = g * act'(z) in x's shape or
+    its [b, c, h*w] view, and the per-channel float64 sums of gz and of
+    gz * (x - m). bn_bwd_train takes it in place of g and runs sweep 2
+    alone."""
+
+    __slots__ = ("gz", "sum_g", "sum_gx")
+
+    def __init__(self, gz, sum_g, sum_gx):
+        self.gz, self.sum_g, self.sum_gx = gz, sum_g, sum_gx
+
+
+def bn_gemm_bwd(w, cols, g):
+    """(FirstSweep, dw) for gemm_conv_fwd(w, cols) with cols a BNBlocks
+    source over x [b, k, p] and g [b, m, p] the gradient of the output.
+
+    One walk over the blocks of x: each block rebuilds y = act(bn(x)) as
+    the forward read it, takes its weight-gradient partials g[i] @ y[i]^T
+    and dy = w^T @ g[i] per sample, then sweep 1 of the BN backward on
+    dy: gz = dy * act'(z) and the block's row partials of gz and gz *
+    (x - m). So neither y nor dy is stored whole, only gz. Every product
+    and sum is the one gemm_conv_bwd and _act_grad_sums compute in the
+    same blocks of x, so the bytes are theirs; dw's partials are summed in
+    float64 on the caller in sample order.
+    """
+    x, act = cols.x, cols.act
+    m, scale, shift = cols.affine
+    b, k, p = x.shape
+    ones = np.ones(p, dtype=x.dtype)
+    parts = np.empty((b, w.shape[0], k), dtype=np.result_type(g.dtype,
+                                                                x.dtype))
+    gz = np.empty(x.shape, x.dtype)
+    wt = w.T  # a view, as in gemm_conv_bwd
+
+    def block(s):
+        o = gz[s]
+        t = np.subtract(x[s], m)
+        y = np.multiply(t, scale)
+        np.add(y, shift, out=y)
+        if act == "hswish":
+            o[...] = y  # the pre-activation z, which _hswish_grad reads
+        _act(y, act)
+        np.matmul(g[s], y.swapaxes(1, 2), out=parts[s])
+        if act == "hswish":
+            _hswish_grad(o, np.matmul(wt, g[s]))
+        else:
+            np.matmul(wt, g[s], out=o)
+            if act == "relu":  # act'(z) = [y > 0]
+                np.multiply(o, np.greater(y, 0, out=y), out=o)
+        np.multiply(t, o, out=t)
+        return _row_sums(o, ones), _row_sums(t, ones)
+
+    sum_g = np.zeros(k)
+    sum_gx = np.zeros(k)
+    for sg, sgx in _map_blocks(block, x):
+        sum_g += sg
+        sum_gx += sgx
+    dw = np.add.reduce(parts, axis=0, dtype=np.float64).astype(w.dtype)
+    return FirstSweep(gz, sum_g, sum_gx), dw
 
 
 def _act_grad_sums(x, y, g, mean, invstd, gamma, beta, act):
@@ -645,11 +749,18 @@ def bn_bwd_train(x, y, g, mean, invstd, gamma, beta, act=None):
 
     Two sweeps: the first writes g * act'(z) into dx and sums it, the
     second finishes dx in place. Each reads its block of x anew, so a
-    Blocks source computes every block twice and is never stored.
+    Blocks source computes every block twice and is never stored. g may
+    instead be a FirstSweep that the op reading the BN's output finished in
+    its own walk (bn_gemm_bwd); then only the second sweep runs, and y is
+    not read.
     """
     count = x.shape[0] * x.shape[2] * x.shape[3]
-    m, gz, sum_g, sum_gx = _act_grad_sums(x, y, g, mean, invstd, gamma,
-                                          beta, act)
+    if isinstance(g, FirstSweep):
+        m = _channel(mean.astype(x.dtype), x)  # the centre of _affine
+        gz, sum_g, sum_gx = g.gz.reshape(x.shape), g.sum_g, g.sum_gx
+    else:
+        m, gz, sum_g, sum_gx = _act_grad_sums(x, y, g, mean, invstd, gamma,
+                                              beta, act)
     # x is centred on the mean rounded to x's dtype; the rounding residual
     # d is folded back in f64
     d = mean - mean.astype(x.dtype)
@@ -660,7 +771,7 @@ def bn_bwd_train(x, y, g, mean, invstd, gamma, beta, act=None):
     c2 = k * invstd * dgamma / count
     a = k * dbeta / count - d * c2
     k, a, c2 = (_channel(v, x) for v in (k, a, c2))
-    dx = np.empty(x.shape, x.dtype) if act is None else gz
+    dx = np.empty(x.shape, x.dtype) if gz is g else gz  # g is the caller's
 
     def grad(s):
         o = dx[s]

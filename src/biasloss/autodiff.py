@@ -9,9 +9,10 @@ leaves' in a fresh :class:`GradStore`.
 
 A forward pass either retains every node's value and ctx, which a backward
 reads, or is an inference pass: the caller names up front the nodes it
-will read, and the pass frees every other non-leaf value once its last
-consumer has run and every ctx right after its node's forward, so the live
-activations are the frontier of the walk plus the named nodes'.
+will read, and the pass frees every other non-leaf value, and every ctx,
+once the node's last consumer has run (a consumer's forward may read its
+input's ctx), so the live activations are the frontier of the walk plus
+the named nodes'.
 
 The registered ops are exactly those that the network and its three
 losses run; layers adds the conv, batchnorm, pooling and dropout ops, and
@@ -197,8 +198,9 @@ class ForwardPass:
     run computes the whole ancestry of every kept node, in the topological
     order that also counts each node's consumers, so later runs just read
     their value. A non-leaf value that is not kept is freed once its last
-    consumer has run, and each node's ctx right after its own forward;
-    kept values and leaves stay.
+    consumer has run, and so is every node's ctx (a node that nothing in
+    the pass reads drops its ctx right after its own forward); kept values
+    and leaves stay.
     """
 
     def __init__(self, validate=False, keep=None):
@@ -244,12 +246,14 @@ class ForwardPass:
 
     def _release(self, node):
         """Drop what an inference pass no longer needs once node ran."""
-        node.ctx = None
+        if not self._uses.get(node.id):
+            node.ctx = None
         for inp in node.inputs:
             self._uses[inp.id] -= 1
-            if (not self._uses[inp.id] and inp.op != "leaf"
-                    and inp.id not in self._keep):
-                inp.value = None
+            if not self._uses[inp.id]:
+                inp.ctx = None
+                if inp.op != "leaf" and inp.id not in self._keep:
+                    inp.value = None
 
 
 def forward(root, validate=False):

@@ -7,8 +7,11 @@ the padding lives in the band, so no padded copy is made. A dense conv
 (1x1 and the stem) is one GEMM per sample on im2col columns, W
 [cout, cin*kh*kw] @ cols[i] [cin*kh*kw, oh*ow]. For a 1x1 kernel at
 stride 1 the columns are the NCHW activation itself, with no layout
-copy. The dense backward runs on the same block walk: each block's
-weight-gradient partials and column gradients are its own GEMMs. Adaptive
+copy. The stem's columns are a _kernels.Blocks source that runs _im2col
+on each block as a kernel reads it, in the forward and again in the
+backward, so the stem keeps only its input image. The dense backward
+runs on the same block walk: each block's weight-gradient partials and
+column gradients are its own GEMMs. Adaptive
 average pooling is one GEMM per sample against an averaging matrix built
 once per shape; the global pool's backward is g times the matrix's one
 row, the same products without a K=1 GEMM per sample. Each of these GEMMs
@@ -50,6 +53,27 @@ _kernels.Blocks source, so it is never stored whole either), runs the
 BN's backward on it, then the conv's own backward; its relu mask comes
 from the values the folded conv returned. A BatchNorm2d used on its own
 still normalizes.
+
+In train mode the BN after an InvertedResidual's depthwise conv defers
+to the project conv after it (prologue_bn), unless that conv widens and
+folds its own BN: the BN node takes the batch statistics, updates the
+running statistics and returns the depthwise output itself, and the
+project conv reads its input through a _kernels.BNBlocks source, which
+normalizes and activates each block right before the block's GEMMs. Its
+backward rebuilds each block the same way, takes the weight-gradient
+partials and dy from it and runs the BN backward's first sweep on dy in
+the same walk (_kernels.bn_gemm_bwd); the BN node gets that finished
+sweep in place of a gradient and runs the second. So the depthwise BN's
+output is never stored, nor its dy. Which op applies each BN of the
+default network:
+
+    BN after                     eval mode    train mode
+    stem conv                    stem conv    its own node
+    widening 1x1 conv (expand,   the conv     the conv, in place
+      head, skip block's two)
+    block's depthwise conv       dw conv      the project conv, per block
+    skip block's depthwise conv  dw conv      its own node
+    narrowing project conv       the conv     its own node, with residual
 
 Layer objects own their parameter nodes; calling a layer on an input node
 extends the graph, so one set of weights can back several graphs. A graph
@@ -108,8 +132,8 @@ def _conv2d_fwd(node, xs):
     # ctx is (columns, batch statistics): a depthwise conv's kernels read x
     # itself (columns None); a dense one is a GEMM per sample,
     # [cout, cin*kh*kw] @ [b, cin*kh*kw, oh*ow]
-    cols = None if groups == cin == cout else _im2col(x, kh, kw, stride, pad)
-    node.ctx = (cols, None)
+    node.ctx = (None if groups == cin == cout else
+                _columns(node, x, kh, kw, stride, pad), None)
     bn = folded_bn(node)
     if bn is None:
         return _conv(node, x, w)
@@ -121,9 +145,32 @@ def _conv2d_fwd(node, xs):
     # statistics for the BN node to pass on
     out = _conv(node, x, w)
     m, invstd = _batch_stats(bn, out)
-    node.ctx = (cols, (m, invstd))
+    node.ctx = (node.ctx[0], (m, invstd))
     return K.bn_normalize(out, m, invstd, bn.gamma.value, bn.beta.value,
                           bn.act, out=out)
+
+
+def _columns(node, x, kh, kw, stride, pad):
+    """Dense conv node's im2col columns of x, [b, cin*kh*kw, oh*ow], as
+    its kernels read them. For a 1x1 kernel at stride 1 without padding
+    they are x itself, viewed, or the BN and act of a train-mode BN node
+    that defers to this conv (prologue_bn), applied to each block as it is
+    read (K.BNBlocks). Any other kernel's columns are a K.Blocks source
+    that runs _im2col on each block of the batch, so that only x is kept.
+    """
+    b, cin, h, wd = x.shape
+    if kh == kw == stride == 1 and not pad:
+        cols = x.reshape(b, cin, h * wd)
+        bn = prologue_bn(node)
+        if bn is None:
+            return cols
+        m, invstd = node.inputs[0].ctx[2:]
+        return K.BNBlocks(cols, m, invstd, bn.gamma.value, bn.beta.value,
+                          bn.act)
+    oh = K.conv_out_size(h, kh, stride, pad)
+    ow = K.conv_out_size(wd, kw, stride, pad)
+    return K.Blocks(lambda s: _im2col(x[s], kh, kw, stride, pad),
+                    (b, cin * kh * kw, oh * ow), x.dtype)
 
 
 def folded_bn(conv):
@@ -136,6 +183,22 @@ def folded_bn(conv):
         return bn
     cout, cin, kh, kw = conv.inputs[1].value.shape
     return bn if kh == kw == 1 and cout > cin else None
+
+
+def _defers(node):
+    """Whether batchnorm node defers its BN and act to the 1x1 conv that
+    reads it: a train-mode BN built with defer (InvertedResidual's
+    depthwise BN)."""
+    return node.attrs.get("defer", False) and node.attrs["layer"].training
+
+
+def prologue_bn(conv):
+    """The BatchNorm2d that conv node's forward applies to its input, or
+    None: the BN of an input node that defers to it (_defers), whose
+    normalization and act the conv runs on each block of its input right
+    before the block's GEMMs."""
+    x = conv.inputs[0]
+    return x.attrs["layer"] if x.op == "batchnorm" and _defers(x) else None
 
 
 def _conv(node, x, w, shift=None, act=None):
@@ -167,10 +230,12 @@ def _fold(bn, w):
 
 
 def _im2col(x, kh, kw, stride, pad):
-    """[b, c*kh*kw, oh*ow] input windows, one column per output position.
-    For a 1x1 kernel at stride 1 without padding this is a view of x."""
+    """[b, c*kh*kw, oh*ow] input windows, one column per output position."""
     b, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    xp = x
+    if pad:  # a zeroed copy: with np.pad an 18-image block took 70, not 42 us
+        xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad:pad + h, pad:pad + w] = x
     oh = K.conv_out_size(h, kh, stride, pad)
     ow = K.conv_out_size(w, kw, stride, pad)
     sb, sc, sh, sw = xp.strides
@@ -206,6 +271,11 @@ def _conv2d_bwd(node, g):
     if cols is None:
         dx, dw = K.dw_conv_bwd(np.ascontiguousarray(x), w[:, 0],
                                np.ascontiguousarray(g), stride, pad)
+    elif isinstance(cols, K.BNBlocks):
+        # the walk that rebuilds each block of the input's BN output also
+        # runs that BN backward's first sweep; its node gets the sweep
+        dx, dw = K.bn_gemm_bwd(w.reshape(cout, -1), cols,
+                               g.reshape(b, cout, oh * ow))
     else:
         # an input without gradient, like the stem's images, skips its dx
         dcol, dw = K.gemm_conv_bwd(w.reshape(cout, -1), cols,
@@ -256,9 +326,7 @@ def _batchnorm_fwd(node, xs):
     if not layer.training:
         m, invstd = layer.running_mean.astype(np.float64), _invstd(layer)
     elif folded:
-        # the conv took the batch statistics; an inference pass has freed
-        # them with its ctx, and reads no more
-        m, invstd = conv.ctx[1] if conv.ctx else (None, None)
+        m, invstd = conv.ctx[1]  # the conv took the batch statistics
     else:
         m, invstd = _batch_stats(layer, x)
     if folded:
@@ -266,6 +334,8 @@ def _batchnorm_fwd(node, xs):
         node.ctx = (mode, None, m, invstd)
         return x if residual is None else np.add(x, residual)
     node.ctx = (mode, x, m, invstd)
+    if _defers(node):
+        return x  # the conv that reads x applies the BN (prologue_bn)
     return K.bn_normalize(x, m, invstd, gamma, beta, node.attrs["act"],
                           residual)
 
@@ -307,7 +377,8 @@ def _bn_operands(node):
         else:
             w2, shape = w.reshape(len(w), -1), conv.value.shape
             x = K.Blocks(lambda s: np.matmul(w2, cols[s]).reshape(
-                (-1,) + shape[1:]), shape, np.result_type(w2, cols))
+                (-1,) + shape[1:]), shape, np.result_type(w2.dtype,
+                                                          cols.dtype))
     return mode, x, m, invstd
 
 
@@ -320,11 +391,13 @@ def bn_input(node):
 def _batchnorm_bwd(node, g):
     # relu reads its derivative from the kept output; the BN output before
     # act is not kept, and the kernel recomputes it from x for hswish. A
-    # residual input's gradient is g itself.
+    # residual input's gradient is g itself. A BN that deferred to its conv
+    # gets a K.FirstSweep from that conv's backward in place of g.
     mode, x, m, invstd = _bn_operands(node)
     gamma, beta = node.inputs[1].value, node.inputs[2].value
     bwd = K.bn_bwd_eval if mode == "eval" else K.bn_bwd_train
-    g = np.ascontiguousarray(g)
+    if not isinstance(g, K.FirstSweep):
+        g = np.ascontiguousarray(g)
     return [*bwd(x, node.value, g, m, invstd, gamma, beta,
                  node.attrs["act"]), *[g] * (len(node.inputs) - 3)]
 
@@ -548,15 +621,18 @@ class BatchNorm2d(Module):
         self.name = name
         self.act = act
 
-    def __call__(self, x, residual=None):
+    def __call__(self, x, residual=None, defer=False):
         """The BN node of x; a residual node, for a BN without activation,
-        is added to its output in the same walk."""
+        is added to its output in the same walk. With defer, the node in
+        train mode takes the batch statistics and returns x itself, and the
+        one op that reads it must be a 1x1 conv at stride 1, which applies
+        this BN and act (prologue_bn)."""
         if residual is not None and self.act is not None:
             raise ValueError(f"{self.name}: a residual joins a batch norm "
                              f"without activation only, not {self.act!r}")
         extra = [] if residual is None else [residual]
         return _node("batchnorm", [x, self.gamma, self.beta, *extra],
-                     {"layer": self, "act": self.act})
+                     {"layer": self, "act": self.act, "defer": defer})
 
 
 class Linear(Module):
@@ -588,7 +664,7 @@ class ConvBnAct(Module):
     """conv -> BN -> optional activation, the workhorse sub-block. The
     activation runs inside the BN op; where the conv folds the BN
     (folded_bn), the conv op computes BN and activation in its own block
-    walk. A residual goes to the BN (BatchNorm2d.__call__)."""
+    walk. A residual and defer go to the BN (BatchNorm2d.__call__)."""
 
     def __init__(self, cin, cout, kernel, stride=1, padding=0, groups=1,
                  act="relu", rng=None, dtype=np.float32, name="cba"):
@@ -596,14 +672,17 @@ class ConvBnAct(Module):
                            rng=rng, dtype=dtype, name=f"{name}.conv")
         self.bn = BatchNorm2d(cout, dtype=dtype, name=f"{name}.bn", act=act)
 
-    def __call__(self, x, residual=None):
-        return self.bn(self.conv(x, self.bn), residual)
+    def __call__(self, x, residual=None, defer=False):
+        return self.bn(self.conv(x, self.bn), residual, defer)
 
 
 class InvertedResidual(Module):
     """expand 1x1 -> depthwise 3x3 -> linear project 1x1, with residual
     when stride is 1 and channel counts match; the project BN adds the
-    residual, so no separate add node keeps the BN's output."""
+    residual, so no separate add node keeps the BN's output. In train
+    mode the project conv applies the depthwise BN to its input
+    (prologue_bn), unless it widens and so folds its own BN (folded_bn),
+    whose backward would rebuild the depthwise BN in each of its sweeps."""
 
     def __init__(self, cin, expand, cout, stride=1, act="relu", rng=None,
                  dtype=np.float32, name="block"):
@@ -616,9 +695,10 @@ class InvertedResidual(Module):
                                  dtype=dtype, name=f"{name}.project")
         self.use_residual = (stride == 1 and cin == cout)
         self.cout, self.stride = cout, stride
+        self.defer = cout <= expand
 
     def __call__(self, x):
-        return self.project(self.depthwise(self.expand(x)),
+        return self.project(self.depthwise(self.expand(x), defer=self.defer),
                             x if self.use_residual else None)
 
 

@@ -17,7 +17,9 @@ derivative is [y > 0], read from the op's output y. For a BN folded into
 its conv, y is the folded conv's output, while the checker's kink
 signature recomputes the unfolded pre-activation; the two can differ in
 sign only within rounding of the kink, where the secant crosses it and
-the entry is skipped anyway.
+the entry is skipped anyway. For a BN that defers to the 1x1 conv after
+it, the conv's backward rebuilds y with bn_normalize's own operations,
+so the signature matches it exactly.
 
 The oracle re-runs forward on the *same* graph, so detached subgraphs
 (e.g. frozen loss weights) stay frozen, matching the semantics backward

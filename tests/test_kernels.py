@@ -477,6 +477,65 @@ def test_blocks_source_reads_as_the_array(act):
     assert z.tobytes() == (y + r).tobytes()
 
 
+# (channels in, channels out, size, act) of the five narrowing project
+# convs of the default network, each reading its depthwise BN's output
+PROJECT_SHAPES = [(16, 8, 28, "relu"), (24, 12, 14, "relu"),
+                  (36, 12, 14, "relu"), (48, 24, 7, "hswish"),
+                  (72, 24, 7, "hswish")]
+
+
+@pytest.mark.parametrize("act", ACTS)
+@pytest.mark.parametrize("cin,cout,h,model_act", PROJECT_SHAPES,
+                         ids=[f"{c}to{o}x{h}" for c, o, h, _ in
+                              PROJECT_SHAPES])
+def test_bn_prologue_matches_the_two_kernels(cin, cout, h, model_act, act):
+    # the conv on a BNBlocks source and its fused backward walk give the
+    # bytes of bn_normalize and gemm_conv_fwd, and of gemm_conv_bwd and
+    # the BN backward's first sweep (_act_grad_sums) on its dx; bn_bwd_train
+    # given the finished sweep gives what it gives from g
+    rng = np.random.default_rng(10)
+    n = K._BLOCK_BYTES // (4 * cin * h * h)  # samples per block
+    b = n + n // 2 + 1
+    x = rng.normal(0.3, 1.5, size=(b, cin, h, h)).astype(np.float32)
+    w = rng.normal(size=(cout, cin)).astype(np.float32)
+    g = rng.normal(size=(b, cout, h * h)).astype(np.float32)
+    gamma = rng.normal(1.0, 0.1, size=cin).astype(np.float32)
+    beta = rng.normal(size=cin).astype(np.float32)
+    assert ragged(x)
+    mean, var = K.bn_stats(x)
+    invstd = 1.0 / np.sqrt(var + 1e-5)
+    y = K.bn_normalize(x, mean, invstd, gamma, beta, act)
+    cols = K.BNBlocks(x.reshape(b, cin, -1), mean, invstd, gamma, beta, act)
+    assert (K.gemm_conv_fwd(w, cols).tobytes()
+            == K.gemm_conv_fwd(w, y.reshape(b, cin, -1)).tobytes())
+    dcol, want_dw = K.gemm_conv_bwd(w, y.reshape(b, cin, -1), g)
+    dy = dcol.reshape(x.shape)
+    _, want_gz, want_sg, want_sgx = K._act_grad_sums(
+        x, y, dy.copy(), mean, invstd, gamma, beta, act)
+    sweep, dw = K.bn_gemm_bwd(w, cols, g)
+    assert dw.dtype == want_dw.dtype and dw.tobytes() == want_dw.tobytes()
+    assert sweep.gz.tobytes() == want_gz.tobytes()
+    assert sweep.sum_g.tobytes() == want_sg.tobytes()
+    assert sweep.sum_gx.tobytes() == want_sgx.tobytes()
+    got = K.bn_bwd_train(x, None, sweep, mean, invstd, gamma, beta, act)
+    want = K.bn_bwd_train(x, y, dy, mean, invstd, gamma, beta, act)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_bn_prologue_reads_each_block_once():
+    # the fused backward rebuilds each block of its source from x once
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(37, 12, 196)).astype(np.float32)
+    w = rng.normal(size=(6, 12)).astype(np.float32)
+    g = rng.normal(size=(37, 6, 196)).astype(np.float32)
+    cols = K.BNBlocks(x, *identity_bn(12), "relu")
+    reads = []
+    cols.x = K.Blocks(lambda s: reads.append(s) or x[s], x.shape, x.dtype)
+    K.bn_gemm_bwd(w, cols, g)
+    n = K._block_len(x)
+    assert reads == [np.s_[s:s + n] for s in range(0, len(x), n)]
+
+
 # ---------------------------------------------------------------------------
 # blocks on the worker pool
 

@@ -674,7 +674,7 @@ def perturb_bn(module, rng):
         bn.beta.value = rng.normal(0.0, 0.3, c).astype(dtype)
 
 
-def _unfolded_call(self, x, residual=None):
+def _unfolded_call(self, x, residual=None, defer=False):
     y = self.bn(self.conv(x))
     return y if residual is None else ad.add(residual, y)
 
@@ -682,7 +682,7 @@ def _unfolded_call(self, x, residual=None):
 @contextlib.contextmanager
 def unfolded():
     """Graphs built inside run every ConvBnAct's BN as its own op, and a
-    residual as an add node after it."""
+    residual as an add node after it; no BN defers to the conv after it."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(L.ConvBnAct, "__call__", _unfolded_call)
         yield
@@ -833,9 +833,10 @@ class TestTrainFold:
         labels = rng.integers(0, 3, size=24)
         models = [L.SkipblockNetMicro(self.SPEC, seed=4) for _ in range(2)]
         folded = models[0].build(ad.leaf(images))
-        acts = {L.folded_bn(n).act for n in ad.topo_order(folded.logits)
-                if n.op == "conv2d" and L.folded_bn(n) is not None}
-        assert acts == {"relu", "hswish"}
+        convs = [n for n in ad.topo_order(folded.logits) if n.op == "conv2d"]
+        for bn_of in (L.folded_bn, L.prologue_bn):
+            assert {bn_of(n).act for n in convs
+                    if bn_of(n) is not None} == {"relu", "hswish"}
         got = self.train_step(models[0], images, labels)
         want = self.train_step(models[1], images, labels, unfolded)
         assert got[0].tobytes() == want[0].tobytes()
@@ -893,8 +894,10 @@ class TestTrainFold:
         assert [n.inputs[1] for n in adds] == [out.probes["skip0_5"]]
 
     def test_inference_pass_in_train_mode(self):
-        # an inference pass frees the conv's ctx before its BN node runs;
-        # the fold still gives a retaining pass's values
+        # an inference pass keeps a node's ctx until its last consumer has
+        # run, so a folded BN node reads its conv's batch statistics and a
+        # project conv its depthwise BN's; both give a retaining pass's
+        # values
         rng = np.random.default_rng(18)
         images = rng.normal(size=(6, 2, 12, 12)).astype(np.float32)
         models = [L.SkipblockNetMicro(self.SPEC, seed=5) for _ in range(2)]
@@ -911,6 +914,77 @@ class TestTrainFold:
             bn(x, x)
         with pytest.raises(ad.ShapeError, match="residual"):
             run(L.BatchNorm2d(3)(x, ad.constant(np.zeros((1, 3, 2, 1)))))
+
+
+class TestDepthwisePrologue:
+    """In train mode an InvertedResidual's depthwise BN node takes the
+    batch statistics and passes its input through, and the project conv
+    normalizes and activates each block of it before its GEMMs; the
+    project backward hands the BN node its first sweep."""
+
+    @pytest.mark.parametrize("residual", [True, False],
+                             ids=["residual", "no_residual"])
+    @pytest.mark.parametrize("act", ["relu", "hswish"])
+    def test_gradients(self, act, residual):
+        # f64 finite differences through a train-mode block whose project
+        # conv applies the depthwise BN
+        rng = np.random.default_rng(19)
+        blk = L.InvertedResidual(4, 8, 4 if residual else 6, act=act,
+                                 rng=rng, dtype=np.float64)
+        assert blk.use_residual == residual
+        perturb_bn(blk, rng)
+        x = ad.parameter(rng.normal(size=(3, 4, 5, 5)))
+        y = blk(x)
+        run(y)
+        convs = [n for n in ad.topo_order(y) if n.op == "conv2d"]
+        assert [L.prologue_bn(n) for n in convs] == [None, None,
+                                                     blk.depthwise.bn]
+        dw_bn = convs[2].inputs[0]
+        assert dw_bn.value is convs[1].value
+        root = dot(y, rng.normal(size=y.value.shape))
+        params = [x] + [p.node for p in blk.parameters()]
+        assert_grads_close(root, params, eps=1e-5, rtol=1e-4, sample=8,
+                           rng=np.random.default_rng(0))
+
+    def test_graph_keeps_no_depthwise_bn_output(self):
+        model = L.SkipblockNetMicro(L.MicroNetSpec(), seed=0)
+        rng = np.random.default_rng(20)
+        out = model.build(ad.leaf(
+            rng.normal(size=(4, 1, 28, 28)).astype(np.float32)))
+        run(out.logits)
+        nodes = ad.topo_order(out.logits)
+        kept = [n.value for n in nodes if n.op != "leaf"]
+        kept += [a for n in nodes if n.ctx is not None
+                 for a in (n.ctx if isinstance(n.ctx, tuple) else [n.ctx])
+                 if isinstance(a, np.ndarray)]
+        deferred = [n for n in nodes if n.op == "conv2d"
+                    and L.prologue_bn(n) is not None]
+        # the five blocks' project convs; the skip block's widens and
+        # folds its own BN instead
+        assert [L.prologue_bn(n) for n in deferred] == [
+            blk.depthwise.bn for blk in model.blocks]
+        for conv in deferred:
+            bn = conv.inputs[0]
+            assert bn.value is bn.inputs[0].value
+            _, x, m, invstd = L.bn_input(bn)
+            y = K.bn_normalize(x, m, invstd, bn.inputs[1].value,
+                               bn.inputs[2].value, bn.attrs["act"])
+            assert not any(v.shape == y.shape and np.array_equal(v, y)
+                           for v in kept)
+        # the stem keeps its input image and no im2col columns
+        stem = out.probes["stem"].inputs[0]
+        assert isinstance(stem.ctx[0], K.Blocks)
+
+    def test_eval_mode_folds_the_depthwise_bn(self):
+        blk = L.InvertedResidual(4, 8, 4, rng=np.random.default_rng(21))
+        y = blk(ad.constant(np.ones((2, 4, 5, 5), np.float32)))
+        project = y.inputs[0]
+        assert L.prologue_bn(project) is blk.depthwise.bn
+        blk.eval()
+        run(y)
+        assert L.prologue_bn(project) is None
+        assert L.folded_bn(project.inputs[0].inputs[0]) is blk.depthwise.bn
+        assert isinstance(project.ctx[0], np.ndarray)
 
 
 def cba_names(path):

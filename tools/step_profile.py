@@ -3,20 +3,26 @@
 
     python tools/step_profile.py [CHECKOUT] [--batch 128] [--steps 24]
                                  [--warmup 2] [--seed 3]
+                                 [--dataset mnist|cifar10]
 
 Imports the engine from CHECKOUT/src (default: the checkout this script
-sits in) and runs train steps of the MNIST bias-loss recipe on synthetic
-data, as train_run's loop does: augmented batch, forward and loss on the
-one train graph, refilled each step, backward, SGD. The first --warmup
-steps are not counted.
+sits in) and runs train steps of the bias-loss recipe on synthetic data
+of --dataset's geometry (1x28x28 or 3x32x32, with that dataset's
+augmentation), as train_run's loop does: augmented batch, forward and
+loss on the one train graph, refilled each step, backward, SGD. The first
+--warmup steps are not counted.
 
 Each op's forward and backward are timed at dispatch, by wrapping the
 entries of autodiff._FORWARD and _BACKWARD, and booked to the op's kind
 and input shape. Convs are split into depthwise (conv2d.dw), 1x1
 (conv2d.1x1) and im2col (conv2d.im2col) kinds, batch norms by mode and
 activation (batchnorm.train.relu, ...). A widening 1x1 conv that applies
-its train-mode BN itself is booked as conv2d.1x1+bn.train.<act>, so that
-the BN work it does is not read as conv time. The table gives each row's
+its train-mode BN itself is booked as conv2d.1x1+bn.train.<act>, and a
+1x1 conv that applies its input's train-mode BN before its GEMMs as
+bn.train.<act>+conv2d.1x1, so that the BN work they do is not read as
+conv time; the BN node that defers to such a conv, which takes the batch
+statistics and runs the BN backward's second sweep, is
+batchnorm.train.deferred. The table gives each row's
 calls, forward ms and backward ms per step, largest first, then the
 totals over all ops, the mean wall ms of a step and the mean ms of
 assembling a step's batch (rotation and normalization, inline), which the
@@ -49,13 +55,18 @@ def op_kind(node):
         if kh != 1 or kw != 1:
             return "conv2d.im2col"
         from biasloss import layers
-        # checkouts older than the train-mode fold have no folded_bn
+        # older checkouts have no folded_bn or prologue_bn
         bn = getattr(layers, "folded_bn", lambda conv: None)(node)
         if bn is not None and bn.training:
             return f"conv2d.1x1+bn.train.{bn.act or 'none'}"
+        bn = getattr(layers, "prologue_bn", lambda conv: None)(node)
+        if bn is not None:
+            return f"bn.train.{bn.act or 'none'}+conv2d.1x1"
         return "conv2d.1x1"
     if node.op == "batchnorm":
         mode = "train" if node.attrs["layer"].training else "eval"
+        if mode == "train" and node.attrs.get("defer"):
+            return "batchnorm.train.deferred"
         return f"batchnorm.{mode}.{node.attrs['act'] or 'none'}"
     return node.op
 
@@ -87,14 +98,14 @@ def dispatch_timer(ad, totals):
             table.update(saved[phase])
 
 
-def profile(batch, steps, warmup, seed):
+def profile(batch, steps, warmup, seed, dataset="mnist"):
     """(totals, step seconds, assembly seconds): dispatch totals over the
     counted steps, and the wall seconds of each counted step and of
     assembling its batch."""
     from biasloss import autodiff as ad, data, layers, train
-    cfg = train.TrainConfig(dataset="mnist", loss="bias", batch_size=batch,
+    cfg = train.TrainConfig(dataset=dataset, loss="bias", batch_size=batch,
                             seed=seed, prefetch=False)
-    ds = data.make_synthetic("mnist", batch * (warmup + steps), seed=seed)
+    ds = data.make_synthetic(dataset, batch * (warmup + steps), seed=seed)
     model = layers.SkipblockNetMicro(cfg.model_spec(), seed=cfg.seed)
     params, state = model.parameters(), {}
     # one graph refilled each step, as train_run keeps it
@@ -102,7 +113,7 @@ def profile(batch, steps, warmup, seed):
     totals = collections.defaultdict(lambda: [0.0, 0])
     walls, assembly = [], []
     stream = data.batches(ds, batch, seed=seed,
-                          augment_spec=data.default_augment("mnist"))
+                          augment_spec=data.default_augment(dataset))
     for i in range(warmup + steps):
         counted = i >= warmup
         t0 = time.perf_counter()
@@ -124,14 +135,14 @@ def profile(batch, steps, warmup, seed):
     return totals, walls, assembly
 
 
-def retained_mb(batch, seed):
+def retained_mb(batch, seed, dataset="mnist"):
     """MB that one retaining train forward keeps: the bytes tracemalloc
     traces after a train-mode forward and loss of a fresh graph on a
     batch of batch images, less those before it."""
     from biasloss import autodiff as ad, data, layers, train
-    cfg = train.TrainConfig(dataset="mnist", loss="bias", batch_size=batch,
+    cfg = train.TrainConfig(dataset=dataset, loss="bias", batch_size=batch,
                             seed=seed, prefetch=False)
-    ds = data.make_synthetic("mnist", batch, seed=seed)
+    ds = data.make_synthetic(dataset, batch, seed=seed)
     model = layers.SkipblockNetMicro(cfg.model_spec(), seed=cfg.seed)
     graph = model.build(ad.leaf(np.ascontiguousarray(ds.images),
                                 name="input"))
@@ -184,6 +195,8 @@ def main(argv=None):
     ap.add_argument("--warmup", type=int, default=2,
                     help="steps run first and not counted")
     ap.add_argument("--seed", type=int, default=3)
+    ap.add_argument("--dataset", choices=("mnist", "cifar10"),
+                    default="mnist", help="geometry and augmentation")
     args = ap.parse_args(argv)
     if args.batch < 1 or args.steps < 1 or args.warmup < 0:
         ap.error("--batch and --steps must be >= 1, --warmup >= 0")
@@ -191,8 +204,9 @@ def main(argv=None):
     if not (src / "biasloss" / "__init__.py").is_file():
         sys.exit(f"step_profile: no engine source under {src}")
     sys.path.insert(0, str(src))  # profile() imports the engine from here
-    print(table(*profile(args.batch, args.steps, args.warmup, args.seed),
-                retained_mb(args.batch, args.seed)))
+    print(table(*profile(args.batch, args.steps, args.warmup, args.seed,
+                         args.dataset),
+                retained_mb(args.batch, args.seed, args.dataset)))
 
 
 if __name__ == "__main__":
